@@ -42,6 +42,7 @@ from .errors import (
     InfeasibleQueryError,
     InvalidDHBError,
     InvalidResolutionError,
+    InvalidWitnessParameterError,
     NotHomogeneousError,
     NotMinimalError,
     VerificationMismatchError,

@@ -86,6 +86,20 @@ class FieldTooSmallError(CurvedetError, ValueError):
     reason = "FieldTooSmall"
 
 
+class InvalidWitnessParameterError(CurvedetError, ValueError):
+    """A witness trial count or prime the verification cannot work with."""
+
+    reason = "InvalidWitnessParameter"
+
+    def __init__(self, parameter: str, value: int, message: str):
+        self.parameter = parameter
+        self.value = value
+        super().__init__(message)
+
+    def payload(self) -> dict:
+        return {**super().payload(), "parameter": self.parameter, "value": self.value}
+
+
 class VerificationMismatchError(CurvedetError, RuntimeError):
     """A randomized witness contradicted a decision: an implementation bug."""
 

@@ -8,6 +8,17 @@ minors by exact cofactor expansion, and compare graded-piece dimensions
 of the minor ideal, obtained as ranks of coefficient matrices over F_p,
 against the predicted Hilbert function.
 
+One elimination kernel, `_echelon`, serves every graded rank: forward
+elimination mod p on an int64 array, returning the normalized pivot
+rows.  `ideal_dim` counts the pivots, and the membership test reduces a
+form against the same pivot rows instead of ranking a second matrix.
+Only these two functions use numpy, and they import it on first use,
+so decisions never load it.  A witness prime must be a prime below
+2^31, so that a product of two residues fits in int64; primality is
+checked by a deterministic Miller-Rabin test.  `_det_numeric` stays a
+pure-Python loop: it runs on the n <= 5 matrices of line restriction,
+where numpy's per-call cost exceeds the work.
+
 Forms are dense coefficient vectors over F_p indexed by the graded
 lexicographic order on monomials x^i y^j z^k (x > y > z) within each
 degree.  Serialized coefficient vectors follow this order exactly.
@@ -19,14 +30,53 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .decide import contains_subscheme, representable
 from .degree_matrix import DegreeMatrix, DHBMatrix, WellOrderedSquare, insert_row_sorted
-from .errors import FieldTooSmallError, VerificationMismatchError
+from .errors import FieldTooSmallError, InvalidWitnessParameterError, VerificationMismatchError
 from .resolution import betti_of_matrix, hilbert_function, plane_dim
 
 DEFAULT_PRIME = 32003
+# primes stay below this so that a product of two residues fits in int64
+_PRIME_BOUND = 2**31
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 3, 5, 7: exact for n < 3,215,031,751."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _check_prime(p: int) -> None:
+    if not (p < _PRIME_BOUND and _is_prime(p)):
+        raise InvalidWitnessParameterError(
+            "prime", p, f"prime must be a prime below 2^31, got {p}"
+        )
+
+
+def _check_witness_parameters(trials: int, prime: int) -> None:
+    if trials < 1:
+        raise InvalidWitnessParameterError(
+            "trials", trials, f"trials must be at least 1, got {trials}"
+        )
+    _check_prime(prime)
 
 
 @lru_cache(maxsize=None)
@@ -365,31 +415,37 @@ def det_degree_on_lines(N: FormMatrix, trials: int, rng: random.Random) -> LineD
 # ---------------------------------------------------------------------------
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+def _echelon(rows: list[list[int]], p: int):
+    """Forward elimination mod p: the pivot rows, scaled to a leading 1, and their columns.
+
+    Rows at and below the current pivot are zero left of the pivot
+    column, so each pivot is one vectorized rank-1 update of the
+    remaining columns of the rows below that are nonzero there.
+    Entries stay in [0, p) with p < 2^31, so every product fits in int64.
+    """
+    _check_prime(p)
     if not rows:
-        return 0
+        return [], []
+    import numpy as np
+
     a = np.array(rows, dtype=np.int64) % p
     m, n = a.shape
-    rank = 0
+    pivots: list[int] = []
     for col in range(n):
-        pivot = None
-        for r in range(rank, m):
-            if a[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = a[rank] * inv % p
-        for r in range(m):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[rank]) % p
-        rank += 1
-        if rank == m:
+        r = len(pivots)
+        if r == m:
             break
-    return rank
+        nonzero = np.flatnonzero(a[r:, col])
+        if not nonzero.size:
+            continue
+        if nonzero[0]:
+            a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
+        a[r, col:] = a[r, col:] * pow(int(a[r, col]), -1, p) % p
+        below = r + 1 + np.flatnonzero(a[r + 1 :, col])
+        if below.size:
+            a[below, col:] = (a[below, col:] - np.outer(a[below, col], a[r, col:])) % p
+        pivots.append(col)
+    return a[: len(pivots)], pivots
 
 
 def _graded_piece_rows(gens, t: int, p: int) -> list[list[int]]:
@@ -418,15 +474,21 @@ def ideal_dim(gens, t: int) -> int:
     if not gens:
         return 0
     p = gens[0].prime
-    return _rank_mod_p(_graded_piece_rows(gens, t, p), p)
+    return len(_echelon(_graded_piece_rows(gens, t, p), p)[1])
 
 
 def _in_span(gens, f: Form, t: int) -> bool:
     """Whether f lies in the degree-t graded piece spanned by the gens' multiples."""
+    import numpy as np
+
     p = f.prime
-    rows = _graded_piece_rows([g for g in gens if not g.is_zero], t, p)
-    base = _rank_mod_p(rows, p)
-    return _rank_mod_p(rows + [list(f.coeffs)], p) == base
+    basis, pivots = _echelon(_graded_piece_rows([g for g in gens if not g.is_zero], t, p), p)
+    residue = np.array(f.coeffs, dtype=np.int64) % p
+    # each basis row is zero left of its pivot, so one pass in pivot order reduces f
+    for row, col in zip(basis, pivots):
+        if residue[col]:
+            residue[col:] = (residue[col:] - residue[col] * row[col:]) % p
+    return not residue.any()
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +541,7 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
     no by a bad subdiagonal block: the determinant must factor as the
     product of the two block determinants, with degrees e' and d - e'.
     """
+    _check_witness_parameters(trials, prime)
     decision = representable(grid)
     report = WitnessReport(seed, prime, trials, decision.to_json())
     M = WellOrderedSquare(DegreeMatrix.from_grid(decision.normalized))
@@ -559,6 +622,7 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     the maximal minors, and that the ideal's graded-piece dimensions
     match the predicted Hilbert function up to b_1.
     """
+    _check_witness_parameters(trials, prime)
     decision = contains_subscheme(Q, d)
     report = WitnessReport(seed, prime, trials, decision.to_json())
     if not decision.verdict:

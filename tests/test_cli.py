@@ -1,8 +1,17 @@
 """Command-line contract: JSON bodies, exit codes, schema errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import curvedet
 from curvedet.cli import run
+
+SRC = str(Path(curvedet.__file__).resolve().parents[1])
 
 
 def invoke(capsys, *argv):
@@ -175,6 +184,66 @@ class TestWitnessCommand:
         assert code == 0
         assert body["observedDegrees"] == [4, 4]
         assert body["hfProfile"][4]["observed"] == 14
+
+    @pytest.mark.parametrize("prime", ["4294967311", "9"])
+    def test_unusable_prime_is_input_error(self, capsys, prime):
+        code, body = invoke(
+            capsys,
+            "witness",
+            "--matrix", "[[1,1,1],[1,1,1]]",
+            "--degree", "4",
+            "--prime", prime,
+        )
+        assert code == 1
+        assert body["error"] == "InvalidWitnessParameter"
+        assert (body["parameter"], body["value"]) == ("prime", int(prime))
+
+    def test_largest_prime_below_two_to_the_31(self, capsys):
+        code, body = invoke(
+            capsys,
+            "witness",
+            "--matrix", "[[1,1,1],[1,1,1]]",
+            "--degree", "4",
+            "--trials", "2",
+            "--prime", "2147483647",
+        )
+        assert code == 0
+        assert body["mismatches"] == []
+        assert body["prime"] == 2147483647
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    @pytest.mark.parametrize("matrix", ["[[1,1],[1,1]]", "[[1,1,1],[1,1,1]]"])
+    def test_trials_must_be_positive(self, capsys, matrix, trials):
+        code, body = invoke(
+            capsys, "witness", "--matrix", matrix, "--degree", "4", "--trials", trials
+        )
+        assert code == 1
+        assert body["error"] == "InvalidWitnessParameter"
+        assert (body["parameter"], body["value"]) == ("trials", int(trials))
+
+
+class TestLazyNumpy:
+    @staticmethod
+    def _loads_numpy(code: str) -> bool:
+        probe = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
+        ).stdout
+        return out.strip().splitlines()[-1] == "True"
+
+    def test_decisions_do_not_load_numpy(self):
+        assert not self._loads_numpy(
+            "from curvedet import cli\n"
+            "cli.run(['check-representable', '--matrix', '[[0,1,10,11],[-1,0,9,10],[-5,-4,5,6],[-8,-7,2,3]]'])"
+        )
+
+    def test_a_graded_rank_loads_numpy(self):
+        assert self._loads_numpy(
+            "import random\n"
+            "from curvedet import ideal_dim, random_form\n"
+            "ideal_dim([random_form(2, random.Random(0))], 3)"
+        )
 
 
 class TestEnumerateCommand:

@@ -2,11 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedet import (
     BettiData,
     FieldTooSmallError,
+    Form,
+    InvalidWitnessParameterError,
     canonicalize,
     det_degree_on_lines,
     det_form,
@@ -21,7 +26,11 @@ from curvedet import (
 )
 from curvedet.witness import (
     DEFAULT_PRIME,
+    _echelon,
+    _graded_piece_rows,
+    _in_span,
     _interpolate,
+    _is_prime,
     monomial_index,
     monomials,
     restrict_det_to_line,
@@ -30,6 +39,35 @@ from curvedet.witness import (
 
 DEGREE8_GRID = [[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]]
 P = DEFAULT_PRIME
+KERNEL_PRIMES = (2, 3, 32003, 2**31 - 1)
+
+
+def reference_rank(rows: list[list[int]], p: int) -> int:
+    """Rank mod p by row-at-a-time Gauss-Jordan elimination, kept apart from the kernel."""
+    if not rows:
+        return 0
+    a = np.array(rows, dtype=np.int64) % p
+    m, n = a.shape
+    rank = 0
+    for col in range(n):
+        pivot = None
+        for r in range(rank, m):
+            if a[r, col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+        inv = pow(int(a[rank, col]), -1, p)
+        a[rank] = a[rank] * inv % p
+        for r in range(m):
+            if r != rank and a[r, col]:
+                a[r] = (a[r] - a[r, col] * a[rank]) % p
+        rank += 1
+        if rank == m:
+            break
+    return rank
 
 
 def dhb(grid):
@@ -242,6 +280,68 @@ class TestIdealDim:
         assert ideal_dim([], 3) == 0
         assert ideal_dim([zero_form(P)], 3) == 0
 
+    def test_generators_above_the_level(self):
+        rng = random.Random(20)
+        assert ideal_dim([random_form(3, rng)], 2) == 0
+
+
+class TestEchelonKernel:
+    @given(st.sampled_from(KERNEL_PRIMES), st.integers(0, 40), st.integers(1, 40),
+           st.integers(0, 40), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_rank_of_low_rank_products(self, p, m, n, k, seed):
+        rng = random.Random(seed)
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(x * right[i][j] for i, x in enumerate(row)) % p for j in range(n)] for row in left]
+        basis, pivots = _echelon(rows, p)
+        assert len(pivots) == reference_rank(rows, p)
+        assert pivots == sorted(set(pivots))
+        for row, col in zip(basis, pivots):
+            assert row[col] == 1 and not any(row[:col])
+
+    @given(st.sampled_from(KERNEL_PRIMES), st.lists(st.integers(0, 3), min_size=1, max_size=3),
+           st.integers(0, 5), st.booleans(), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_in_span_matches_reference_ranks(self, p, degrees, t, combine, seed):
+        rng = random.Random(seed)
+        gens = [random_form(m, rng, p) for m in degrees]
+        rows = _graded_piece_rows(gens, t, p)
+        coeffs = [rng.randrange(p) for _ in range(plane_dim(t))]
+        if combine and rows:
+            weights = [rng.randrange(p) for _ in rows]
+            coeffs = [sum(w * row[j] for w, row in zip(weights, rows)) % p for j in range(plane_dim(t))]
+        f = Form(t, tuple(coeffs), p)
+        assert _in_span(gens, f, t) == (reference_rank(rows + [coeffs], p) == reference_rank(rows, p))
+
+    def test_membership_in_the_quartic_piece_of_22_points(self):
+        # dim I_4 = 1: the degree-4 minor spans the quartics through the points
+        rng = random.Random(21)
+        minors = maximal_minors(sample_matrix(dhb([[2, 3, 5], [1, 2, 4]]), rng))
+        quartic = next(g for g in minors if g.degree == 4)
+        assert _in_span(minors, quartic, 4)
+        assert not _in_span(minors, random_form(4, rng), 4)
+
+    def test_prime_bound_guards_the_int64_products(self):
+        rng = random.Random(22)
+        with pytest.raises(InvalidWitnessParameterError):
+            ideal_dim([random_form(2, rng, 4294967311)], 3)
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        def by_division(n):
+            return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(5000) if _is_prime(n)] == [n for n in range(5000) if by_division(n)]
+
+    def test_strong_pseudoprimes_and_the_bound(self):
+        # strong pseudoprimes to bases {2}, {2, 3} and {2, 3, 5}
+        for n in (2047, 1373653, 25326001, 2**31 + 1, 4294967297):
+            assert not _is_prime(n)
+        for n in (2**31 - 1, 4294967311, 32003):
+            assert _is_prime(n)
+
 
 class TestVerifyRepresentable:
     def test_positive_degree_eight(self):
@@ -263,6 +363,22 @@ class TestVerifyRepresentable:
         report = verify_representable([[0, 0], [0, 0]], trials=4, seed=2)
         assert report.ok
         assert set(report.observed_degrees) == {0}
+
+    @pytest.mark.parametrize("prime", [9, 1, 0, -7, 2**31, 4294967311])
+    def test_rejects_unusable_primes(self, prime):
+        with pytest.raises(InvalidWitnessParameterError) as info:
+            verify_representable([[1, 1], [1, 1]], trials=1, prime=prime)
+        assert info.value.payload()["parameter"] == "prime"
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_empty_trial_counts(self, trials):
+        with pytest.raises(InvalidWitnessParameterError) as info:
+            verify_representable([[1, 1], [1, 1]], trials=trials)
+        assert info.value.payload()["parameter"] == "trials"
+
+    def test_largest_prime_below_the_bound(self):
+        report = verify_representable(DEGREE8_GRID, trials=2, seed=2, prime=2**31 - 1)
+        assert report.ok
 
     def test_report_json_shape(self):
         payload = verify_representable([[1]], trials=2, seed=3).to_json()
@@ -302,6 +418,16 @@ class TestVerifySubscheme:
         assert not report.ok
         with pytest.raises(Exception):
             report.raise_if_mismatched()
+
+    @pytest.mark.parametrize("prime, trials", [(9, 1), (4294967311, 1), (P, 0), (P, -1)])
+    def test_rejects_bad_parameters(self, prime, trials):
+        with pytest.raises(InvalidWitnessParameterError):
+            verify_subscheme(dhb([[1, 1, 1], [1, 1, 1]]), 4, trials=trials, prime=prime)
+
+    def test_largest_prime_below_the_bound(self):
+        report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=1, seed=4, prime=2**31 - 1)
+        assert report.ok
+        assert all(entry["predicted"] == entry["observed"] for entry in report.hf_profile)
 
     def test_hilbert_profile_matches_formula(self):
         Q = dhb([[2, 3, 5], [1, 2, 4]])
