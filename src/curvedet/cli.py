@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import decide, resolution, series, witness
-from .degree_matrix import DHBMatrix, WellOrderedSquare, canonicalize
+from .degree_matrix import DHBMatrix, canonicalize
 from .errors import CurvedetError
 
 
@@ -54,8 +54,8 @@ def _check_int_list(value, pointer: str) -> list[int]:
     return list(value)
 
 
-def _matrix_arg(args, flag: str = "--matrix", pointer: str = "/matrix") -> list[list[int]]:
-    return _check_matrix(_parse_json(getattr(args, flag.strip("-").replace("-", "_")), flag), pointer)
+def _matrix_arg(args) -> list[list[int]]:
+    return _check_matrix(_parse_json(args.matrix, "--matrix"), "/matrix")
 
 
 def _as_dhb(grid) -> DHBMatrix:
@@ -63,13 +63,6 @@ def _as_dhb(grid) -> DHBMatrix:
     if not isinstance(Q, DHBMatrix):
         raise InputError("/matrix: expected an (n-1) x n matrix")
     return Q
-
-
-def _as_square(grid) -> WellOrderedSquare:
-    M, _, _ = canonicalize(grid)
-    if not isinstance(M, WellOrderedSquare):
-        raise InputError("/matrix: expected a square matrix")
-    return M
 
 
 def _decision_json(decision: decide.Decision, verbose: bool) -> dict:
@@ -205,7 +198,7 @@ def _render_table(value, indent: int = 0) -> str:
                 lines.append("")
             else:
                 lines.append(f"{pad}- {item}")
-        return "\n".join(line for line in lines if line != "" or True).rstrip()
+        return "\n".join(lines).rstrip()
     return f"{pad}{value}"
 
 
@@ -218,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="curvedet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, matrix=True):
-        if matrix:
-            p.add_argument("--matrix", required=True, help="JSON array of arrays of integers")
+    def common(p):
+        p.add_argument("--matrix", required=True, help="JSON array of arrays of integers")
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--verbose", action="store_true", help="include the normalized matrix")
 

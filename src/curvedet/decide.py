@@ -25,6 +25,7 @@ from .degree_matrix import (
     DHBMatrix,
     Grid,
     WellOrderedSquare,
+    _splice_row,
     canonicalize,
 )
 from .errors import EmptySchemeDegenerateError, InvalidDHBError, NotMinimalError
@@ -70,29 +71,34 @@ class Decision:
 
 
 def _inserted_entries(Q: DHBMatrix, d: int) -> tuple[Grid, int]:
-    """Splice the complementary row (d - a_j) into Q at its sorted spot.
+    """Splice the complementary row (d - a_j) into Q at its landing position.
 
     Returns the raw well-ordered n x n grid and the 1-based landing
-    position; equivalent to insert_row_sorted but without intermediate
-    wrappers, for the enumeration-heavy callers.
+    position.  The row is compatible by construction, so it skips the
+    validation and the wrappers of insert_row_sorted.
     """
-    a = Q.minor_degrees
-    row = tuple(d - aj for aj in a)
-    pos = 0
-    for bi in Q.shifts:
-        if bi >= d:
-            pos += 1
-    entries = Q.entries[:pos] + (row,) + Q.entries[pos:]
-    return entries, pos + 1
+    return _splice_row(Q, tuple(d - aj for aj in Q.minor_degrees))
+
+
+def _trailing_degrees(entries: Grid) -> tuple[tuple[int, int], ...]:
+    """(k, e) for every negative subdiagonal entry m[k][k-1], in order of k,
+    where e is the degree of the trailing block starting at (k, k)."""
+    trailing: list[tuple[int, int]] = []
+    tail = 0  # sum of diagonal entries from k (1-based) through n
+    for k in range(len(entries), 1, -1):
+        tail += entries[k - 1][k - 1]
+        if entries[k - 1][k - 2] < 0:
+            trailing.append((k, tail))
+    trailing.reverse()
+    return tuple(trailing)
 
 
 def _decide_entries(entries: Grid, d: int, inserted: int | None = None) -> Decision:
     """Evaluate the two conditions on a well-ordered square grid of degree d."""
     if d < 0:
         raise ValueError(f"matrix degree {d} is negative: malformed input")
-    n = len(entries)
 
-    for k in range(n):
+    for k in range(len(entries)):
         if entries[k][k] < 0:
             return Decision(
                 False,
@@ -103,14 +109,7 @@ def _decide_entries(entries: Grid, d: int, inserted: int | None = None) -> Decis
                 inserted_row_position=inserted,
             )
 
-    trailing: list[tuple[int, int]] = []
-    tail = 0  # sum of diagonal entries from k (1-based) through n
-    for k in range(n, 1, -1):
-        tail += entries[k - 1][k - 1]
-        if entries[k - 1][k - 2] < 0:
-            trailing.append((k, tail))
-    trailing.reverse()
-
+    trailing = _trailing_degrees(entries)
     for k, e in trailing:
         if e not in (0, d):
             return Decision(
@@ -121,7 +120,7 @@ def _decide_entries(entries: Grid, d: int, inserted: int | None = None) -> Decis
                 k=k,
                 block_degree=e,
                 inserted_row_position=inserted,
-                trailing_degrees=tuple(trailing),
+                trailing_degrees=trailing,
             )
 
     reason = REASON_DEGREE_ZERO if d == 0 else REASON_OK
@@ -131,7 +130,7 @@ def _decide_entries(entries: Grid, d: int, inserted: int | None = None) -> Decis
         d,
         entries,
         inserted_row_position=inserted,
-        trailing_degrees=tuple(trailing),
+        trailing_degrees=trailing,
     )
 
 
@@ -242,24 +241,19 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
 
     def build(verdict: bool, k: int | None = None, e: int | None = None,
               diagonal_failure: bool = False) -> Decision:
-        # The certificate matrix is shared with the insertion procedure;
-        # the verdict and the failing indices come from the closed form.
+        # The certificate (square, landing position, trailing degrees) is
+        # built as in the insertion procedure; the verdict and the failing
+        # indices come from the closed form.
         m, pos = _inserted_entries(Q, d)
-        trailing = []
-        tail = 0
-        for kk in range(n, 1, -1):
-            tail += m[kk - 1][kk - 1]
-            if m[kk - 1][kk - 2] < 0:
-                trailing.append((kk, tail))
-        trailing.reverse()
-        if verdict:
-            return Decision(True, REASON_OK, d, m,
-                            inserted_row_position=pos, trailing_degrees=tuple(trailing))
         if diagonal_failure:
             return Decision(False, REASON_DIAGONAL, d, m, k=k,
                             inserted_row_position=pos)
+        trailing = _trailing_degrees(m)
+        if verdict:
+            return Decision(True, REASON_OK, d, m,
+                            inserted_row_position=pos, trailing_degrees=trailing)
         return Decision(False, REASON_SUBDIAGONAL, d, m, k=k, block_degree=e,
-                        inserted_row_position=pos, trailing_degrees=tuple(trailing))
+                        inserted_row_position=pos, trailing_degrees=trailing)
 
     if d >= b[0]:
         return CorollaryResult(build(True), "i")
@@ -342,8 +336,7 @@ def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterato
                 continue
             if minimal_only and any(ui + vj == 0 for ui in u for vj in v):
                 continue
-            entries = tuple(tuple(ui + vj for vj in v) for ui in u)
-            yield DHBMatrix(DegreeMatrix(entries, u, v))
+            yield DHBMatrix(DegreeMatrix(tuple(tuple(ui + vj for vj in v) for ui in u)))
 
 
 def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:

@@ -3,8 +3,11 @@
 A grid of integers is *homogeneous* when every 2x2 submatrix
 [[a, b], [c, e]] satisfies a + e = b + c; equivalently the entries
 decompose as m[i][j] = u[i] + v[j] for a row potential u and a column
-potential v.  Such grids record the entry degrees of matrices of
-homogeneous forms: a square homogeneous grid has a well-defined degree
+potential v, made unique by v[1] = 0: u is the first column and v the
+first row minus its first entry.  This is the one potentials convention
+of the package; `DegreeMatrix` derives them from its entries this way
+and never stores them.  Such grids record the entry degrees of matrices
+of homogeneous forms: a square homogeneous grid has a well-defined degree
 (any transversal sum), and an (n-1) x n grid presents the generator and
 syzygy degrees of a codimension-two ideal through its maximal minors.
 
@@ -44,10 +47,10 @@ def _as_grid(grid) -> Grid:
 
 
 def potentials(grid) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a homogeneous grid into (row, column) potentials with v[1] = 0.
+    """Split a homogeneous grid into its (row, column) potentials, v[1] = 0.
 
     Raises NotHomogeneousError carrying a violating 2x2 block if the grid
-    is not homogeneous.  The normalization v[1] = 0 makes the pair unique.
+    is not homogeneous.
     """
     rows = _as_grid(grid)
     base = rows[0][0]
@@ -85,17 +88,24 @@ def transversal_degree(grid) -> int:
 
 @dataclass(frozen=True)
 class DegreeMatrix:
-    """A homogeneous integer grid together with its canonical potentials."""
+    """A homogeneous integer grid; its potentials are derived from the entries."""
 
     entries: Grid
-    row_potentials: tuple[int, ...]
-    col_potentials: tuple[int, ...]
 
     @classmethod
     def from_grid(cls, grid) -> "DegreeMatrix":
         rows = _as_grid(grid)
-        u, v = potentials(rows)
-        return cls(rows, u, v)
+        potentials(rows)
+        return cls(rows)
+
+    @cached_property
+    def row_potentials(self) -> tuple[int, ...]:
+        return tuple(row[0] for row in self.entries)
+
+    @cached_property
+    def col_potentials(self) -> tuple[int, ...]:
+        first = self.entries[0]
+        return tuple(x - first[0] for x in first)
 
     @property
     def rows(self) -> int:
@@ -107,9 +117,9 @@ class DegreeMatrix:
 
     def is_well_ordered(self) -> bool:
         """Entries non-increasing downward, non-decreasing rightward."""
-        u, v = self.row_potentials, self.col_potentials
-        return all(u[i] >= u[i + 1] for i in range(len(u) - 1)) and all(
-            v[j] <= v[j + 1] for j in range(len(v) - 1)
+        m = self.entries
+        return all(m[i][0] >= m[i + 1][0] for i in range(len(m) - 1)) and all(
+            m[0][j] <= m[0][j + 1] for j in range(len(m[0]) - 1)
         )
 
 
@@ -235,11 +245,7 @@ def canonicalize(grid):
     r, c = len(rows), len(rows[0])
     row_order = sorted(range(r), key=lambda i: -u[i])
     col_order = sorted(range(c), key=lambda j: v[j])
-    sorted_entries = tuple(tuple(rows[i][j] for j in col_order) for i in row_order)
-    shift = v[col_order[0]]
-    new_u = tuple(u[i] + shift for i in row_order)
-    new_v = tuple(v[j] - shift for j in col_order)
-    base = DegreeMatrix(sorted_entries, new_u, new_v)
+    base = DegreeMatrix(tuple(tuple(rows[i][j] for j in col_order) for i in row_order))
     row_perm = tuple(i + 1 for i in row_order)
     col_perm = tuple(j + 1 for j in col_order)
     if r == c:
@@ -247,6 +253,19 @@ def canonicalize(grid):
     if r + 1 == c:
         return DHBMatrix(base), row_perm, col_perm
     raise ValueError(f"unsupported shape {r} x {c}: expected n x n or (n-1) x n")
+
+
+def _splice_row(Q: DHBMatrix, row: tuple[int, ...]) -> tuple[Grid, int]:
+    """Land an unvalidated compatible row of shift t = row[0] + a[0] below
+    every row of Q with shift >= t; return the square grid and the 1-based
+    landing position."""
+    t = row[0] + Q.minor_degrees[0]
+    pos = 0  # 0-based insertion index
+    for b in Q.shifts:
+        if b < t:
+            break
+        pos += 1
+    return Q.entries[:pos] + (row,) + Q.entries[pos:], pos + 1
 
 
 def insert_row_sorted(Q: DHBMatrix, row) -> tuple[WellOrderedSquare, int]:
@@ -265,13 +284,8 @@ def insert_row_sorted(Q: DHBMatrix, row) -> tuple[WellOrderedSquare, int]:
     t = row[0] + a[0]
     if any(row[j] + a[j] != t for j in range(n)):
         raise IncompatibleRowError("row breaks homogeneity: row[j] + minor_degrees[j] is not constant")
-    b = Q.shifts
-    pos = sum(1 for bi in b if bi >= t)  # 0-based insertion index
-    entries = Q.entries[:pos] + (row,) + Q.entries[pos:]
-    u = tuple(bi - a[0] for bi in b)
-    new_u = u[:pos] + (t - a[0],) + u[pos:]
-    base = DegreeMatrix(entries, new_u, Q.base.col_potentials)
-    return WellOrderedSquare(base), pos + 1
+    entries, pos = _splice_row(Q, row)
+    return WellOrderedSquare(DegreeMatrix(entries)), pos
 
 
 def erase_row(M: WellOrderedSquare, i: int) -> DHBMatrix:
@@ -284,7 +298,4 @@ def erase_row(M: WellOrderedSquare, i: int) -> DHBMatrix:
     n = M.n
     if not 1 <= i <= n:
         raise ValueError(f"row index {i} out of range 1..{n}")
-    entries = M.entries[: i - 1] + M.entries[i:]
-    u = M.base.row_potentials
-    base = DegreeMatrix(entries, u[: i - 1] + u[i:], M.base.col_potentials)
-    return DHBMatrix(base)
+    return DHBMatrix(DegreeMatrix(M.entries[: i - 1] + M.entries[i:]))

@@ -64,11 +64,8 @@ class BettiData:
 
     def to_dhb(self) -> DHBMatrix:
         """Canonical well-ordered presentation grid q[i][j] = b[i] - a[j]."""
-        a, b = self.gens, self.syz
-        entries = tuple(tuple(bi - aj for aj in a) for bi in b)
-        u = tuple(bi - b[0] for bi in b)
-        v = tuple(a[0] - aj for aj in a)
-        return DHBMatrix(DegreeMatrix(entries, u, v))
+        a = self.gens
+        return DHBMatrix(DegreeMatrix(tuple(tuple(bi - aj for aj in a) for bi in self.syz)))
 
 
 def betti_of_matrix(Q: DHBMatrix) -> BettiData:

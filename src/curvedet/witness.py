@@ -6,7 +6,8 @@ degree of its determinant by restricting to random lines (evaluation at
 degree + 1 parameter values, then interpolation), compute maximal
 minors by exact cofactor expansion, and compare graded-piece dimensions
 of the minor ideal, obtained as ranks of coefficient matrices over F_p,
-against the predicted Hilbert function.
+against the predicted Hilbert function.  A negative containment verdict
+is witnessed on its inserted square like a representability verdict.
 
 One elimination kernel, `_echelon`, serves every graded rank: forward
 elimination mod p on an int64 array, returning the normalized pivot
@@ -30,8 +31,8 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .decide import contains_subscheme, representable
-from .degree_matrix import DegreeMatrix, DHBMatrix, WellOrderedSquare, insert_row_sorted
+from .decide import REASON_DIAGONAL, REASON_SUBDIAGONAL, Decision, contains_subscheme, representable
+from .degree_matrix import DegreeMatrix, DHBMatrix, WellOrderedSquare
 from .errors import FieldTooSmallError, InvalidWitnessParameterError, VerificationMismatchError
 from .resolution import betti_of_matrix, hilbert_function, plane_dim
 
@@ -114,9 +115,6 @@ class Form:
     def is_zero(self) -> bool:
         return self.degree < 0 or all(c == 0 for c in self.coeffs)
 
-    def coefficient_vector(self) -> tuple[int, ...]:
-        return self.coeffs
-
     def __add__(self, other: "Form") -> "Form":
         if self.is_zero:
             return other
@@ -152,13 +150,6 @@ class Form:
                 k = index[(ia + ib, ja + jb)]
                 out[k] = (out[k] + ca * cb) % p
         return Form(m, tuple(out), p)
-
-    def scale(self, c: int) -> "Form":
-        if self.is_zero:
-            return self
-        p = self.prime
-        c %= p
-        return Form(self.degree, tuple((c * x) % p for x in self.coeffs), p)
 
     def evaluate(self, point: tuple[int, int, int]) -> int:
         if self.is_zero:
@@ -542,9 +533,13 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
     product of the two block determinants, with degrees e' and d - e'.
     """
     _check_witness_parameters(trials, prime)
-    decision = representable(grid)
+    return _verify_square(representable(grid), trials, seed, prime)
+
+
+def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> WitnessReport:
+    """The trials of `verify_representable` on the square `decision.normalized`."""
     report = WitnessReport(seed, prime, trials, decision.to_json())
-    M = WellOrderedSquare(DegreeMatrix.from_grid(decision.normalized))
+    M = DegreeMatrix(decision.normalized)
     d = decision.degree
     if prime <= d:
         raise FieldTooSmallError(f"prime {prime} is too small for degree {d}")
@@ -560,13 +555,13 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
         if decision.verdict:
             if deg is not None and deg > d:
                 report.mismatches.append(f"trial {trial}: degree {deg} exceeds {d}")
-        elif decision.reason == "DiagonalNegative":
+        elif decision.reason == REASON_DIAGONAL:
             if deg is not None:
                 report.mismatches.append(f"trial {trial}: expected zero determinant, saw degree {deg}")
-        elif decision.reason == "SubdiagonalBlockDegree":
+        elif decision.reason == REASON_SUBDIAGONAL:
             k = decision.k
             lead = _block(N, 0, k - 1)
-            trail = _block(N, k - 1, M.n)
+            trail = _block(N, k - 1, M.rows)
             e_lead = d - decision.block_degree
             c_lead = restrict_det_to_line(lead, line, max(e_lead, 0))
             c_trail = restrict_det_to_line(trail, line, max(decision.block_degree, 0))
@@ -589,11 +584,7 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
 def _block(N: FormMatrix, start: int, stop: int) -> FormMatrix:
     entries = tuple(row[start:stop] for row in N.entries[start:stop])
     grid = tuple(row[start:stop] for row in N.degree_matrix.entries[start:stop])
-    u = N.degree_matrix.row_potentials[start:stop]
-    v = N.degree_matrix.col_potentials[start:stop]
-    v0 = v[0]
-    base = DegreeMatrix(grid, tuple(x + v0 for x in u), tuple(x - v0 for x in v))
-    return FormMatrix(entries, base, N.prime)
+    return FormMatrix(entries, DegreeMatrix(grid), N.prime)
 
 
 def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
@@ -614,28 +605,30 @@ def _poly_trim(a: list[int], p: int) -> list[int]:
 
 def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
                      prime: int = DEFAULT_PRIME) -> WitnessReport:
-    """Check a positive containment decision constructively.
+    """Check a containment decision constructively.
 
-    Per trial, sample a presentation matrix, append a row of random
-    forms of the complementary degrees, and confirm that the square
-    determinant (a curve of degree d) lies in the ideal generated by
-    the maximal minors, and that the ideal's graded-piece dimensions
-    match the predicted Hilbert function up to b_1.
+    A negative decision is witnessed on its square `decision.normalized`
+    as `verify_representable` witnesses one.  For a positive decision,
+    per trial, sample a presentation matrix, insert a row of random forms
+    of the complementary degrees at `decision.inserted_row_position`, and
+    confirm that the square determinant (a curve of degree d) lies in
+    the ideal generated by the maximal minors, and that the ideal's
+    graded-piece dimensions match the predicted Hilbert function up to b_1.
     """
     _check_witness_parameters(trials, prime)
     decision = contains_subscheme(Q, d)
-    report = WitnessReport(seed, prime, trials, decision.to_json())
     if not decision.verdict:
-        report.mismatches.append("verify_subscheme requires a positive decision")
-        return report
+        return _verify_square(decision, trials, seed, prime)
+    report = WitnessReport(seed, prime, trials, decision.to_json())
     if prime <= d:
         raise FieldTooSmallError(f"prime {prime} is too small for degree {d}")
 
     B = betti_of_matrix(Q)
     b1 = B.syz[0]
     a = Q.minor_degrees
-    row_degrees = tuple(d - aj for aj in a)
-    square_degrees, pos = insert_row_sorted(Q, row_degrees)
+    square = DegreeMatrix(decision.normalized)
+    pos = decision.inserted_row_position
+    row_degrees = square.entries[pos - 1]
 
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -649,7 +642,7 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
             random_form(m, rng, prime) if m >= 0 else zero_form(prime) for m in row_degrees
         )
         entries = A.entries[: pos - 1] + (new_row,) + A.entries[pos - 1 :]
-        N = FormMatrix(entries, square_degrees.base, prime)
+        N = FormMatrix(entries, square, prime)
         F = det_form(N)
 
         line = random_line(rng, prime)

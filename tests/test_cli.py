@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import curvedet
+from curvedet import witness
 from curvedet.cli import run
 
 SRC = str(Path(curvedet.__file__).resolve().parents[1])
@@ -185,6 +186,18 @@ class TestWitnessCommand:
         assert body["observedDegrees"] == [4, 4]
         assert body["hfProfile"][4]["observed"] == 14
 
+    def test_negative_containment_is_witnessed(self, capsys):
+        code, body = invoke(
+            capsys, "witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "5", "--trials", "3"
+        )
+        assert code == 0
+        assert body["mismatches"] == []
+        assert body["verdictChecked"] == {
+            "answer": "no", "degree": 5, "reason": "SubdiagonalBlockDegree",
+            "k": 3, "blockDegree": 1, "insertedRowPosition": 3,
+        }
+        assert len(body["observedDegrees"]) == 3
+
     @pytest.mark.parametrize("prime", ["4294967311", "9"])
     def test_unusable_prime_is_input_error(self, capsys, prime):
         code, body = invoke(
@@ -292,19 +305,76 @@ class TestInputValidation:
 
 
 class TestMismatchExitCode:
-    def test_unconfirmable_witness_exits_2(self, capsys):
-        # witnessing a negative decision cannot succeed; the report carries
-        # the reason and the process signals it via exit code 2
-        code, body = invoke(
-            capsys,
-            "witness",
-            "--matrix", "[[2,3,5],[1,2,4]]",
-            "--degree", "5",
-            "--trials", "1",
-        )
+    def test_contradicting_witness_exits_2(self, capsys, monkeypatch):
+        # a determinant that vanishes on every line contradicts a yes
+        monkeypatch.setattr(witness, "restrict_det_to_line", lambda N, line, max_degree: [0] * (max_degree + 1))
+        code, body = invoke(capsys, "witness", "--matrix", "[[1,1],[1,1]]", "--trials", "2")
         assert code == 2
-        assert body["mismatches"]
-        assert body["verdictChecked"]["answer"] == "no"
+        assert body["verdictChecked"]["answer"] == "yes"
+        assert body["mismatches"] == ["no trial realized the full degree 2"]
+
+
+SCAN_TABLE = """\
+scan:
+  d: 1
+  answer: no
+  degree: 1
+  reason: DiagonalNegative
+  k: 3
+  insertedRowPosition: 3
+
+  d: 2
+  answer: no
+  degree: 2
+  reason: DiagonalNegative
+  k: 3
+  insertedRowPosition: 3
+
+  d: 3
+  answer: no
+  degree: 3
+  reason: DiagonalNegative
+  k: 3
+  insertedRowPosition: 3
+
+  d: 4
+  answer: yes
+  degree: 4
+  insertedRowPosition: 3
+
+  d: 5
+  answer: no
+  degree: 5
+  reason: SubdiagonalBlockDegree
+  k: 3
+  blockDegree: 1
+  insertedRowPosition: 3
+"""
+
+# the last entry of `scan --dmax 4 --verbose`: nested lists render one
+# item per line, with a blank line after each row
+VERBOSE_SCAN_TABLE_TAIL = """\
+
+  d: 4
+  answer: yes
+  degree: 4
+  insertedRowPosition: 3
+  normalized:
+    - 2
+    - 3
+    - 5
+
+    - 1
+    - 2
+    - 4
+
+    - -3
+    - -2
+    - 0
+  trailingDegrees:
+    - 3
+    - 0
+"""
 
 
 class TestTableFormat:
@@ -313,6 +383,19 @@ class TestTableFormat:
         out = capsys.readouterr().out
         assert code == 0
         assert "threshold: 7" in out
+
+    def test_scan_renders_a_list_of_decisions(self, capsys):
+        code = run(["scan", "--matrix", "[[2,3,5],[1,2,4]]", "--dmax", "5", "--format", "table"])
+        assert code == 0
+        assert capsys.readouterr().out == SCAN_TABLE
+
+    def test_verbose_scan_renders_nested_lists(self, capsys):
+        code = run(["scan", "--matrix", "[[2,3,5],[1,2,4]]", "--dmax", "4", "--format", "table", "--verbose"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("scan:\n  d: 1\n")
+        assert out.endswith(VERBOSE_SCAN_TABLE_TAIL)
+        assert out.count("  trailingDegrees:\n\n\n") == 3
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Degree-matrix algebra: potentials, ordering, minors, row surgery."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +13,12 @@ from curvedet import (
     WellOrderedSquare,
     canonicalize,
     erase_row,
+    generic_betti,
     grid_from_potentials,
     insert_row_sorted,
+    is_admissible_hvector,
     is_homogeneous,
+    iter_dhb_matrices,
     potentials,
     transversal_degree,
 )
@@ -257,3 +262,51 @@ class TestEraseRow:
         M, _, _ = canonicalize([[1]])
         with pytest.raises(ValueError):
             erase_row(M, 2)
+
+
+def admissible_hvectors(max_length: int, top: int):
+    for length in range(1, max_length + 1):
+        for h in itertools.product(range(1, top + 1), repeat=length):
+            if is_admissible_hvector(h):
+                yield h
+
+
+class TestPotentialsConvention:
+    """Every matrix carries u = its first column and v = its first row minus
+    the first entry, so that m[i][j] = u[i] + v[j] and v[0] = 0."""
+
+    def assert_convention(self, M):
+        u, v = M.base.row_potentials, M.base.col_potentials
+        assert v[0] == 0
+        assert all(x == u[i] + v[j] for i, row in enumerate(M.entries) for j, x in enumerate(row))
+
+    def test_canonicalize(self):
+        for grid in (DEGREE8_GRID, [[2, 3, 5], [1, 2, 4]], [[5, 3, 4], [3, 1, 2]], [[4, 1], [7, 4]]):
+            self.assert_convention(canonicalize(grid)[0])
+
+    def test_row_surgery(self):
+        Q = dhb([[2, 3, 5], [1, 2, 4]])
+        for d in range(1, 12):
+            M, pos = insert_row_sorted(Q, tuple(d - aj for aj in Q.minor_degrees))
+            self.assert_convention(M)
+            for i in range(1, M.n + 1):
+                self.assert_convention(erase_row(M, i))
+
+    def test_enumeration(self):
+        for n in (2, 3, 4):
+            for Q in iter_dhb_matrices(n, 2):
+                self.assert_convention(Q)
+
+    def test_generic_betti_presentation(self):
+        count = 0
+        for h in admissible_hvectors(6, 5):
+            Q = generic_betti(h).to_dhb()
+            self.assert_convention(Q)
+            assert Q == canonicalize(Q.entries)[0]
+            count += 1
+        assert count >= 50
+
+    def test_to_dhb_of_a_flat_hvector(self):
+        Q = generic_betti([1, 2, 3, 3, 2]).to_dhb()
+        assert Q.entries == ((1, 2, 3), (1, 2, 3))
+        assert (Q.base.row_potentials, Q.base.col_potentials) == ((1, 1), (0, 1, 2))

@@ -1,6 +1,7 @@
 """Finite-field witness engine: forms, determinants, ranks, verification."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from curvedet import (
     Form,
     InvalidWitnessParameterError,
     canonicalize,
+    contains_subscheme,
     det_degree_on_lines,
     det_form,
     hilbert_function,
     ideal_dim,
+    iter_dhb_matrices,
     maximal_minors,
     plane_dim,
     random_form,
@@ -24,6 +27,7 @@ from curvedet import (
     verify_representable,
     verify_subscheme,
 )
+from curvedet.decide import REASON_DIAGONAL, REASON_SUBDIAGONAL
 from curvedet.witness import (
     DEFAULT_PRIME,
     _echelon,
@@ -412,12 +416,28 @@ class TestVerifySubscheme:
         report = verify_subscheme(Q, 6, trials=2, seed=6)
         assert report.ok
 
-    def test_requires_positive_decision(self):
+    def test_negative_decision_is_witnessed(self):
+        # the square [[2,3,5],[1,2,4],[-2,-1,1]] has a trailing block of degree 1
         Q = dhb([[2, 3, 5], [1, 2, 4]])
-        report = verify_subscheme(Q, 5, trials=1, seed=7)
-        assert not report.ok
-        with pytest.raises(Exception):
-            report.raise_if_mismatched()
+        report = verify_subscheme(Q, 5, trials=3, seed=7)
+        assert report.ok
+        assert report.verdict_checked == contains_subscheme(Q, 5).to_json()
+        assert report.verdict_checked["reason"] == REASON_SUBDIAGONAL
+        assert len(report.observed_degrees) == 3
+        assert report.hf_profile == []
+
+    def test_negative_verdict_sweep(self):
+        reasons = Counter()
+        for Q in iter_dhb_matrices(3, 3):
+            for d in range(1, Q.shifts[0] + 2):
+                decision = contains_subscheme(Q, d)
+                if decision.verdict:
+                    continue
+                report = verify_subscheme(Q, d, trials=1, seed=d)
+                assert report.ok, (Q.entries, d, report.mismatches)
+                assert report.verdict_checked == decision.to_json()
+                reasons[decision.reason] += 1
+        assert reasons[REASON_DIAGONAL] > 100 and reasons[REASON_SUBDIAGONAL] > 50
 
     @pytest.mark.parametrize("prime, trials", [(9, 1), (4294967311, 1), (P, 0), (P, -1)])
     def test_rejects_bad_parameters(self, prime, trials):
