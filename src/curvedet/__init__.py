@@ -45,7 +45,6 @@ from .errors import (
     InvalidWitnessParameterError,
     NotHomogeneousError,
     NotMinimalError,
-    VerificationMismatchError,
 )
 from .resolution import (
     BettiData,

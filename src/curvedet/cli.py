@@ -184,7 +184,7 @@ def _render_table(value, indent: int = 0) -> str:
     if isinstance(value, dict):
         lines = []
         for key, item in value.items():
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list)) and item:
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_table(item, indent + 1))
             else:
@@ -193,7 +193,8 @@ def _render_table(value, indent: int = 0) -> str:
     if isinstance(value, list):
         lines = []
         for item in value:
-            if isinstance(item, (dict, list)):
+            # a nested list stays on one line, like any other item
+            if isinstance(item, dict) and item:
                 lines.append(_render_table(item, indent))
                 lines.append("")
             else:
@@ -210,56 +211,57 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="curvedet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["json", "table"], default="json")
+
+    def add(name: str, summary: str):
+        return sub.add_parser(name, help=summary, parents=[output])
 
     def common(p):
         p.add_argument("--matrix", required=True, help="JSON array of arrays of integers")
-        p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--verbose", action="store_true", help="include the normalized matrix")
 
-    p = sub.add_parser("check-representable", help="decide determinantal representability")
+    p = add("check-representable", "decide determinantal representability")
     common(p)
     p.set_defaults(func=_cmd_check_representable)
 
-    p = sub.add_parser("check-subscheme", help="decide subscheme containment at a degree")
+    p = add("check-subscheme", "decide subscheme containment at a degree")
     common(p)
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(func=_cmd_check_subscheme)
 
-    p = sub.add_parser("corollary", help="closed-form containment decision with case tag")
+    p = add("corollary", "closed-form containment decision with case tag")
     common(p)
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(func=_cmd_corollary)
 
-    p = sub.add_parser("threshold", help="least degree from which containment is stable")
+    p = add("threshold", "least degree from which containment is stable")
     common(p)
     p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("scan", help="containment decisions for d = 1..dmax")
+    p = add("scan", "containment decisions for d = 1..dmax")
     common(p)
     p.add_argument("--dmax", type=int, required=True)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("hf", help="Hilbert function of a resolution")
+    p = add("hf", "Hilbert function of a resolution")
     p.add_argument("--gens", required=True, help="JSON array of generator degrees")
     p.add_argument("--syz", help="JSON array of syzygy degrees")
     p.add_argument("--tmax", type=int)
-    p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=_cmd_hf)
 
-    p = sub.add_parser("betti-from-hf", help="cancellation-free Betti numbers of an h-vector")
+    p = add("betti-from-hf", "cancellation-free Betti numbers of an h-vector")
     p.add_argument("--h", required=True, help="JSON array: the h-vector")
-    p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=_cmd_betti_from_hf)
 
-    p = sub.add_parser("series", help="linear-series existence table on a general curve")
+    p = add("series", "linear-series existence table on a general curve")
     p.add_argument("--curve-degree", type=int, required=True)
     p.add_argument("--divisor-degree", type=int, required=True)
     p.add_argument("--series-dim", type=int, required=True)
     p.add_argument("--properties", help='JSON array of {"z": int, "kind": "nonspecial"|"effective"}')
-    p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("witness", help="verify a decision by random sampling over F_p")
+    p = add("witness", "verify a decision by random sampling over F_p")
     common(p)
     p.add_argument("--degree", type=int, help="curve degree (required for (n-1) x n input)")
     p.add_argument("--trials", type=int, default=10)
@@ -267,12 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, default=witness.DEFAULT_PRIME)
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("enumerate", help="census of containment decisions over bounded matrices")
+    p = add("enumerate", "census of containment decisions over bounded matrices")
     p.add_argument("--n", type=int, required=True, help="size of the square matrix (Q is (n-1) x n)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--bound", type=int, required=True, help="potential bound")
     p.add_argument("--minimal", action="store_true", help="only numerically minimal matrices")
-    p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=_cmd_enumerate)
 
     return parser
@@ -284,17 +285,14 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         result = args.func(args)
-    except InputError as exc:
-        print(json.dumps({"error": "InputError", "message": str(exc)}))
-        return 1
     except CurvedetError as exc:
         print(json.dumps(exc.payload()))
         return 1
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(json.dumps({"error": "InputError", "message": str(exc)}))
         return 1
 
-    if getattr(args, "format", "json") == "table":
+    if args.format == "table":
         print(_render_table(result))
     else:
         print(json.dumps(result))

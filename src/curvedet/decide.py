@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .degree_matrix import (
-    DegreeMatrix,
     DHBMatrix,
     Grid,
     WellOrderedSquare,
     _splice_row,
     canonicalize,
+    grid_from_potentials,
 )
 from .errors import EmptySchemeDegenerateError, InvalidDHBError, NotMinimalError
 from .resolution import betti_of_matrix, hilbert_function, scheme_degree
@@ -336,7 +336,7 @@ def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterato
                 continue
             if minimal_only and any(ui + vj == 0 for ui in u for vj in v):
                 continue
-            yield DHBMatrix(DegreeMatrix(tuple(tuple(ui + vj for vj in v) for ui in u)))
+            yield DHBMatrix(grid_from_potentials(u, v))
 
 
 def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:

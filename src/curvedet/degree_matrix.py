@@ -4,12 +4,16 @@ A grid of integers is *homogeneous* when every 2x2 submatrix
 [[a, b], [c, e]] satisfies a + e = b + c; equivalently the entries
 decompose as m[i][j] = u[i] + v[j] for a row potential u and a column
 potential v, made unique by v[1] = 0: u is the first column and v the
-first row minus its first entry.  This is the one potentials convention
-of the package; `DegreeMatrix` derives them from its entries this way
-and never stores them.  Such grids record the entry degrees of matrices
-of homogeneous forms: a square homogeneous grid has a well-defined degree
-(any transversal sum), and an (n-1) x n grid presents the generator and
-syzygy degrees of a codimension-two ideal through its maximal minors.
+first row minus its first entry.  `potentials()` is the one home of this
+convention, and `grid_from_potentials()` its inverse; a `DegreeMatrix`
+stores only its entries.  Such grids record the entry degrees of
+matrices of homogeneous forms: a square homogeneous grid has a
+well-defined degree (any transversal sum), and an (n-1) x n grid
+presents the generator and syzygy degrees of a codimension-two ideal
+through its maximal minors.  The two shapes are `DegreeMatrix`
+subclasses that add only their invariants: `WellOrderedSquare` (n x n)
+and `DHBMatrix` (the (n-1) x n degree Hilbert-Burch matrix), each
+checking its shape and well-ordering when built.
 
 All row/column positions in the public API are 1-based, matching the
 usual matrix notation; permutations are tuples of original 1-based
@@ -88,7 +92,7 @@ def transversal_degree(grid) -> int:
 
 @dataclass(frozen=True)
 class DegreeMatrix:
-    """A homogeneous integer grid; its potentials are derived from the entries."""
+    """A homogeneous integer grid, stored as its entries only."""
 
     entries: Grid
 
@@ -98,15 +102,6 @@ class DegreeMatrix:
         potentials(rows)
         return cls(rows)
 
-    @cached_property
-    def row_potentials(self) -> tuple[int, ...]:
-        return tuple(row[0] for row in self.entries)
-
-    @cached_property
-    def col_potentials(self) -> tuple[int, ...]:
-        first = self.entries[0]
-        return tuple(x - first[0] for x in first)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -114,6 +109,11 @@ class DegreeMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
+
+    @cached_property
+    def diagonal(self) -> tuple[int, ...]:
+        """Entries m[k][k] for k = 1..min(rows, cols)."""
+        return tuple(self.entries[k][k] for k in range(min(self.rows, self.cols)))
 
     def is_well_ordered(self) -> bool:
         """Entries non-increasing downward, non-decreasing rightward."""
@@ -124,41 +124,26 @@ class DegreeMatrix:
 
 
 @dataclass(frozen=True)
-class WellOrderedSquare:
+class WellOrderedSquare(DegreeMatrix):
     """A well-ordered homogeneous n x n grid and its degree."""
 
-    base: DegreeMatrix
-
     def __post_init__(self):
-        if self.base.rows != self.base.cols:
+        if self.rows != self.cols:
             raise ValueError("expected a square grid")
-        if not self.base.is_well_ordered():
+        if not self.is_well_ordered():
             raise ValueError("grid is not well-ordered; use canonicalize()")
 
     @property
     def n(self) -> int:
-        return self.base.rows
-
-    @property
-    def entries(self) -> Grid:
-        return self.base.entries
+        return self.rows
 
     @cached_property
     def degree(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.n))
-
-    @cached_property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(self.n))
-
-    @cached_property
-    def subdiagonal(self) -> tuple[int, ...]:
-        """Entries m[k][k-1] for k = 2..n (in that order)."""
-        return tuple(self.entries[k][k - 1] for k in range(1, self.n))
+        return sum(self.diagonal)
 
 
 @dataclass(frozen=True)
-class DHBMatrix:
+class DHBMatrix(DegreeMatrix):
     """A well-ordered homogeneous (n-1) x n degree Hilbert-Burch candidate.
 
     `minor_degrees[j]` is the degree of the maximal minor that erases
@@ -168,21 +153,15 @@ class DHBMatrix:
     exactly when the diagonal is non-negative and not identically zero.
     """
 
-    base: DegreeMatrix
-
     def __post_init__(self):
-        if self.base.rows + 1 != self.base.cols:
-            raise ValueError(f"expected an (n-1) x n grid, got {self.base.rows} x {self.base.cols}")
-        if not self.base.is_well_ordered():
+        if self.rows + 1 != self.cols:
+            raise ValueError(f"expected an (n-1) x n grid, got {self.rows} x {self.cols}")
+        if not self.is_well_ordered():
             raise ValueError("grid is not well-ordered; use canonicalize()")
 
     @property
     def n(self) -> int:
-        return self.base.cols
-
-    @property
-    def entries(self) -> Grid:
-        return self.base.entries
+        return self.cols
 
     @cached_property
     def minor_degrees(self) -> tuple[int, ...]:
@@ -202,15 +181,6 @@ class DHBMatrix:
         """Syzygy degrees b with q[i][j] = b[i] - a[j]; non-increasing."""
         a0 = self.minor_degrees[0]
         return tuple(a0 + row[0] for row in self.entries)
-
-    @cached_property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[k][k] for k in range(self.n - 1))
-
-    @cached_property
-    def subdiagonal(self) -> tuple[int, ...]:
-        """Entries q[k][k-1] for k = 2..n-1 (empty when n <= 2)."""
-        return tuple(self.entries[k][k - 1] for k in range(1, self.n - 1))
 
     @cached_property
     def diag_nonnegative(self) -> bool:
@@ -245,13 +215,13 @@ def canonicalize(grid):
     r, c = len(rows), len(rows[0])
     row_order = sorted(range(r), key=lambda i: -u[i])
     col_order = sorted(range(c), key=lambda j: v[j])
-    base = DegreeMatrix(tuple(tuple(rows[i][j] for j in col_order) for i in row_order))
+    entries = tuple(tuple(rows[i][j] for j in col_order) for i in row_order)
     row_perm = tuple(i + 1 for i in row_order)
     col_perm = tuple(j + 1 for j in col_order)
     if r == c:
-        return WellOrderedSquare(base), row_perm, col_perm
+        return WellOrderedSquare(entries), row_perm, col_perm
     if r + 1 == c:
-        return DHBMatrix(base), row_perm, col_perm
+        return DHBMatrix(entries), row_perm, col_perm
     raise ValueError(f"unsupported shape {r} x {c}: expected n x n or (n-1) x n")
 
 
@@ -285,7 +255,7 @@ def insert_row_sorted(Q: DHBMatrix, row) -> tuple[WellOrderedSquare, int]:
     if any(row[j] + a[j] != t for j in range(n)):
         raise IncompatibleRowError("row breaks homogeneity: row[j] + minor_degrees[j] is not constant")
     entries, pos = _splice_row(Q, row)
-    return WellOrderedSquare(DegreeMatrix(entries)), pos
+    return WellOrderedSquare(entries), pos
 
 
 def erase_row(M: WellOrderedSquare, i: int) -> DHBMatrix:
@@ -298,4 +268,4 @@ def erase_row(M: WellOrderedSquare, i: int) -> DHBMatrix:
     n = M.n
     if not 1 <= i <= n:
         raise ValueError(f"row index {i} out of range 1..{n}")
-    return DHBMatrix(DegreeMatrix(M.entries[: i - 1] + M.entries[i:]))
+    return DHBMatrix(M.entries[: i - 1] + M.entries[i:])

@@ -98,9 +98,3 @@ class InvalidWitnessParameterError(CurvedetError, ValueError):
 
     def payload(self) -> dict:
         return {**super().payload(), "parameter": self.parameter, "value": self.value}
-
-
-class VerificationMismatchError(CurvedetError, RuntimeError):
-    """A randomized witness contradicted a decision: an implementation bug."""
-
-    reason = "VerificationMismatch"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .degree_matrix import DegreeMatrix, DHBMatrix
+from .degree_matrix import DHBMatrix, grid_from_potentials
 from .errors import (
     DegenerateEmptyError,
     InadmissibleHVectorError,
@@ -64,8 +64,7 @@ class BettiData:
 
     def to_dhb(self) -> DHBMatrix:
         """Canonical well-ordered presentation grid q[i][j] = b[i] - a[j]."""
-        a = self.gens
-        return DHBMatrix(DegreeMatrix(tuple(tuple(bi - aj for aj in a) for bi in self.syz)))
+        return DHBMatrix(grid_from_potentials(self.syz, [-a for a in self.gens]))
 
 
 def betti_of_matrix(Q: DHBMatrix) -> BettiData:

@@ -168,8 +168,6 @@ def enumerate_hvectors(delta: int, constraints, curve_degree: int) -> list[tuple
             h.append(value)
             extend(h, total + value)
             h.pop()
-        # ending the support here means h[t] = 0 onward; only valid if done
-        return
 
     if check_level(0, 1):
         extend([1], 1)

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .decide import REASON_DIAGONAL, REASON_SUBDIAGONAL, Decision, contains_subscheme, representable
-from .degree_matrix import DegreeMatrix, DHBMatrix, WellOrderedSquare
-from .errors import FieldTooSmallError, InvalidWitnessParameterError, VerificationMismatchError
+from .degree_matrix import DegreeMatrix, DHBMatrix
+from .errors import FieldTooSmallError, InvalidWitnessParameterError
 from .resolution import betti_of_matrix, hilbert_function, plane_dim
 
 DEFAULT_PRIME = 32003
@@ -221,17 +221,16 @@ class FormMatrix:
 
 def sample_matrix(M, rng: random.Random, prime: int = DEFAULT_PRIME) -> FormMatrix:
     """Random forms of the prescribed degrees; zero where the degree is negative."""
-    base = M.base if isinstance(M, (WellOrderedSquare, DHBMatrix)) else M
-    if not isinstance(base, DegreeMatrix):
-        base = DegreeMatrix.from_grid(M)
+    if not isinstance(M, DegreeMatrix):
+        M = DegreeMatrix.from_grid(M)
     entries = tuple(
         tuple(
             random_form(m, rng, prime) if m >= 0 else zero_form(prime)
             for m in row
         )
-        for row in base.entries
+        for row in M.entries
     )
-    return FormMatrix(entries, base, prime)
+    return FormMatrix(entries, M, prime)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +500,6 @@ class WitnessReport:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def raise_if_mismatched(self):
-        if self.mismatches:
-            raise VerificationMismatchError(
-                f"seed {self.seed}: " + "; ".join(self.mismatches)
-            )
-
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
@@ -638,9 +631,7 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
             if not g.is_zero and g.degree != aj:
                 report.mismatches.append(f"trial {trial}: minor degree {g.degree} != {aj}")
 
-        new_row = tuple(
-            random_form(m, rng, prime) if m >= 0 else zero_form(prime) for m in row_degrees
-        )
+        new_row = sample_matrix(DegreeMatrix((row_degrees,)), rng, prime).entries[0]
         entries = A.entries[: pos - 1] + (new_row,) + A.entries[pos - 1 :]
         N = FormMatrix(entries, square, prime)
         F = det_form(N)

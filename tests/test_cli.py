@@ -10,7 +10,7 @@ import pytest
 
 import curvedet
 from curvedet import witness
-from curvedet.cli import run
+from curvedet.cli import _render_table, run
 
 SRC = str(Path(curvedet.__file__).resolve().parents[1])
 
@@ -351,8 +351,8 @@ scan:
   insertedRowPosition: 3
 """
 
-# the last entry of `scan --dmax 4 --verbose`: nested lists render one
-# item per line, with a blank line after each row
+# the last entry of `scan --dmax 4 --verbose`: a list nested in a list
+# renders on one line
 VERBOSE_SCAN_TABLE_TAIL = """\
 
   d: 4
@@ -360,20 +360,11 @@ VERBOSE_SCAN_TABLE_TAIL = """\
   degree: 4
   insertedRowPosition: 3
   normalized:
-    - 2
-    - 3
-    - 5
-
-    - 1
-    - 2
-    - 4
-
-    - -3
-    - -2
-    - 0
+    - [2, 3, 5]
+    - [1, 2, 4]
+    - [-3, -2, 0]
   trailingDegrees:
-    - 3
-    - 0
+    - [3, 0]
 """
 
 
@@ -395,17 +386,36 @@ class TestTableFormat:
         out = capsys.readouterr().out
         assert out.startswith("scan:\n  d: 1\n")
         assert out.endswith(VERBOSE_SCAN_TABLE_TAIL)
-        assert out.count("  trailingDegrees:\n\n\n") == 3
+        # d = 1..3 have no trailing blocks; an empty list stays visible
+        assert out.count("  trailingDegrees: []\n") == 3
+        assert "\n\n\n" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["hf", "--gens", "[2,2,2]", "--syz", "[3,3]"],
+        ["betti-from-hf", "--h", "[1,2,1]"],
+        ["enumerate", "--n", "2", "--degree", "2", "--bound", "1"],
+        ["threshold", "--matrix", "[[2,3,5],[1,2,4]]"],
+    ])
+    def test_every_subcommand_takes_the_format_option(self, capsys, argv):
+        assert run(argv + ["--format", "table"]) == 0
+        assert not capsys.readouterr().out.startswith("{")
+        code, body = invoke(capsys, *argv, "--format", "xml")
+        assert code == 1 and body["error"] == "InputError"
+
+    def test_empty_containers_render_inline(self):
+        assert _render_table({"a": [], "b": {}, "c": [[]]}) == "a: []\nb: {}\nc:\n  - []"
 
 
 class TestDeterminism:
     def test_witness_deterministic_given_seed(self, capsys):
-        argv = ["witness", "--matrix", "[[1,1],[0,1]]", "--trials", "3", "--seed", "9"]
+        argv = ["witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "4", "--trials", "3", "--seed", "9"]
         code1 = run(argv)
         out1 = capsys.readouterr().out
         code2 = run(argv)
         out2 = capsys.readouterr().out
-        assert (code1, out1) == (code2, out2)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert len(json.loads(out1)["observedDegrees"]) == 3
 
     def test_normalized_round_trip(self, capsys):
         code, body = invoke(

@@ -289,7 +289,7 @@ class TestEnumeration:
     def test_all_yielded_matrices_are_valid(self):
         for Q in iter_dhb_matrices(3, 2):
             assert Q.is_valid
-            assert Q.base.is_well_ordered()
+            assert Q.is_well_ordered()
 
 
 class TestDecisionInvariance:

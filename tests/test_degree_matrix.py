@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedet import (
+    DegreeMatrix,
     DHBMatrix,
     IncompatibleRowError,
     NotHomogeneousError,
@@ -146,6 +147,40 @@ class TestDegree:
             assert sum(grid[i][sigma[i]] for i in range(3)) == d
 
 
+class TestShapeTypes:
+    def test_dhb_rejects_a_wrong_shape(self):
+        for grid in (((1, 2), (0, 1)), ((1, 2, 3),) * 3, ((1,),)):
+            with pytest.raises(ValueError, match="expected an"):
+                DHBMatrix(grid)
+
+    def test_dhb_rejects_a_grid_that_is_not_well_ordered(self):
+        for grid in (((1, 2, 4), (2, 3, 5)), ((5, 3, 2), (4, 2, 1))):
+            with pytest.raises(ValueError, match="not well-ordered"):
+                DHBMatrix(grid)
+
+    def test_square_rejects_a_wrong_shape(self):
+        for grid in (((2, 3, 5), (1, 2, 4)), ((1, 2),)):
+            with pytest.raises(ValueError, match="expected a square grid"):
+                WellOrderedSquare(grid)
+
+    def test_square_rejects_a_grid_that_is_not_well_ordered(self):
+        for grid in (((1, 2), (2, 3)), ((2, 1), (1, 0))):
+            with pytest.raises(ValueError, match="not well-ordered"):
+                WellOrderedSquare(grid)
+
+    def test_canonicalize_returns_degree_matrices(self):
+        for grid, kind in ((DEGREE8_GRID, WellOrderedSquare), ([[5, 3, 2], [4, 2, 1]], DHBMatrix)):
+            M, _, _ = canonicalize(grid)
+            assert isinstance(M, DegreeMatrix) and type(M) is kind
+            assert M == kind(M.entries)
+
+    def test_diagonal_stops_at_the_shorter_side(self):
+        assert DegreeMatrix(((2, 3, 5), (1, 2, 4))).diagonal == (2, 2)
+        assert DegreeMatrix(((2, 3), (1, 2), (0, 1))).diagonal == (2, 2)
+        M, _, _ = canonicalize(DEGREE8_GRID)
+        assert M.diagonal == (0, 0, 5, 3) and M.degree == 8
+
+
 def dhb(grid) -> DHBMatrix:
     Q, _, _ = canonicalize(grid)
     assert isinstance(Q, DHBMatrix)
@@ -276,7 +311,7 @@ class TestPotentialsConvention:
     the first entry, so that m[i][j] = u[i] + v[j] and v[0] = 0."""
 
     def assert_convention(self, M):
-        u, v = M.base.row_potentials, M.base.col_potentials
+        u, v = potentials(M.entries)
         assert v[0] == 0
         assert all(x == u[i] + v[j] for i, row in enumerate(M.entries) for j, x in enumerate(row))
 
@@ -309,4 +344,4 @@ class TestPotentialsConvention:
     def test_to_dhb_of_a_flat_hvector(self):
         Q = generic_betti([1, 2, 3, 3, 2]).to_dhb()
         assert Q.entries == ((1, 2, 3), (1, 2, 3))
-        assert (Q.base.row_potentials, Q.base.col_potentials) == ((1, 1), (0, 1, 2))
+        assert potentials(Q.entries) == ((1, 1), (0, 1, 2))
