@@ -18,6 +18,7 @@ square matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
 from .degree_matrix import (
@@ -304,15 +305,6 @@ def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
     return [(d, contains_subscheme(Q, d)) for d in range(1, dmax + 1)]
 
 
-def _monotone_tuples(length: int, lo: int, hi: int, descending: bool) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for first in range(hi, lo - 1, -1) if descending else range(lo, hi + 1):
-        for rest in _monotone_tuples(length - 1, lo if descending else first, first if descending else hi, descending):
-            yield (first,) + rest
-
-
 def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterator[DHBMatrix]:
     """All valid well-ordered (n-1) x n presentation matrices with
     potentials bounded by `bound` in absolute value.
@@ -326,10 +318,10 @@ def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterato
         raise ValueError("need n >= 2")
     if bound < 1:
         raise ValueError("need bound >= 1")
-    for u in _monotone_tuples(n - 1, -bound, bound, descending=True):
+    for u in combinations_with_replacement(range(bound, -bound - 1, -1), n - 1):
         if u[0] < 0:
             continue  # q[1][1] = u[1] would be negative
-        for v_rest in _monotone_tuples(n - 1, 0, bound, descending=False):
+        for v_rest in combinations_with_replacement(range(bound + 1), n - 1):
             v = (0,) + v_rest
             diag = tuple(u[k] + v[k] for k in range(n - 1))
             if any(x < 0 for x in diag) or max(diag) == 0:

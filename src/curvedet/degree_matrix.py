@@ -13,7 +13,7 @@ presents the generator and syzygy degrees of a codimension-two ideal
 through its maximal minors.  The two shapes are `DegreeMatrix`
 subclasses that add only their invariants: `WellOrderedSquare` (n x n)
 and `DHBMatrix` (the (n-1) x n degree Hilbert-Burch matrix), each
-checking its shape and well-ordering when built.
+checking homogeneity, its shape and well-ordering when built.
 
 All row/column positions in the public API are 1-based, matching the
 usual matrix notation; permutations are tuples of original 1-based
@@ -50,6 +50,17 @@ def _as_grid(grid) -> Grid:
     return rows
 
 
+def _check_homogeneous(rows: Grid) -> None:
+    """Raise NotHomogeneousError unless m[i][j] = u[i] + v[j] everywhere."""
+    top = rows[0]
+    for i, row in enumerate(rows[1:], 1):
+        shift = row[0] - top[0]
+        for j, x in enumerate(row):
+            if x != top[j] + shift:
+                # The block on rows (1, i+1) and columns (1, j+1) is a witness.
+                raise NotHomogeneousError(1, 1, i + 1, j + 1)
+
+
 def potentials(grid) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a homogeneous grid into its (row, column) potentials, v[1] = 0.
 
@@ -57,15 +68,9 @@ def potentials(grid) -> tuple[tuple[int, ...], tuple[int, ...]]:
     is not homogeneous.
     """
     rows = _as_grid(grid)
+    _check_homogeneous(rows)
     base = rows[0][0]
-    u = tuple(row[0] for row in rows)
-    v = tuple(x - base for x in rows[0])
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x != u[i] + v[j]:
-                # The block on rows (1, i+1) and columns (1, j+1) is a witness.
-                raise NotHomogeneousError(1, 1, i + 1, j + 1)
-    return u, v
+    return tuple(row[0] for row in rows), tuple(x - base for x in rows[0])
 
 
 def grid_from_potentials(u, v) -> Grid:
@@ -92,15 +97,16 @@ def transversal_degree(grid) -> int:
 
 @dataclass(frozen=True)
 class DegreeMatrix:
-    """A homogeneous integer grid, stored as its entries only."""
+    """A homogeneous integer grid, stored as its entries only (checked when built)."""
 
     entries: Grid
 
+    def __post_init__(self):
+        _check_homogeneous(self.entries)
+
     @classmethod
     def from_grid(cls, grid) -> "DegreeMatrix":
-        rows = _as_grid(grid)
-        potentials(rows)
-        return cls(rows)
+        return cls(_as_grid(grid))
 
     @property
     def rows(self) -> int:
@@ -128,6 +134,7 @@ class WellOrderedSquare(DegreeMatrix):
     """A well-ordered homogeneous n x n grid and its degree."""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.rows != self.cols:
             raise ValueError("expected a square grid")
         if not self.is_well_ordered():
@@ -154,6 +161,7 @@ class DHBMatrix(DegreeMatrix):
     """
 
     def __post_init__(self):
+        super().__post_init__()
         if self.rows + 1 != self.cols:
             raise ValueError(f"expected an (n-1) x n grid, got {self.rows} x {self.cols}")
         if not self.is_well_ordered():

@@ -9,16 +9,21 @@ of the minor ideal, obtained as ranks of coefficient matrices over F_p,
 against the predicted Hilbert function.  A negative containment verdict
 is witnessed on its inserted square like a representability verdict.
 
-One elimination kernel, `_echelon`, serves every graded rank: forward
-elimination mod p on an int64 array, returning the normalized pivot
-rows.  `ideal_dim` counts the pivots, and the membership test reduces a
-form against the same pivot rows instead of ranking a second matrix.
-Only these two functions use numpy, and they import it on first use,
-so decisions never load it.  A witness prime must be a prime below
-2^31, so that a product of two residues fits in int64; primality is
-checked by a deterministic Miller-Rabin test.  `_det_numeric` stays a
-pure-Python loop: it runs on the n <= 5 matrices of line restriction,
-where numpy's per-call cost exceeds the work.
+A curve through the scheme is the determinant F of the presentation
+matrix with a row r of random forms inserted at position pos, and its
+membership in the minor ideal is the Laplace expansion along that row:
+F = (-1)^pos * sum_j r_j g_j over the signed maximal minors g_j.  The
+witness computes both sides, `det_form` and the combination of
+`maximal_minors`, and compares them; no span search is needed.
+
+One elimination kernel, `_rank`, serves every graded rank: forward
+elimination mod p on an int64 array.  Only it uses numpy, and it
+imports numpy on first use, so decisions never load it.  A witness
+prime must be a prime below 2^31, so that a product of two residues
+fits in int64; primality is checked by a deterministic Miller-Rabin
+test.  `_det_numeric` stays a pure-Python loop: it runs on the n <= 5
+matrices of line restriction, where numpy's per-call cost exceeds the
+work.
 
 Forms are dense coefficient vectors over F_p indexed by the graded
 lexicographic order on monomials x^i y^j z^k (x > y > z) within each
@@ -405,8 +410,8 @@ def det_degree_on_lines(N: FormMatrix, trials: int, rng: random.Random) -> LineD
 # ---------------------------------------------------------------------------
 
 
-def _echelon(rows: list[list[int]], p: int):
-    """Forward elimination mod p: the pivot rows, scaled to a leading 1, and their columns.
+def _rank(rows: list[list[int]], p: int) -> int:
+    """Rank mod p by forward elimination.
 
     Rows at and below the current pivot are zero left of the pivot
     column, so each pivot is one vectorized rank-1 update of the
@@ -415,14 +420,13 @@ def _echelon(rows: list[list[int]], p: int):
     """
     _check_prime(p)
     if not rows:
-        return [], []
+        return 0
     import numpy as np
 
     a = np.array(rows, dtype=np.int64) % p
     m, n = a.shape
-    pivots: list[int] = []
+    r = 0  # pivots found so far
     for col in range(n):
-        r = len(pivots)
         if r == m:
             break
         nonzero = np.flatnonzero(a[r:, col])
@@ -434,8 +438,8 @@ def _echelon(rows: list[list[int]], p: int):
         below = r + 1 + np.flatnonzero(a[r + 1 :, col])
         if below.size:
             a[below, col:] = (a[below, col:] - np.outer(a[below, col], a[r, col:])) % p
-        pivots.append(col)
-    return a[: len(pivots)], pivots
+        r += 1
+    return r
 
 
 def _graded_piece_rows(gens, t: int, p: int) -> list[list[int]]:
@@ -464,21 +468,7 @@ def ideal_dim(gens, t: int) -> int:
     if not gens:
         return 0
     p = gens[0].prime
-    return len(_echelon(_graded_piece_rows(gens, t, p), p)[1])
-
-
-def _in_span(gens, f: Form, t: int) -> bool:
-    """Whether f lies in the degree-t graded piece spanned by the gens' multiples."""
-    import numpy as np
-
-    p = f.prime
-    basis, pivots = _echelon(_graded_piece_rows([g for g in gens if not g.is_zero], t, p), p)
-    residue = np.array(f.coeffs, dtype=np.int64) % p
-    # each basis row is zero left of its pivot, so one pass in pivot order reduces f
-    for row, col in zip(basis, pivots):
-        if residue[col]:
-            residue[col:] = (residue[col:] - residue[col] * row[col:]) % p
-    return not residue.any()
+    return _rank(_graded_piece_rows(gens, t, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +592,13 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
 
     A negative decision is witnessed on its square `decision.normalized`
     as `verify_representable` witnesses one.  For a positive decision,
-    per trial, sample a presentation matrix, insert a row of random forms
-    of the complementary degrees at `decision.inserted_row_position`, and
-    confirm that the square determinant (a curve of degree d) lies in
-    the ideal generated by the maximal minors, and that the ideal's
-    graded-piece dimensions match the predicted Hilbert function up to b_1.
+    per trial, sample a presentation matrix, insert a row r of random
+    forms of the complementary degrees at `decision.inserted_row_position`
+    pos, and confirm that the square determinant F is a curve of degree
+    d, that F = (-1)^pos * sum_j r_j g_j over the maximal minors g_j (so
+    F lies in their ideal by an explicit combination), and that the
+    ideal's graded-piece dimensions match the predicted Hilbert function
+    up to b_1.
     """
     _check_witness_parameters(trials, prime)
     decision = contains_subscheme(Q, d)
@@ -643,7 +635,8 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
         if deg != d:
             report.mismatches.append(f"trial {trial}: curve degree {deg} != {d}")
             continue
-        if F.is_zero or not _in_span(minors, F, d):
+        laplace = sum((r * g for r, g in zip(new_row, minors)), zero_form(prime))
+        if F.is_zero or F != (laplace if pos % 2 == 0 else -laplace):
             report.mismatches.append(f"trial {trial}: determinant is not in the minor ideal")
 
         profile = []

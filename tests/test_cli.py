@@ -313,6 +313,15 @@ class TestMismatchExitCode:
         assert body["verdictChecked"]["answer"] == "yes"
         assert body["mismatches"] == ["no trial realized the full degree 2"]
 
+    def test_determinant_outside_the_minor_ideal_exits_2(self, capsys, monkeypatch):
+        true_det = witness.det_form
+        z4 = witness.Form(4, (0,) * 14 + (1,), witness.DEFAULT_PRIME)
+        monkeypatch.setattr(witness, "det_form", lambda N: true_det(N) + z4)
+        code, body = invoke(capsys, "witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "4", "--trials", "1")
+        assert code == 2
+        assert body["verdictChecked"]["answer"] == "yes"
+        assert body["mismatches"] == ["trial 0: determinant is not in the minor ideal"]
+
 
 SCAN_TABLE = """\
 scan:

@@ -168,6 +168,20 @@ class TestShapeTypes:
             with pytest.raises(ValueError, match="not well-ordered"):
                 WellOrderedSquare(grid)
 
+    def test_dhb_rejects_a_grid_that_is_not_homogeneous(self):
+        # well-ordered on its first row and column, which is all the
+        # well-ordering test reads, but 1 + 5 != 2 + 1 on columns 1 and 2
+        grid = ((1, 2, 3), (1, 5, 3))
+        assert not is_homogeneous(grid)
+        with pytest.raises(NotHomogeneousError) as info:
+            DHBMatrix(grid)
+        assert (info.value.rows, info.value.cols) == ((1, 2), (1, 2))
+
+    def test_square_rejects_a_grid_that_is_not_homogeneous(self):
+        # its diagonal sums to 7 and its antidiagonal to 4
+        with pytest.raises(NotHomogeneousError):
+            WellOrderedSquare(((2, 3), (1, 5)))
+
     def test_canonicalize_returns_degree_matrices(self):
         for grid, kind in ((DEGREE8_GRID, WellOrderedSquare), ([[5, 3, 2], [4, 2, 1]], DHBMatrix)):
             M, _, _ = canonicalize(grid)
