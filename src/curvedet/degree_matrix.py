@@ -219,18 +219,25 @@ def canonicalize(grid):
     new order.  Other shapes are rejected.
     """
     rows = _as_grid(grid)
-    u, v = potentials(rows)
     r, c = len(rows), len(rows[0])
-    row_order = sorted(range(r), key=lambda i: -u[i])
-    col_order = sorted(range(c), key=lambda j: v[j])
-    entries = tuple(tuple(rows[i][j] for j in col_order) for i in row_order)
-    row_perm = tuple(i + 1 for i in row_order)
-    col_perm = tuple(j + 1 for j in col_order)
     if r == c:
-        return WellOrderedSquare(entries), row_perm, col_perm
-    if r + 1 == c:
-        return DHBMatrix(entries), row_perm, col_perm
-    raise ValueError(f"unsupported shape {r} x {c}: expected n x n or (n-1) x n")
+        shape = WellOrderedSquare
+    elif r + 1 == c:
+        shape = DHBMatrix
+    else:
+        _check_homogeneous(rows)
+        raise ValueError(f"unsupported shape {r} x {c}: expected n x n or (n-1) x n")
+    # the potentials, up to a constant, are the first column and the first
+    # row; the shape type's own check rejects a grid that has none
+    row_order = sorted(range(r), key=lambda i: -rows[i][0])
+    col_order = sorted(range(c), key=lambda j: rows[0][j])
+    entries = tuple(tuple(rows[i][j] for j in col_order) for i in row_order)
+    try:
+        matrix = shape(entries)
+    except NotHomogeneousError:
+        _check_homogeneous(rows)  # name the block in the input's coordinates
+        raise
+    return matrix, tuple(i + 1 for i in row_order), tuple(j + 1 for j in col_order)
 
 
 def _splice_row(Q: DHBMatrix, row: tuple[int, ...]) -> tuple[Grid, int]:

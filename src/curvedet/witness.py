@@ -2,12 +2,17 @@
 
 Decisions about general forms are checked by actually sampling: build a
 matrix of random forms realizing a degree matrix over F_p, measure the
-degree of its determinant by restricting to random lines (evaluation at
-degree + 1 parameter values, then interpolation), compute maximal
-minors by exact cofactor expansion, and compare graded-piece dimensions
-of the minor ideal, obtained as ranks of coefficient matrices over F_p,
-against the predicted Hilbert function.  A negative containment verdict
-is witnessed on its inserted square like a representability verdict.
+degree of its determinant by restricting to random lines (the
+determinant at degree + 1 parameter values, then interpolation), compute
+maximal minors by exact cofactor expansion, and compare graded-piece
+dimensions of the minor ideal, obtained as ranks of coefficient matrices
+over F_p, against the predicted Hilbert function.  A negative
+containment verdict is witnessed on its inserted square like a
+representability verdict.  On the line an entry of degree m is a
+polynomial of degree m in the parameter, so it is evaluated at only
+m + 1 of the parameter values, as one dot product with monomial values
+that all entries share, and its other values follow from its forward
+differences.
 
 A curve through the scheme is the determinant F of the presentation
 matrix with a row r of random forms inserted at position pos, and its
@@ -35,6 +40,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul, sub
 
 from .decide import REASON_DIAGONAL, REASON_SUBDIAGONAL, Decision, contains_subscheme, representable
 from .degree_matrix import DegreeMatrix, DHBMatrix
@@ -160,23 +167,23 @@ class Form:
         if self.is_zero:
             return 0
         p = self.prime
-        x, y, z = (c % p for c in point)
-        m = self.degree
-        xp = _power_table(x, m, p)
-        yp = _power_table(y, m, p)
-        zp = _power_table(z, m, p)
-        total = 0
-        for c, (i, j, k) in zip(self.coeffs, monomials(m)):
-            if c:
-                total += c * xp[i] % p * yp[j] % p * zp[k]
-        return total % p
+        return sum(map(mul, self.coeffs, _monomial_values(point, self.degree, p)[-1])) % p
 
 
-def _power_table(x: int, m: int, p: int) -> list[int]:
-    out = [1] * (m + 1)
-    for i in range(1, m + 1):
-        out[i] = out[i - 1] * x % p
-    return out
+def _monomial_values(point: tuple[int, int, int], top: int, p: int) -> list[list[int]]:
+    """Values mod p at the point of `monomials(m)`, one list for each m = 0..top.
+
+    In graded-lex order the degree-m monomials are x times those of
+    degree m - 1, in the same order, followed by y^j z^(m-j) for
+    j = m..0: y times the last m of degree m - 1 (the ones free of x),
+    then z^m.  So each list is built from the one before.
+    """
+    x, y, z = (c % p for c in point)
+    tables = [[1]]
+    for m in range(1, top + 1):
+        prev = tables[-1]
+        tables.append([x * v % p for v in prev] + [y * v % p for v in prev[-m:]] + [z * prev[-1] % p])
+    return tables
 
 
 def zero_form(prime: int) -> Form:
@@ -356,20 +363,59 @@ def _poly_degree(coeffs: list[int]) -> int | None:
 def restrict_det_to_line(N: FormMatrix, line, max_degree: int) -> list[int]:
     """Coefficients (in the line parameter) of det(N) restricted to a line.
 
-    The line is (P, Q): the parametrization s -> P + s Q.  The entries
-    are evaluated at max_degree + 1 parameter values and the restricted
-    determinant is recovered by interpolation.
+    The line is (P, Q): the parametrization s -> P + s Q.  The
+    determinant is evaluated at s = 0..max_degree and recovered by
+    interpolation.  An entry of degree m restricts to a polynomial of
+    degree m in s, so it is evaluated only at s = 0..min(m, max_degree),
+    against monomial values shared by every entry at that point, and
+    its remaining values come from its forward differences.
     """
     p = N.prime
     if p <= max_degree:
         raise FieldTooSmallError(f"prime {p} is too small to interpolate degree {max_degree}")
     (p0, p1, p2), (q0, q1, q2) = line
-    values = []
-    for s in range(max_degree + 1):
-        point = (p0 + s * q0, p1 + s * q1, p2 + s * q2)
-        numeric = [[f.evaluate(point) for f in row] for row in N.entries]
-        values.append(_det_numeric(numeric, p))
-    return _interpolate(values, p)
+    forms = [f for row in N.entries for f in row]
+    top = max(f.degree for f in forms)
+    tables = [
+        _monomial_values((p0 + s * q0, p1 + s * q1, p2 + s * q2), top, p)
+        for s in range(min(top, max_degree) + 1)
+    ]
+    columns = []  # values of each entry at s = 0..max_degree
+    for f in forms:
+        m = f.degree
+        if m < 0:
+            columns.append([0] * (max_degree + 1))
+            continue
+        values = [sum(map(mul, f.coeffs, table[m])) % p for table in tables[: m + 1]]
+        if m < max_degree:
+            values += _extend_by_differences(values, max_degree - m, p)
+        columns.append(values)
+    n = N.cols
+    dets = []
+    for at_s in zip(*columns):
+        numeric = [list(at_s[i : i + n]) for i in range(0, len(at_s), n)]
+        dets.append(_det_numeric(numeric, p))
+    return _interpolate(dets, p)
+
+
+def _extend_by_differences(values: list[int], count: int, p: int) -> list[int]:
+    """The next `count` values mod p of the polynomial of degree < len(values)
+    that takes `values` at s = 0, 1, ..., len(values) - 1."""
+    # edge holds the differences of orders m, m - 1, ..., 0 (m = len - 1),
+    # each at the last node it reaches.  The order-m difference is constant,
+    # so a step forward replaces edge by its prefix sums; the sums stay
+    # exact, and only the values are reduced.
+    table = values
+    edge = [table[-1]]
+    while len(table) > 1:
+        table = list(map(sub, table[1:], table))
+        edge.append(table[-1])
+    edge = [v % p for v in reversed(edge)]
+    out = []
+    for _ in range(count):
+        edge = list(accumulate(edge))
+        out.append(edge[-1] % p)
+    return out
 
 
 def random_line(rng: random.Random, prime: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvedet import degree_matrix
 from curvedet import (
     DegreeMatrix,
     DHBMatrix,
@@ -110,6 +111,29 @@ class TestCanonicalize:
         assert isinstance(dhb, DHBMatrix)
         with pytest.raises(ValueError):
             canonicalize([[1, 2, 3]])  # 1 x 3 is neither shape
+
+    @pytest.mark.parametrize("grid", [[[1]], [[-1, 2], [1, 4]], DEGREE8_GRID, [[5, 3, 2], [4, 2, 1]]])
+    def test_homogeneity_is_checked_once(self, grid, monkeypatch):
+        calls = []
+        check = degree_matrix._check_homogeneous
+        monkeypatch.setattr(degree_matrix, "_check_homogeneous", lambda rows: calls.append(rows) or check(rows))
+        canonicalize(grid)
+        assert len(calls) == 1
+
+    # The error names the first violating block in the input's order; for
+    # all but the first grid, the sorted grid's first block is another one.
+    # The last grid has an unsupported shape, and homogeneity is checked first.
+    @pytest.mark.parametrize("grid, rows, cols", [
+        ([[0, 1, 3], [2, 3, 6], [1, 2, 4]], [1, 2], [1, 3]),
+        ([[1, 4, 2], [2, 5, 4]], [1, 2], [1, 3]),
+        ([[3, 1, 2], [5, 3, 4], [4, 2, 2]], [1, 3], [1, 3]),
+        ([[0, 2, 1], [1, 3, 2], [3, 5, 5], [2, 4, 3]], [1, 3], [1, 3]),
+        ([[1, 2, 3, 4, 5], [0, 1, 2, 3, 5], [2, 3, 4, 5, 6]], [1, 2], [1, 5]),
+    ])
+    def test_shuffled_grid_that_is_not_homogeneous(self, grid, rows, cols):
+        with pytest.raises(NotHomogeneousError) as info:
+            canonicalize(grid)
+        assert info.value.payload() == {"error": "NotHomogeneous", "rows": rows, "cols": cols}
 
     @given(
         st.lists(st.integers(-9, 9), min_size=2, max_size=5),

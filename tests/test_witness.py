@@ -1,5 +1,6 @@
 """Finite-field witness engine: forms, determinants, ranks, verification."""
 
+import json
 import random
 from collections import Counter
 
@@ -29,13 +30,18 @@ from curvedet import (
 )
 from curvedet import witness
 from curvedet.decide import REASON_DIAGONAL, REASON_SUBDIAGONAL
+from curvedet.degree_matrix import DegreeMatrix
 from curvedet.witness import (
     DEFAULT_PRIME,
+    FormMatrix,
+    _det_numeric,
     _interpolate,
     _is_prime,
+    _monomial_values,
     _rank,
     monomial_index,
     monomials,
+    random_line,
     restrict_det_to_line,
     zero_form,
 )
@@ -73,6 +79,49 @@ def reference_rank(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def reference_evaluate(f: Form, point, p: int) -> int:
+    """f at the point mod p, one power-table product per term."""
+    if f.is_zero:
+        return 0
+    x, y, z = (c % p for c in point)
+    powers = [[pow(c, e, p) for e in range(f.degree + 1)] for c in (x, y, z)]
+    total = 0
+    for c, (i, j, k) in zip(f.coeffs, monomials(f.degree)):
+        if c:
+            total += c * powers[0][i] % p * powers[1][j] % p * powers[2][k]
+    return total % p
+
+
+def reference_restrict(N, line, max_degree: int) -> list[int]:
+    """Every entry evaluated at each of s = 0..max_degree, kept apart from the kernel."""
+    p = N.prime
+    (p0, p1, p2), (q0, q1, q2) = line
+    values = []
+    for s in range(max_degree + 1):
+        point = (p0 + s * q0, p1 + s * q1, p2 + s * q2)
+        numeric = [[reference_evaluate(f, point, p) for f in row] for row in N.entries]
+        values.append(_det_numeric(numeric, p))
+    return _interpolate(values, p)
+
+
+def primes_above(k: int, count: int) -> list[int]:
+    """The `count` smallest primes above k."""
+    return [q for q in range(k + 1, 2 * k + 2 * count + 2) if _is_prime(q)][:count]
+
+
+def form_matrix(grid, rng: random.Random, p: int, zero_share: float = 0.0) -> FormMatrix:
+    """Random forms of the grid's degrees; a share of them all-zero of their degree."""
+    def entry(m):
+        if m < 0:
+            return zero_form(p)
+        if rng.random() < zero_share:
+            return Form(m, (0,) * plane_dim(m), p)
+        return random_form(m, rng, p)
+
+    entries = tuple(tuple(entry(m) for m in row) for row in grid)
+    return FormMatrix(entries, DegreeMatrix.from_grid(grid), p)
+
+
 def patch_det_off_the_ideal(monkeypatch):
     # z^4 is not a multiple of the quartic minor of [[2,3,5],[1,2,4]], the
     # only generator of the ideal in degree 4
@@ -105,6 +154,16 @@ class TestMonomialOrder:
         for m in range(6):
             for idx, (i, j, _) in enumerate(monomials(m)):
                 assert monomial_index(m)[(i, j)] == idx
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_monomial_values_match_powers(self, p):
+        rng = random.Random(p)
+        for point in ((0, 0, 0), (1, 0, -1), tuple(rng.randrange(-p, 3 * p) for _ in range(3))):
+            tables = _monomial_values(point, 12, p)
+            assert len(tables) == 13
+            x, y, z = point
+            for m, table in enumerate(tables):
+                assert table == [pow(x, i, p) * pow(y, j, p) * pow(z, k, p) % p for i, j, k in monomials(m)]
 
 
 class TestForms:
@@ -200,6 +259,37 @@ class TestDeterminantRestriction:
             ]
             assert _interpolate(direct, P) == via_entries
 
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_restriction_matches_the_reference(self, n, data):
+        u = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        v = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        grid = [[ui + vj for vj in v] for ui in u]
+        d = sum(grid[i][i] for i in range(n))
+        # below d too: both sides interpolate the same node values
+        max_degree = data.draw(st.integers(0, max(d, 0) + 1))
+        p = data.draw(st.sampled_from(primes_above(max_degree, 2) + [P, 2**31 - 1]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        N = form_matrix(grid, rng, p, zero_share=data.draw(st.sampled_from([0.0, 0.2])))
+        line = tuple(tuple(rng.randrange(-2 * p, 2 * p) for _ in range(3)) for _ in range(2))
+        assert restrict_det_to_line(N, line, max_degree) == reference_restrict(N, line, max_degree)
+
+    @pytest.mark.parametrize("grid, max_degree", [
+        ([[0, 5], [-5, 0]], 0),  # both entries of degree 5 sit above d = 0
+        ([[5]], 0),
+        ([[-1]], 0),
+        ([[7, 9], [1, 3]], 10),
+        ([[2, 4, 7], [1, 3, 6], [-2, 0, 3]], 8),
+    ])
+    def test_restriction_edge_cases(self, grid, max_degree):
+        # the two smallest primes the degree allows, and the default
+        for p in primes_above(max_degree, 2) + [P]:
+            rng = random.Random(p)
+            for zero_share in (0.0, 0.5, 1.0):
+                N = form_matrix(grid, rng, p, zero_share)
+                line = random_line(rng, p)
+                assert restrict_det_to_line(N, line, max_degree) == reference_restrict(N, line, max_degree)
+
     def test_observed_degree_matches(self):
         rng = random.Random(10)
         M, _, _ = canonicalize(DEGREE8_GRID)
@@ -261,9 +351,6 @@ class TestMaximalMinors:
         minors = maximal_minors(A)
         row = [random_form(d, rng) for d in (2, 3, 5)]
         entries = A.entries + (tuple(row),)
-        from curvedet.degree_matrix import DegreeMatrix
-        from curvedet.witness import FormMatrix
-
         grid = DegreeMatrix.from_grid([[2, 3, 5], [1, 2, 4], [2, 3, 5]])
         square = FormMatrix(entries, grid, P)
         F = det_form(square)
@@ -442,3 +529,58 @@ class TestVerifySubscheme:
         report = verify_subscheme(Q, 4, trials=1, seed=8)
         for entry in report.hf_profile:
             assert entry["predicted"] == hilbert_function(B, entry["t"])
+
+
+class TestPinnedReports:
+    """Whole reports, byte for byte, for one input of each kind.
+
+    The line restriction and the membership check may be computed any
+    way, but the reports they produce must not change.  The small primes
+    make some restrictions lose degree, so the pins see the values, not
+    only the verdicts.  At p = 3 the block factorization drops a block
+    degree in two trials, so that report pins mismatch texts as well.
+    """
+
+    def test_representable(self):
+        report = verify_representable(DEGREE8_GRID, trials=3, seed=0, prime=11)
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 0, "prime": 11, "trials": 3, "verdictChecked": {"answer": "yes", "degree": 8}, '
+            '"observedDegrees": [7, 8, null], "hfProfile": [], "mismatches": []}'
+        )
+
+    def test_negative_diagonal(self):
+        report = verify_representable([[2, 3, 8], [-3, -2, 3], [-4, -3, 2]], trials=3, seed=2)
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 2, "prime": 32003, "trials": 3, "verdictChecked": {"answer": "no", "degree": 2, '
+            '"reason": "DiagonalNegative", "k": 2}, "observedDegrees": [null, null, null], '
+            '"hfProfile": [], "mismatches": []}'
+        )
+
+    def test_subdiagonal_block(self):
+        report = verify_representable([[1, 3], [-1, 1]], trials=3, seed=1, prime=3)
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 1, "prime": 3, "trials": 3, "verdictChecked": {"answer": "no", "degree": 2, '
+            '"reason": "SubdiagonalBlockDegree", "k": 2, "blockDegree": 1}, "observedDegrees": [2, 1, 1], '
+            '"hfProfile": [], "mismatches": ["trial 1: leading block degree 0 != 1", '
+            '"trial 2: trailing block degree 0 != 1"]}'
+        )
+
+    def test_subscheme(self):
+        report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=3, seed=4)
+        profile = ", ".join(
+            f'{{"t": {t}, "predicted": {h}, "observed": {h}}}'
+            for t, h in enumerate([1, 3, 6, 10, 14, 18, 21, 22, 22, 22])
+        )
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 4, "prime": 32003, "trials": 3, "verdictChecked": {"answer": "yes", "degree": 4, '
+            '"insertedRowPosition": 3}, "observedDegrees": [4, 4, 4], '
+            f'"hfProfile": [{profile}], "mismatches": []}}'
+        )
+
+    def test_negative_subscheme(self):
+        report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 5, trials=3, seed=5)
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 5, "prime": 32003, "trials": 3, "verdictChecked": {"answer": "no", "degree": 5, '
+            '"reason": "SubdiagonalBlockDegree", "k": 3, "blockDegree": 1, "insertedRowPosition": 3}, '
+            '"observedDegrees": [5, 5, 5], "hfProfile": [], "mismatches": []}'
+        )
