@@ -81,7 +81,7 @@ class InfeasibleQueryError(CurvedetError, ValueError):
 
 
 class FieldTooSmallError(CurvedetError, ValueError):
-    """The prime field is too small for degree measurement by interpolation."""
+    """The prime field is too small for degree measurement on a line."""
 
     reason = "FieldTooSmall"
 

@@ -153,24 +153,26 @@ def enumerate_hvectors(delta: int, constraints, curve_degree: int) -> list[tuple
         # beyond the support the Hilbert function sits at delta
         return all(c.satisfied_by(delta) for c in mandatory if c.level >= support_end)
 
-    def extend(h: list[int], total: int):
-        t = len(h)
+    # depth first with an explicit stack, so that an h-vector thousands of
+    # entries long does not exhaust the recursion limit: an entry
+    # (t, total, value) sets h[t] = value after the t entries summing to total
+    h: list[int] = []
+    stack = [(0, 0, 1)] if check_level(0, 1) else []
+    while stack:
+        t, total, value = stack.pop()
+        del h[t:]
+        h.append(value)
+        t, total = t + 1, total + value
         if total == delta:
             if final_ok(t) and is_admissible_hvector(h, curve_degree):
                 results.append(tuple(h))
-            return
-        cap = min(h[-1] + 1 if h else 1, t + 1, curve_degree, delta - total)
-        if h and h[-1] <= t - 1:
-            cap = min(cap, h[-1])
-        for value in range(cap, 0, -1):
-            if not check_level(t, total + value):
-                continue
-            h.append(value)
-            extend(h, total + value)
-            h.pop()
-
-    if check_level(0, 1):
-        extend([1], 1)
+            continue
+        cap = min(value + 1, t + 1, curve_degree, delta - total)
+        if value <= t - 1:
+            cap = min(cap, value)
+        for v in range(1, cap + 1):
+            if check_level(t, total + v):
+                stack.append((t, total, v))
 
     def hf_key(h: tuple[int, ...]):
         partial = []

@@ -2,13 +2,17 @@
 
 Decisions about general forms are checked by actually sampling: build a
 matrix of random forms realizing a degree matrix over F_p, measure the
-degree of its determinant by restricting to random lines (the
-determinant at degree + 1 parameter values, then interpolation), compute
+degree of its determinant by restricting to random lines, compute
 maximal minors by exact cofactor expansion, and compare graded-piece
 dimensions of the minor ideal, obtained as ranks of coefficient matrices
 over F_p, against the predicted Hilbert function.  A negative
 containment verdict is witnessed on its inserted square like a
-representability verdict.  On the line an entry of degree m is a
+representability verdict.
+
+A polynomial on the line is kept as its values at the parameter values
+s = 0..D, which fix it when its degree is at most D < p.  Its degree is
+read from the forward differences of these values, and a factorization
+into two blocks is checked value by value.  An entry of degree m is a
 polynomial of degree m in the parameter, so it is evaluated at only
 m + 1 of the parameter values, as one dot product with monomial values
 that all entries share, and its other values follow from its forward
@@ -330,49 +334,43 @@ def maximal_minors(A: FormMatrix) -> tuple[Form, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _interpolate(ys: list[int], p: int) -> list[int]:
-    """Coefficients of the unique poly of degree < len(ys) with f(i) = ys[i]."""
-    n = len(ys)
-    # Newton's divided differences over F_p at nodes 0, 1, ..., n-1
-    table = [y % p for y in ys]
-    newton = [table[0]]
-    for level in range(1, n):
-        inv = pow(level, -1, p)
-        table = [(table[i + 1] - table[i]) * inv % p for i in range(len(table) - 1)]
-        newton.append(table[0])
-    # expand sum newton[k] * prod_{i<k} (t - i)
-    coeffs = [0] * n
-    basis = [1]  # coefficients of prod_{i<k} (t - i)
-    for k, ck in enumerate(newton):
-        if ck:
-            for i, bi in enumerate(basis):
-                coeffs[i] = (coeffs[i] + ck * bi) % p
-        if k < n - 1:
-            shifted = [0] + basis
-            basis = [(shifted[i] - k * (basis[i] if i < len(basis) else 0)) % p for i in range(len(basis) + 1)]
-    return coeffs
+def _difference_rows(values: list[int]):
+    """The rows of the forward-difference table of `values`, exact: the
+    values, their first differences, ..., down to one entry."""
+    row = values
+    yield row
+    while len(row) > 1:
+        row = list(map(sub, row[1:], row))
+        yield row
 
 
-def _poly_degree(coeffs: list[int]) -> int | None:
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i]:
-            return i
-    return None
+def _poly_degree(values: list[int], p: int) -> int | None:
+    """Degree mod p of the polynomial of degree < len(values) <= p that
+    takes `values` at s = 0, 1, ..., or None if it vanishes.
+
+    In the Newton forward basis f = sum_k (Delta^k f)(0) * C(s, k), and
+    C(s, k) has degree k with leading coefficient 1/k!, a unit mod p
+    because k < p; so the degree is the highest k with
+    (Delta^k f)(0) nonzero mod p.
+    """
+    firsts = [row[0] % p for row in _difference_rows(values)]
+    return max((k for k, v in enumerate(firsts) if v), default=None)
 
 
 def restrict_det_to_line(N: FormMatrix, line, max_degree: int) -> list[int]:
-    """Coefficients (in the line parameter) of det(N) restricted to a line.
+    """Values mod p of det(N) on a line at s = 0..max_degree.
 
-    The line is (P, Q): the parametrization s -> P + s Q.  The
-    determinant is evaluated at s = 0..max_degree and recovered by
-    interpolation.  An entry of degree m restricts to a polynomial of
+    The line is (P, Q): the parametrization s -> P + s Q.  These
+    max_degree + 1 values fix a restriction of degree at most
+    max_degree, and `_poly_degree` reads its degree from their forward
+    differences.  An entry of degree m restricts to a polynomial of
     degree m in s, so it is evaluated only at s = 0..min(m, max_degree),
     against monomial values shared by every entry at that point, and
     its remaining values come from its forward differences.
     """
     p = N.prime
     if p <= max_degree:
-        raise FieldTooSmallError(f"prime {p} is too small to interpolate degree {max_degree}")
+        raise FieldTooSmallError(f"prime {p} is too small for degree {max_degree} on a line")
     (p0, p1, p2), (q0, q1, q2) = line
     forms = [f for row in N.entries for f in row]
     top = max(f.degree for f in forms)
@@ -391,11 +389,10 @@ def restrict_det_to_line(N: FormMatrix, line, max_degree: int) -> list[int]:
             values += _extend_by_differences(values, max_degree - m, p)
         columns.append(values)
     n = N.cols
-    dets = []
-    for at_s in zip(*columns):
-        numeric = [list(at_s[i : i + n]) for i in range(0, len(at_s), n)]
-        dets.append(_det_numeric(numeric, p))
-    return _interpolate(dets, p)
+    return [
+        _det_numeric([list(at_s[i : i + n]) for i in range(0, len(at_s), n)], p)
+        for at_s in zip(*columns)
+    ]
 
 
 def _extend_by_differences(values: list[int], count: int, p: int) -> list[int]:
@@ -405,12 +402,7 @@ def _extend_by_differences(values: list[int], count: int, p: int) -> list[int]:
     # each at the last node it reaches.  The order-m difference is constant,
     # so a step forward replaces edge by its prefix sums; the sums stay
     # exact, and only the values are reduced.
-    table = values
-    edge = [table[-1]]
-    while len(table) > 1:
-        table = list(map(sub, table[1:], table))
-        edge.append(table[-1])
-    edge = [v % p for v in reversed(edge)]
+    edge = [row[-1] % p for row in _difference_rows(values)][::-1]
     out = []
     for _ in range(count):
         edge = list(accumulate(edge))
@@ -435,18 +427,18 @@ class LineDegreeReport:
 def det_degree_on_lines(N: FormMatrix, trials: int, rng: random.Random) -> LineDegreeReport:
     """Measure the determinant degree by restriction to random lines.
 
-    Reports the maximum interpolated degree over the trials, or
-    identically zero when every restriction vanishes.
+    Reports the maximum degree over the trials, or identically zero
+    when every restriction vanishes.
     """
     if N.rows != N.cols:
         raise ValueError("determinant degree needs a square matrix")
     if trials < 1:
         raise ValueError("need at least one trial")
-    d = sum(N.degree_matrix.entries[i][i] for i in range(N.rows))
+    d = sum(N.degree_matrix.diagonal)
     per_trial: list[int | None] = []
     for _ in range(trials):
-        coeffs = restrict_det_to_line(N, random_line(rng, N.prime), max(d, 0))
-        per_trial.append(_poly_degree(coeffs))
+        values = restrict_det_to_line(N, random_line(rng, N.prime), max(d, 0))
+        per_trial.append(_poly_degree(values, N.prime))
     observed = max((deg for deg in per_trial if deg is not None), default=None)
     return LineDegreeReport(observed is None, observed, per_trial)
 
@@ -577,8 +569,8 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
         rng = _trial_rng(seed, trial)
         N = sample_matrix(M, rng, prime)
         line = random_line(rng, prime)
-        coeffs = restrict_det_to_line(N, line, max(d, 0))
-        deg = _poly_degree(coeffs)
+        values = restrict_det_to_line(N, line, d)
+        deg = _poly_degree(values, prime)
         report.observed_degrees.append(deg)
 
         if decision.verdict:
@@ -588,20 +580,16 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
             if deg is not None:
                 report.mismatches.append(f"trial {trial}: expected zero determinant, saw degree {deg}")
         elif decision.reason == REASON_SUBDIAGONAL:
-            k = decision.k
-            lead = _block(N, 0, k - 1)
-            trail = _block(N, k - 1, M.rows)
-            e_lead = d - decision.block_degree
-            c_lead = restrict_det_to_line(lead, line, max(e_lead, 0))
-            c_trail = restrict_det_to_line(trail, line, max(decision.block_degree, 0))
-            product = _poly_mul(c_lead, c_trail, prime)
-            if _poly_degree(c_lead) != e_lead:
-                report.mismatches.append(f"trial {trial}: leading block degree {_poly_degree(c_lead)} != {e_lead}")
-            if _poly_degree(c_trail) != decision.block_degree:
-                report.mismatches.append(
-                    f"trial {trial}: trailing block degree {_poly_degree(c_trail)} != {decision.block_degree}"
-                )
-            if _poly_trim(product, prime) != _poly_trim(coeffs, prime):
+            # the blocks have degrees d - e and e, so their product, like
+            # det(N), is fixed by its values at the d + 1 nodes
+            k, e = decision.k, decision.block_degree
+            lead = restrict_det_to_line(_block(N, 0, k - 1), line, d)
+            trail = restrict_det_to_line(_block(N, k - 1, M.rows), line, d)
+            if _poly_degree(lead, prime) != d - e:
+                report.mismatches.append(f"trial {trial}: leading block degree {_poly_degree(lead, prime)} != {d - e}")
+            if _poly_degree(trail, prime) != e:
+                report.mismatches.append(f"trial {trial}: trailing block degree {_poly_degree(trail, prime)} != {e}")
+            if any(a * b % prime != v for a, b, v in zip(lead, trail, values)):
                 report.mismatches.append(f"trial {trial}: block determinants do not multiply to the determinant")
 
     if decision.verdict and not report.mismatches:
@@ -614,22 +602,6 @@ def _block(N: FormMatrix, start: int, stop: int) -> FormMatrix:
     entries = tuple(row[start:stop] for row in N.entries[start:stop])
     grid = tuple(row[start:stop] for row in N.degree_matrix.entries[start:stop])
     return FormMatrix(entries, DegreeMatrix(grid), N.prime)
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_trim(a: list[int], p: int) -> list[int]:
-    out = [x % p for x in a]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
@@ -675,8 +647,7 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
         F = det_form(N)
 
         line = random_line(rng, prime)
-        coeffs = restrict_det_to_line(N, line, d)
-        deg = _poly_degree(coeffs)
+        deg = _poly_degree(restrict_det_to_line(N, line, d), prime)
         report.observed_degrees.append(deg)
         if deg != d:
             report.mismatches.append(f"trial {trial}: curve degree {deg} != {d}")

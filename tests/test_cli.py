@@ -142,6 +142,17 @@ class TestSeriesCommand:
         flags = [tuple(row["flags"].values()) for row in body["rows"]]
         assert flags == [(True, False), (True, True), (False, False), (False, True)]
 
+    def test_h_vector_longer_than_the_recursion_limit(self, capsys):
+        code, body = invoke(
+            capsys,
+            "series",
+            "--curve-degree", "4",
+            "--divisor-degree", "3000",
+            "--series-dim", "2998",
+        )
+        assert code == 0
+        assert [row["h"] for row in body["rows"]] == [[1] * 3000]
+
     def test_unknown_property_field_rejected(self, capsys):
         code, body = invoke(
             capsys,
@@ -321,6 +332,22 @@ class TestMismatchExitCode:
         assert code == 2
         assert body["verdictChecked"]["answer"] == "yes"
         assert body["mismatches"] == ["trial 0: determinant is not in the minor ideal"]
+
+    def test_blocks_that_do_not_multiply_exit_2(self, capsys, monkeypatch):
+        # doubled values keep each 1 x 1 block's degree but break det = lead * trail
+        true_restrict = witness.restrict_det_to_line
+
+        def restrict(N, line, max_degree):
+            values = true_restrict(N, line, max_degree)
+            return [2 * v % N.prime for v in values] if N.rows < 2 else values
+
+        monkeypatch.setattr(witness, "restrict_det_to_line", restrict)
+        code, body = invoke(capsys, "witness", "--matrix", "[[1,3],[-1,1]]", "--trials", "3")
+        assert code == 2
+        assert body["verdictChecked"]["reason"] == "SubdiagonalBlockDegree"
+        assert body["mismatches"] == [
+            f"trial {i}: block determinants do not multiply to the determinant" for i in range(3)
+        ]
 
 
 SCAN_TABLE = """\

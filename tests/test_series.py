@@ -128,6 +128,11 @@ class TestEnumerateHVectors:
     def test_single_point(self):
         assert enumerate_hvectors(1, [], 4) == [(1,)]
 
+    def test_h_vector_longer_than_the_recursion_limit(self):
+        # HF(1) = 2 puts all 3000 points on a line: h = (1, 1, ..., 1)
+        answer = analyze(SeriesQuery(4, 3000, 2998))
+        assert [row.hvector for row in answer.rows] == [(1,) * 3000]
+
     def test_output_satisfies_all_constraints(self):
         constraints = hf_constraints(G20_QUERY)
         for h in enumerate_hvectors(20, constraints, 8):

@@ -35,9 +35,9 @@ from curvedet.witness import (
     DEFAULT_PRIME,
     FormMatrix,
     _det_numeric,
-    _interpolate,
     _is_prime,
     _monomial_values,
+    _poly_degree,
     _rank,
     monomial_index,
     monomials,
@@ -101,7 +101,7 @@ def reference_restrict(N, line, max_degree: int) -> list[int]:
         point = (p0 + s * q0, p1 + s * q1, p2 + s * q2)
         numeric = [[reference_evaluate(f, point, p) for f in row] for row in N.entries]
         values.append(_det_numeric(numeric, p))
-    return _interpolate(values, p)
+    return values
 
 
 def primes_above(k: int, count: int) -> list[int]:
@@ -128,6 +128,17 @@ def patch_det_off_the_ideal(monkeypatch):
     true_det = witness.det_form
     z4 = Form(4, (0,) * 14 + (1,), P)
     monkeypatch.setattr(witness, "det_form", lambda N: true_det(N) + z4)
+
+
+def patch_blocks_off_the_product(monkeypatch, full: int):
+    # doubled values keep each block's degree but break det = lead * trail
+    true_restrict = witness.restrict_det_to_line
+
+    def restrict(N, line, max_degree):
+        values = true_restrict(N, line, max_degree)
+        return [2 * v % N.prime for v in values] if N.rows < full else values
+
+    monkeypatch.setattr(witness, "restrict_det_to_line", restrict)
 
 
 def dhb(grid):
@@ -201,16 +212,21 @@ class TestForms:
         assert (random_form(2, rng) * zero_form(P)).is_zero
 
 
-class TestInterpolation:
-    def test_round_trip(self):
-        rng = random.Random(6)
-        for degree in (0, 1, 3, 7):
-            coeffs = [rng.randrange(P) for _ in range(degree + 1)]
-            values = [
-                sum(c * pow(t, i, P) for i, c in enumerate(coeffs)) % P
-                for t in range(degree + 1)
-            ]
-            assert _interpolate(values, P) == coeffs
+class TestPolyDegree:
+    @given(st.integers(0, 12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, degree, data):
+        n = data.draw(st.integers(degree + 1, degree + 6))
+        p = data.draw(st.sampled_from(primes_above(n - 1, 2) + [2**31 - 1]))
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+        coeffs.append(data.draw(st.integers(1, p - 1)))
+        values = [sum(c * pow(s, i, p) for i, c in enumerate(coeffs)) % p for s in range(n)]
+        assert _poly_degree(values, p) == degree
+
+    @pytest.mark.parametrize("p", [5, 7, 32003])
+    def test_zero(self, p):
+        assert _poly_degree([0] * 5, p) is None
+        assert _poly_degree([p, -3 * p, 2 * p, 7 * p, p], p) is None
 
 
 class TestSampling:
@@ -257,7 +273,7 @@ class TestDeterminantRestriction:
             direct = [
                 F.evaluate((p0 + s * q0, p1 + s * q1, p2 + s * q2)) for s in range(d + 1)
             ]
-            assert _interpolate(direct, P) == via_entries
+            assert direct == via_entries
 
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=150, deadline=None)
@@ -266,7 +282,7 @@ class TestDeterminantRestriction:
         v = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
         grid = [[ui + vj for vj in v] for ui in u]
         d = sum(grid[i][i] for i in range(n))
-        # below d too: both sides interpolate the same node values
+        # below d too: both sides take the values at the same nodes
         max_degree = data.draw(st.integers(0, max(d, 0) + 1))
         p = data.draw(st.sampled_from(primes_above(max_degree, 2) + [P, 2**31 - 1]))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
@@ -431,6 +447,25 @@ class TestVerifyRepresentable:
         assert report.ok
         assert set(report.observed_degrees) == {2}
 
+    def test_blocks_that_do_not_multiply_are_reported(self, monkeypatch):
+        patch_blocks_off_the_product(monkeypatch, full=2)
+        report = verify_representable([[1, 3], [-1, 1]], trials=3, seed=2)
+        assert report.mismatches == [
+            f"trial {i}: block determinants do not multiply to the determinant" for i in range(3)
+        ]
+        assert report.observed_degrees == [2, 2, 2]
+
+    def test_block_product_is_checked_at_the_last_node(self, monkeypatch):
+        true_restrict = witness.restrict_det_to_line
+
+        def restrict(N, line, max_degree):
+            values = true_restrict(N, line, max_degree)
+            return values[:-1] + [(values[-1] + 1) % N.prime] if N.rows < 2 else values
+
+        monkeypatch.setattr(witness, "restrict_det_to_line", restrict)
+        report = verify_representable([[1, 3], [-1, 1]], trials=1, seed=2)
+        assert "trial 0: block determinants do not multiply to the determinant" in report.mismatches
+
     def test_degree_zero(self):
         report = verify_representable([[0, 0], [0, 0]], trials=4, seed=2)
         assert report.ok
@@ -522,6 +557,15 @@ class TestVerifySubscheme:
         report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=1, seed=4)
         assert report.mismatches == ["trial 0: determinant is not in the minor ideal"]
         assert report.observed_degrees == [4]
+
+    def test_negative_verdict_blocks_that_do_not_multiply_are_reported(self, monkeypatch):
+        # d = 5 is witnessed on the inserted 3 x 3 square, which splits after row 2
+        patch_blocks_off_the_product(monkeypatch, full=3)
+        report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 5, trials=3, seed=5)
+        assert report.verdict_checked["reason"] == REASON_SUBDIAGONAL
+        assert report.mismatches == [
+            f"trial {i}: block determinants do not multiply to the determinant" for i in range(3)
+        ]
 
     def test_hilbert_profile_matches_formula(self):
         Q = dhb([[2, 3, 5], [1, 2, 4]])
