@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import decide, resolution, series, witness
@@ -286,19 +287,21 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         result = args.func(args)
     except CurvedetError as exc:
-        print(json.dumps(exc.payload()))
-        return 1
+        text, code = json.dumps(exc.payload()), 1
     except (InputError, ValueError) as exc:
-        print(json.dumps({"error": "InputError", "message": str(exc)}))
-        return 1
-
-    if args.format == "table":
-        print(_render_table(result))
+        text, code = json.dumps({"error": "InputError", "message": str(exc)}), 1
     else:
-        print(json.dumps(result))
-    if args.command == "witness" and result.get("mismatches"):
-        return 2
-    return 0
+        text = _render_table(result) if args.format == "table" else json.dumps(result)
+        code = 2 if args.command == "witness" and result.get("mismatches") else 0
+
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  Point stdout at devnull so
+        # that the interpreter's flush at exit fails silently too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def main() -> None:

@@ -321,12 +321,14 @@ def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterato
     for u in combinations_with_replacement(range(bound, -bound - 1, -1), n - 1):
         if u[0] < 0:
             continue  # q[1][1] = u[1] would be negative
+        # an entry u[i] + v[j] is zero exactly when v[j] is some -u[i]
+        zero_at = {-x for x in u} if minimal_only else None
         for v_rest in combinations_with_replacement(range(bound + 1), n - 1):
             v = (0,) + v_rest
-            diag = tuple(u[k] + v[k] for k in range(n - 1))
-            if any(x < 0 for x in diag) or max(diag) == 0:
+            diag = [x + y for x, y in zip(u, v)]
+            if min(diag) < 0 or max(diag) == 0:
                 continue
-            if minimal_only and any(ui + vj == 0 for ui in u for vj in v):
+            if minimal_only and not zero_at.isdisjoint(v):
                 continue
             yield DHBMatrix(grid_from_potentials(u, v))
 

@@ -6,14 +6,18 @@ decompose as m[i][j] = u[i] + v[j] for a row potential u and a column
 potential v, made unique by v[1] = 0: u is the first column and v the
 first row minus its first entry.  `potentials()` is the one home of this
 convention, and `grid_from_potentials()` its inverse; a `DegreeMatrix`
-stores only its entries.  Such grids record the entry degrees of
-matrices of homogeneous forms: a square homogeneous grid has a
-well-defined degree (any transversal sum), and an (n-1) x n grid
-presents the generator and syzygy degrees of a codimension-two ideal
-through its maximal minors.  The two shapes are `DegreeMatrix`
-subclasses that add only their invariants: `WellOrderedSquare` (n x n)
-and `DHBMatrix` (the (n-1) x n degree Hilbert-Burch matrix), each
-checking homogeneity, its shape and well-ordering when built.
+stores only its entries.  In these potentials the maximal minor of an
+(n-1) x n grid that erases column j has degree
+a_j = sum(u) + sum(v) - v[j], since every transversal of the remaining
+square takes each u[i] once and each v[k], k != j, once.  Such grids
+record the entry degrees of matrices of homogeneous forms: a square
+homogeneous grid has a well-defined degree (any transversal sum), and
+an (n-1) x n grid presents the generator and syzygy degrees of a
+codimension-two ideal through its maximal minors.  The two shapes are
+`DegreeMatrix` subclasses that add only their invariants:
+`WellOrderedSquare` (n x n) and `DHBMatrix` (the (n-1) x n degree
+Hilbert-Burch matrix), each checking homogeneity, its shape and
+well-ordering when built.
 
 All row/column positions in the public API are 1-based, matching the
 usual matrix notation; permutations are tuples of original 1-based
@@ -23,7 +27,6 @@ indices in their new order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import IncompatibleRowError, NotHomogeneousError
 
@@ -32,6 +35,26 @@ Grid = tuple[tuple[int, ...], ...]
 #: Entries beyond this magnitude are rejected: degrees in practice are tiny,
 #: and the cap keeps every transversal sum far from any integer-width limit.
 ENTRY_BOUND = 10**6
+
+
+class cached_invariant:
+    """`functools.cached_property` as of Python 3.12: computed once, no lock.
+
+    A non-data descriptor: the first access stores the value in the
+    instance `__dict__`, which shadows the descriptor from then on.  The
+    matrices are immutable, so two threads that race compute equal values.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _as_grid(grid) -> Grid:
@@ -54,6 +77,10 @@ def _check_homogeneous(rows: Grid) -> None:
     """Raise NotHomogeneousError unless m[i][j] = u[i] + v[j] everywhere."""
     top = rows[0]
     for i, row in enumerate(rows[1:], 1):
+        if len(row) != len(top):
+            # the invariants read only column 0 and row 0, so a short row
+            # would otherwise pass unseen
+            raise ValueError(f"ragged grid: row {i + 1} has {len(row)} entries, expected {len(top)}")
         shift = row[0] - top[0]
         for j, x in enumerate(row):
             if x != top[j] + shift:
@@ -116,7 +143,7 @@ class DegreeMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    @cached_property
+    @cached_invariant
     def diagonal(self) -> tuple[int, ...]:
         """Entries m[k][k] for k = 1..min(rows, cols)."""
         return tuple(self.entries[k][k] for k in range(min(self.rows, self.cols)))
@@ -144,7 +171,7 @@ class WellOrderedSquare(DegreeMatrix):
     def n(self) -> int:
         return self.rows
 
-    @cached_property
+    @cached_invariant
     def degree(self) -> int:
         return sum(self.diagonal)
 
@@ -171,30 +198,25 @@ class DHBMatrix(DegreeMatrix):
     def n(self) -> int:
         return self.cols
 
-    @cached_property
+    @cached_invariant
     def minor_degrees(self) -> tuple[int, ...]:
         """Transversal degree of each column-erased square, non-increasing."""
-        q = self.entries
-        n = self.n
-        out = []
-        for j in range(n):
-            # row i pairs with column i when i < j, with column i+1 otherwise
-            out.append(
-                sum(q[i][i] for i in range(j)) + sum(q[i][i + 1] for i in range(j, n - 1))
-            )
-        return tuple(out)
+        # a_j = sum(u) + sum(v) - v[j] with u = column 0, v[j] = top[j] - top[0]
+        top = self.entries[0]
+        total = sum([row[0] for row in self.entries]) + sum(top) - (len(top) - 1) * top[0]
+        return tuple([total - x for x in top])
 
-    @cached_property
+    @cached_invariant
     def shifts(self) -> tuple[int, ...]:
         """Syzygy degrees b with q[i][j] = b[i] - a[j]; non-increasing."""
         a0 = self.minor_degrees[0]
         return tuple(a0 + row[0] for row in self.entries)
 
-    @cached_property
+    @cached_invariant
     def diag_nonnegative(self) -> bool:
         return all(x >= 0 for x in self.diagonal)
 
-    @cached_property
+    @cached_invariant
     def max_diag_positive(self) -> bool:
         return max(self.diagonal) > 0
 
@@ -202,7 +224,7 @@ class DHBMatrix(DegreeMatrix):
     def is_valid(self) -> bool:
         return self.diag_nonnegative and self.max_diag_positive
 
-    @cached_property
+    @cached_invariant
     def is_numerically_minimal(self) -> bool:
         """True when no minor degree equals a shift, i.e. no entry is zero."""
         return all(x != 0 for row in self.entries for x in row)

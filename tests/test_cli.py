@@ -350,6 +350,31 @@ class TestMismatchExitCode:
         ]
 
 
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_is_not_an_error(self):
+        # 189 KB of JSON: more than a pipe holds, so the writer meets the closed end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "curvedet.cli", "series", "--curve-degree", "4",
+             "--divisor-degree", "20000", "--series-dim", "19998"],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(20) == b'{"curveDegree": 4, "'
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
+
+    def test_a_contradiction_still_exits_2(self, monkeypatch):
+        monkeypatch.setattr(witness, "restrict_det_to_line", lambda N, line, max_degree: [0] * (max_degree + 1))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert run(["witness", "--matrix", "[[1,1],[1,1]]", "--trials", "2"]) == 2
+
+
 SCAN_TABLE = """\
 scan:
   d: 1

@@ -1,10 +1,13 @@
 """Decision procedures: representability, containment, fast paths, thresholds."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvedet import (
+    DHBMatrix,
     EmptySchemeDegenerateError,
     InvalidDHBError,
     NotMinimalError,
@@ -274,7 +277,29 @@ class TestConditionTwoSymmetry:
             assert leading + e == d
 
 
+def reference_iter_dhb_matrices(n, bound, minimal_only=False):
+    """The enumeration as first written: a tuple diagonal and an n^2 zero test."""
+    for u in combinations_with_replacement(range(bound, -bound - 1, -1), n - 1):
+        if u[0] < 0:
+            continue
+        for v_rest in combinations_with_replacement(range(bound + 1), n - 1):
+            v = (0,) + v_rest
+            diag = tuple(u[k] + v[k] for k in range(n - 1))
+            if any(x < 0 for x in diag) or max(diag) == 0:
+                continue
+            if minimal_only and any(ui + vj == 0 for ui in u for vj in v):
+                continue
+            yield DHBMatrix(grid_from_potentials(u, v))
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("minimal_only", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_same_sequence_as_the_reference(self, n, minimal_only):
+        for bound in range(1, 5):
+            expected = list(reference_iter_dhb_matrices(n, bound, minimal_only))
+            assert list(iter_dhb_matrices(n, bound, minimal_only)) == expected
+
     def test_census_shape(self):
         result = census(2, 3, 3)
         assert result["total"] == result["yes"] + result["no"]

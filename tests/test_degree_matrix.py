@@ -1,6 +1,9 @@
 """Degree-matrix algebra: potentials, ordering, minors, row surgery."""
 
 import itertools
+import pydoc
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +204,15 @@ class TestShapeTypes:
             DHBMatrix(grid)
         assert (info.value.rows, info.value.cols) == ((1, 2), (1, 2))
 
+    @pytest.mark.parametrize("cls, grid", [
+        (DHBMatrix, ((1, 2, 3), (0, 1))),
+        (DHBMatrix, ((1, 2, 3), (0, 1, 2, 5))),
+        (WellOrderedSquare, ((2, 3), (1,))),
+    ])
+    def test_shape_types_reject_a_ragged_grid(self, cls, grid):
+        with pytest.raises(ValueError, match="ragged grid: row 2"):
+            cls(grid)
+
     def test_square_rejects_a_grid_that_is_not_homogeneous(self):
         # its diagonal sums to 7 and its antidiagonal to 4
         with pytest.raises(NotHomogeneousError):
@@ -223,6 +235,16 @@ def dhb(grid) -> DHBMatrix:
     Q, _, _ = canonicalize(grid)
     assert isinstance(Q, DHBMatrix)
     return Q
+
+
+def reference_minor_degrees(q) -> tuple[int, ...]:
+    """Minor degrees as first written: one transversal sum per erased column."""
+    n = len(q[0])
+    out = []
+    for j in range(n):
+        # row i pairs with column i when i < j, with column i+1 otherwise
+        out.append(sum(q[i][i] for i in range(j)) + sum(q[i][i + 1] for i in range(j, n - 1)))
+    return tuple(out)
 
 
 class TestMinorDegreesAndShifts:
@@ -265,6 +287,101 @@ class TestMinorDegreesAndShifts:
             assert transversal_degree(erased) == a[j]
         assert all(a[j] >= a[j + 1] for j in range(n - 1))
         assert all(b[i] >= b[i + 1] for i in range(n - 2))
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_potential_formula_matches_the_transversal_sums(self, n):
+        for Q in iter_dhb_matrices(n, 4):
+            a = reference_minor_degrees(Q.entries)
+            assert Q.minor_degrees == a
+            assert Q.shifts == tuple(a[0] + row[0] for row in Q.entries)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_potential_formula_on_raw_grids(self, n, data):
+        # raw potentials: entries may be zero or negative, v[0] need not be 0
+        u = sorted(data.draw(st.lists(st.integers(-9, 9), min_size=n - 1, max_size=n - 1)), reverse=True)
+        v = sorted(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+        Q = DHBMatrix(grid_from_potentials(u, v))
+        a = reference_minor_degrees(Q.entries)
+        assert Q.minor_degrees == a
+        assert Q.shifts == tuple(a[0] + row[0] for row in Q.entries)
+
+
+class TestCachedInvariants:
+    CACHED = {
+        DHBMatrix: {
+            "diagonal", "minor_degrees", "shifts", "diag_nonnegative",
+            "max_diag_positive", "is_numerically_minimal",
+        },
+        WellOrderedSquare: {"diagonal", "degree"},
+    }
+    GRIDS = {DHBMatrix: ((2, 3, 5), (1, 2, 4)), WellOrderedSquare: DEGREE8_GRID}
+
+    @staticmethod
+    def cached_names(cls):
+        return {
+            name
+            for klass in cls.__mro__
+            for name, attr in vars(klass).items()
+            if isinstance(attr, degree_matrix.cached_invariant)
+        }
+
+    @pytest.mark.parametrize("cls", [DHBMatrix, WellOrderedSquare])
+    def test_reading_every_invariant_keeps_value_semantics(self, cls):
+        names = self.cached_names(cls)
+        assert names == self.CACHED[cls]
+        grid = tuple(tuple(row) for row in self.GRIDS[cls])
+        M = cls(grid)
+        for name in names:
+            getattr(M, name)
+        assert set(vars(M)) == {"entries"} | names
+        fresh = cls(grid)
+        assert M == fresh
+        assert hash(M) == hash(fresh)
+        assert repr(M) == repr(fresh) == f"{cls.__name__}(entries={grid!r})"
+
+    def test_instances_do_not_share_values(self):
+        P = DHBMatrix(((2, 3, 5), (1, 2, 4)))
+        Q = DHBMatrix(((1, 1, 3), (0, 0, 2)))
+        assert (P.minor_degrees, P.shifts, P.is_numerically_minimal) == ((7, 6, 4), (9, 8), True)
+        assert (Q.minor_degrees, Q.shifts, Q.is_numerically_minimal) == ((3, 3, 1), (4, 3), False)
+        # reading Q's invariants left P's cached values alone
+        assert (P.minor_degrees, P.shifts, P.is_numerically_minimal) == ((7, 6, 4), (9, 8), True)
+        assert vars(P)["minor_degrees"] == (7, 6, 4)
+
+    def test_class_access_returns_the_documented_descriptor(self):
+        for cls, names in self.CACHED.items():
+            for name in names:
+                attr = getattr(cls, name)
+                assert isinstance(attr, degree_matrix.cached_invariant)
+                assert attr.__doc__ == attr.func.__doc__
+        doc = DHBMatrix.minor_degrees.__doc__
+        assert doc == "Transversal degree of each column-erased square, non-increasing."
+        assert doc in pydoc.render_doc(DHBMatrix, renderer=pydoc.plaintext)
+
+
+    def test_threads_racing_on_fresh_matrices_read_one_value(self):
+        matrices = [DHBMatrix(Q.entries) for Q in iter_dhb_matrices(4, 2)]
+        expected = [reference_minor_degrees(M.entries) for M in matrices]
+        seen = []
+
+        def read():
+            seen.append([M.minor_degrees for M in matrices])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [expected] * len(threads)
 
 
 class TestInsertRow:
