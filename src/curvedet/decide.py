@@ -12,7 +12,10 @@ Whether a general curve of degree d contains a zero-dimensional
 subscheme with a prescribed degree Hilbert-Burch matrix Q reduces to
 the same test: append the row (d - a_1, ..., d - a_n) of complementary
 minor degrees, reorder, and check the two conditions on the resulting
-square matrix.
+square matrix.  One kernel, `_decide_entries`, checks them for
+`representable`, `contains_subscheme` and `census`.  `census` asks the
+question for every bounded presentation and builds each square straight
+from the potentials of Q, with no `DHBMatrix` in between.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .degree_matrix import (
     DHBMatrix,
     Grid,
     WellOrderedSquare,
+    _landing,
     _splice_row,
     canonicalize,
     grid_from_potentials,
@@ -305,19 +309,15 @@ def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
     return [(d, contains_subscheme(Q, d)) for d in range(1, dmax + 1)]
 
 
-def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterator[DHBMatrix]:
-    """All valid well-ordered (n-1) x n presentation matrices with
-    potentials bounded by `bound` in absolute value.
-
-    Potentials are normalized (first column potential 0), so the row
-    potentials range over non-increasing tuples in [-bound, bound] and
-    the column potentials over non-decreasing tuples in [0, bound].
-    With `minimal_only`, skip matrices with any zero entry.
-    """
+def _check_enumeration(n: int, bound: int) -> None:
     if n < 2:
         raise ValueError("need n >= 2")
     if bound < 1:
         raise ValueError("need bound >= 1")
+
+
+def _iter_potentials(n: int, bound: int, minimal_only: bool):
+    """The (u, v) potential pairs of `iter_dhb_matrices`, in its order."""
     for u in combinations_with_replacement(range(bound, -bound - 1, -1), n - 1):
         if u[0] < 0:
             continue  # q[1][1] = u[1] would be negative
@@ -330,16 +330,47 @@ def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterato
                 continue
             if minimal_only and not zero_at.isdisjoint(v):
                 continue
-            yield DHBMatrix(grid_from_potentials(u, v))
+            yield u, v
+
+
+def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterator[DHBMatrix]:
+    """All valid well-ordered (n-1) x n presentation matrices with
+    potentials bounded by `bound` in absolute value.
+
+    Potentials are normalized (first column potential 0), so the row
+    potentials range over non-increasing tuples in [-bound, bound] and
+    the column potentials over non-decreasing tuples in [0, bound].
+    With `minimal_only`, skip matrices with any zero entry.
+    """
+    _check_enumeration(n, bound)
+    for u, v in _iter_potentials(n, bound, minimal_only):
+        yield DHBMatrix(grid_from_potentials(u, v))
 
 
 def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:
-    """Count containment decisions at degree d over all bounded matrices."""
+    """Count containment decisions at degree d over all bounded matrices.
+
+    The counts, and the order of the `byReason` keys, are those of
+    `contains_subscheme(Q, d)` over `iter_dhb_matrices(n, bound,
+    minimal_only)`, but no `DHBMatrix` is built: each square comes
+    straight from the potentials (u, v) of Q.  The complementary row has
+    potential r = d - a_1, where a_1 = sum(u) + sum(v), and lands below
+    every u_i >= r, the rule `_splice_row` applies to the shifts
+    b_i = a_1 + u_i.  The square goes to the same kernel,
+    `_decide_entries`; every enumerated Q is valid, so nothing else of
+    `contains_subscheme` applies.
+    """
+    _check_enumeration(n, bound)
+    if d < 1:
+        raise ValueError(f"curve degree must be >= 1, got {d}")
     total = 0
     yes = 0
     by_reason: dict[str, int] = {}
-    for Q in iter_dhb_matrices(n, bound, minimal_only=minimal_only):
-        verdict = contains_subscheme(Q, d)
+    for u, v in _iter_potentials(n, bound, minimal_only):
+        r = d - sum(u) - sum(v)
+        pos = _landing(u, r)
+        square = grid_from_potentials(u[:pos] + (r,) + u[pos:], v)
+        verdict = _decide_entries(square, d, inserted=pos + 1)
         total += 1
         if verdict.verdict:
             yes += 1

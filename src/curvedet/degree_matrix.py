@@ -16,8 +16,10 @@ an (n-1) x n grid presents the generator and syzygy degrees of a
 codimension-two ideal through its maximal minors.  The two shapes are
 `DegreeMatrix` subclasses that add only their invariants:
 `WellOrderedSquare` (n x n) and `DHBMatrix` (the (n-1) x n degree
-Hilbert-Burch matrix), each checking homogeneity, its shape and
-well-ordering when built.
+Hilbert-Burch matrix).  Building any of them checks the entries
+(integers within ENTRY_BOUND), homogeneity, the shape and well-ordering;
+`canonicalize` checks its input once and sorts it into a grid that
+needs no second check.
 
 All row/column positions in the public API are 1-based, matching the
 usual matrix notation; permutations are tuples of original 1-based
@@ -58,34 +60,40 @@ class cached_invariant:
 
 
 def _as_grid(grid) -> Grid:
+    """The grid as a tuple of row tuples, checked by `_check_homogeneous`."""
     rows = tuple(tuple(row) for row in grid)
-    if not rows or not rows[0]:
-        raise ValueError("grid must be non-empty")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"ragged grid: row {i + 1} has {len(row)} entries, expected {width}")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"grid entries must be integers, got {x!r}")
-            if abs(x) > ENTRY_BOUND:
-                raise ValueError(f"entry {x} exceeds the supported bound {ENTRY_BOUND}")
+    _check_homogeneous(rows)
     return rows
 
 
 def _check_homogeneous(rows: Grid) -> None:
-    """Raise NotHomogeneousError unless m[i][j] = u[i] + v[j] everywhere."""
+    """Check a grid in one pass over its entries.
+
+    It must be non-empty and rectangular, with integer entries (not bool)
+    of magnitude at most ENTRY_BOUND (ValueError), and homogeneous,
+    m[i][j] = u[i] + v[j] (NotHomogeneousError).  An entry error anywhere
+    takes precedence over a homogeneity witness.
+    """
+    if not rows or not rows[0]:
+        raise ValueError("grid must be non-empty")
     top = rows[0]
-    for i, row in enumerate(rows[1:], 1):
-        if len(row) != len(top):
+    width = len(top)
+    witness = None
+    for i, row in enumerate(rows):
+        if len(row) != width:
             # the invariants read only column 0 and row 0, so a short row
             # would otherwise pass unseen
-            raise ValueError(f"ragged grid: row {i + 1} has {len(row)} entries, expected {len(top)}")
-        shift = row[0] - top[0]
+            raise ValueError(f"ragged grid: row {i + 1} has {len(row)} entries, expected {width}")
         for j, x in enumerate(row):
-            if x != top[j] + shift:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"grid entries must be integers, got {x!r}")
+            if not -ENTRY_BOUND <= x <= ENTRY_BOUND:
+                raise ValueError(f"entry {x} exceeds the supported bound {ENTRY_BOUND}")
+            if witness is None and x - row[0] != top[j] - top[0]:
                 # The block on rows (1, i+1) and columns (1, j+1) is a witness.
-                raise NotHomogeneousError(1, 1, i + 1, j + 1)
+                witness = (i + 1, j + 1)
+    if witness is not None:
+        raise NotHomogeneousError(1, 1, *witness)
 
 
 def potentials(grid) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -95,14 +103,13 @@ def potentials(grid) -> tuple[tuple[int, ...], tuple[int, ...]]:
     is not homogeneous.
     """
     rows = _as_grid(grid)
-    _check_homogeneous(rows)
     base = rows[0][0]
     return tuple(row[0] for row in rows), tuple(x - base for x in rows[0])
 
 
 def grid_from_potentials(u, v) -> Grid:
     """Rebuild the grid m[i][j] = u[i] + v[j]; inverse of `potentials`."""
-    return tuple(tuple(ui + vj for vj in v) for ui in u)
+    return tuple([tuple([ui + vj for vj in v]) for ui in u])
 
 
 def is_homogeneous(grid) -> bool:
@@ -118,7 +125,6 @@ def transversal_degree(grid) -> int:
     rows = _as_grid(grid)
     if len(rows) != len(rows[0]):
         raise ValueError("transversal degree requires a square grid")
-    potentials(rows)
     return sum(rows[i][i] for i in range(len(rows)))
 
 
@@ -133,7 +139,15 @@ class DegreeMatrix:
 
     @classmethod
     def from_grid(cls, grid) -> "DegreeMatrix":
-        return cls(_as_grid(grid))
+        return cls(tuple(tuple(row) for row in grid))
+
+    @classmethod
+    def _trusted(cls, entries: Grid) -> "DegreeMatrix":
+        """Wrap entries that are already known to be a valid grid of this
+        shape, skipping `__post_init__`."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
 
     @property
     def rows(self) -> int:
@@ -247,31 +261,32 @@ def canonicalize(grid):
     elif r + 1 == c:
         shape = DHBMatrix
     else:
-        _check_homogeneous(rows)
         raise ValueError(f"unsupported shape {r} x {c}: expected n x n or (n-1) x n")
     # the potentials, up to a constant, are the first column and the first
-    # row; the shape type's own check rejects a grid that has none
+    # row; sorted by them, the checked input is well-ordered and needs no
+    # second check
     row_order = sorted(range(r), key=lambda i: -rows[i][0])
     col_order = sorted(range(c), key=lambda j: rows[0][j])
     entries = tuple(tuple(rows[i][j] for j in col_order) for i in row_order)
-    try:
-        matrix = shape(entries)
-    except NotHomogeneousError:
-        _check_homogeneous(rows)  # name the block in the input's coordinates
-        raise
-    return matrix, tuple(i + 1 for i in row_order), tuple(j + 1 for j in col_order)
+    return shape._trusted(entries), tuple(i + 1 for i in row_order), tuple(j + 1 for j in col_order)
+
+
+def _landing(keys, key) -> int:
+    """The 0-based index at which `key` lands in the non-increasing
+    sequence `keys`: below every entry >= key, so it lands below ties."""
+    pos = 0
+    for x in keys:
+        if x < key:
+            break
+        pos += 1
+    return pos
 
 
 def _splice_row(Q: DHBMatrix, row: tuple[int, ...]) -> tuple[Grid, int]:
     """Land an unvalidated compatible row of shift t = row[0] + a[0] below
     every row of Q with shift >= t; return the square grid and the 1-based
     landing position."""
-    t = row[0] + Q.minor_degrees[0]
-    pos = 0  # 0-based insertion index
-    for b in Q.shifts:
-        if b < t:
-            break
-        pos += 1
+    pos = _landing(Q.shifts, row[0] + Q.minor_degrees[0])
     return Q.entries[:pos] + (row,) + Q.entries[pos:], pos + 1
 
 

@@ -86,6 +86,12 @@ class FieldTooSmallError(CurvedetError, ValueError):
     reason = "FieldTooSmall"
 
 
+class CofactorBudgetError(CurvedetError, ValueError):
+    """A matrix is too large for the witness's exact cofactor expansion."""
+
+    reason = "CofactorBudgetExceeded"
+
+
 class InvalidWitnessParameterError(CurvedetError, ValueError):
     """A witness trial count or prime the verification cannot work with."""
 

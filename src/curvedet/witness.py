@@ -49,7 +49,7 @@ from operator import mul, sub
 
 from .decide import REASON_DIAGONAL, REASON_SUBDIAGONAL, Decision, contains_subscheme, representable
 from .degree_matrix import DegreeMatrix, DHBMatrix
-from .errors import FieldTooSmallError, InvalidWitnessParameterError
+from .errors import CofactorBudgetError, FieldTooSmallError, InvalidWitnessParameterError
 from .resolution import betti_of_matrix, hilbert_function, plane_dim
 
 DEFAULT_PRIME = 32003
@@ -319,7 +319,7 @@ def maximal_minors(A: FormMatrix) -> tuple[Form, ...]:
     if A.rows + 1 != A.cols:
         raise ValueError("maximal minors expect an (n-1) x n matrix")
     if A.cols > 6:
-        raise ValueError("cofactor expansion budget is n <= 6")
+        raise CofactorBudgetError(f"cofactor expansion budget is n <= 6, got n = {A.cols}")
     memo: dict = {}
     cols = tuple(range(A.cols))
     out = []

@@ -235,6 +235,18 @@ class TestWitnessCommand:
         assert body["mismatches"] == []
         assert body["prime"] == 2147483647
 
+    def test_presentation_beyond_the_cofactor_budget(self, capsys):
+        # a 6 x 7 presentation (n = 7) is decided, but its minors are not expanded
+        matrix = json.dumps([[1] * 7] * 6)
+        code, body = invoke(capsys, "check-subscheme", "--matrix", matrix, "--degree", "7")
+        assert (code, body["answer"]) == (0, "yes")
+        code, body = invoke(capsys, "witness", "--matrix", matrix, "--degree", "7", "--trials", "1")
+        assert code == 1
+        assert body == {
+            "error": "CofactorBudgetExceeded",
+            "message": "cofactor expansion budget is n <= 6, got n = 7",
+        }
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     @pytest.mark.parametrize("matrix", ["[[1,1],[1,1]]", "[[1,1,1],[1,1,1]]"])
     def test_trials_must_be_positive(self, capsys, matrix, trials):
@@ -277,6 +289,11 @@ class TestEnumerateCommand:
         )
         assert code == 0
         assert body["total"] == body["yes"] + body["no"] > 0
+
+    def test_degree_zero_is_an_input_error(self, capsys):
+        code, body = invoke(capsys, "enumerate", "--n", "3", "--degree", "0", "--bound", "2")
+        assert code == 1
+        assert body == {"error": "InputError", "message": "curve degree must be >= 1, got 0"}
 
 
 class TestInputValidation:

@@ -317,6 +317,60 @@ class TestEnumeration:
             assert Q.is_well_ordered()
 
 
+def reference_census(n, d, bound, minimal_only=False, matrices=None):
+    """The census as first written: `contains_subscheme` over every
+    `DHBMatrix` of `iter_dhb_matrices` (or of `matrices`, that list)."""
+    if matrices is None:
+        matrices = iter_dhb_matrices(n, bound, minimal_only=minimal_only)
+    total = 0
+    yes = 0
+    by_reason = {}
+    for Q in matrices:
+        verdict = contains_subscheme(Q, d)
+        total += 1
+        if verdict.verdict:
+            yes += 1
+        by_reason[verdict.reason] = by_reason.get(verdict.reason, 0) + 1
+    return {
+        "n": n,
+        "d": d,
+        "bound": bound,
+        "minimalOnly": minimal_only,
+        "total": total,
+        "yes": yes,
+        "no": total - yes,
+        "byReason": by_reason,
+    }
+
+
+class TestCensus:
+    @pytest.mark.parametrize("minimal_only", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_same_counts_as_the_reference(self, n, minimal_only):
+        for bound in range(1, 5):
+            matrices = list(iter_dhb_matrices(n, bound, minimal_only))
+            for d in range(1, 15):
+                expected = reference_census(n, d, bound, minimal_only, matrices)
+                result = census(n, d, bound, minimal_only)
+                assert result == expected
+                assert list(result["byReason"]) == list(expected["byReason"])
+                assert list(result) == list(expected)
+
+    # n is checked before bound, and bound before d
+    @pytest.mark.parametrize("args, message", [
+        ((1, 3, 2), "need n >= 2"),
+        ((3, 3, 0), "need bound >= 1"),
+        ((3, 0, 2), "curve degree must be >= 1, got 0"),
+        ((1, 0, 0), "need n >= 2"),
+        ((2, -1, 0), "need bound >= 1"),
+    ])
+    def test_argument_errors(self, args, message):
+        with pytest.raises(ValueError) as info:
+            census(*args)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+
 class TestDecisionInvariance:
     @given(st.integers(2, 4), st.data())
     @settings(max_examples=120)

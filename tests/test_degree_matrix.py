@@ -213,6 +213,51 @@ class TestShapeTypes:
         with pytest.raises(ValueError, match="ragged grid: row 2"):
             cls(grid)
 
+    @pytest.mark.parametrize("cls", [DegreeMatrix, WellOrderedSquare, DHBMatrix])
+    @pytest.mark.parametrize("grid", [(), ((),), []])
+    def test_constructors_reject_an_empty_grid(self, cls, grid):
+        with pytest.raises(ValueError, match="^grid must be non-empty$"):
+            cls(grid)
+
+    @pytest.mark.parametrize("cls, grid, bad", [
+        (DHBMatrix, ((1.5, 2.5),), "1.5"),
+        (DegreeMatrix, ((1, 2), (0, 1.0)), "1.0"),
+        (WellOrderedSquare, ((True,),), "True"),
+        (DHBMatrix, ((1, 2, "3"), (0, 1, 2)), "'3'"),
+    ])
+    def test_constructors_reject_entries_that_are_not_integers(self, cls, grid, bad):
+        with pytest.raises(ValueError) as info:
+            cls(grid)
+        assert str(info.value) == f"grid entries must be integers, got {bad}"
+        # from_grid and the validating functions give the same text
+        for check in (cls.from_grid, potentials):
+            with pytest.raises(ValueError) as again:
+                check(grid)
+            assert str(again.value) == str(info.value)
+
+    @pytest.mark.parametrize("cls, grid", [
+        (DegreeMatrix, ((0, 1), (-(10**6) - 1, 10**6))),
+        (DHBMatrix, ((10**6 + 1, 10**6 + 2),)),
+        (WellOrderedSquare, ((10**7,),)),
+    ])
+    def test_constructors_reject_entries_beyond_the_bound(self, cls, grid):
+        bad = next(x for row in grid for x in row if abs(x) > degree_matrix.ENTRY_BOUND)
+        with pytest.raises(ValueError) as info:
+            cls(grid)
+        assert str(info.value) == f"entry {bad} exceeds the supported bound {degree_matrix.ENTRY_BOUND}"
+
+    def test_entries_at_the_bound_are_accepted(self):
+        top = degree_matrix.ENTRY_BOUND
+        assert DHBMatrix(((top - 1, top),)).minor_degrees == (top, top - 1)
+        assert DegreeMatrix(((-top,),)).diagonal == (-top,)
+
+    def test_entry_errors_take_precedence_over_a_homogeneity_witness(self):
+        # row 2 breaks homogeneity before row 3 holds a float
+        grid = ((1, 2, 3), (0, 5, 2), (0, 1, 2.0))
+        for check in (DegreeMatrix, potentials, canonicalize):
+            with pytest.raises(ValueError, match="must be integers, got 2.0"):
+                check(grid)
+
     def test_square_rejects_a_grid_that_is_not_homogeneous(self):
         # its diagonal sums to 7 and its antidiagonal to 4
         with pytest.raises(NotHomogeneousError):

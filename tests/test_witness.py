@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from curvedet import (
     BettiData,
+    CofactorBudgetError,
+    CurvedetError,
     FieldTooSmallError,
     Form,
     InvalidWitnessParameterError,
@@ -357,6 +359,19 @@ class TestMaximalMinors:
         rng = random.Random(16)
         Q = dhb([[1, 1, 3, 3, 3], [1, 1, 3, 3, 3], [0, 0, 2, 2, 2], [-1, -1, 1, 1, 1]])
         assert [g.degree for g in maximal_minors(sample_matrix(Q, rng))] == [7, 7, 5, 5, 5]
+
+    def test_six_by_seven_is_beyond_the_cofactor_budget(self):
+        Q = dhb([[1] * 7] * 6)
+        A = sample_matrix(Q, random.Random(17))
+        with pytest.raises(CofactorBudgetError) as info:
+            maximal_minors(A)
+        assert isinstance(info.value, CurvedetError) and isinstance(info.value, ValueError)
+        assert info.value.payload() == {
+            "error": "CofactorBudgetExceeded",
+            "message": "cofactor expansion budget is n <= 6, got n = 7",
+        }
+        with pytest.raises(CofactorBudgetError):
+            verify_subscheme(Q, 7, trials=1)
 
     def test_laplace_expansion_identity(self):
         # expanding the square determinant along the row appended at
