@@ -13,9 +13,11 @@ subscheme with a prescribed degree Hilbert-Burch matrix Q reduces to
 the same test: append the row (d - a_1, ..., d - a_n) of complementary
 minor degrees, reorder, and check the two conditions on the resulting
 square matrix.  One kernel, `_decide_entries`, checks them for
-`representable`, `contains_subscheme` and `census`.  `census` asks the
-question for every bounded presentation and builds each square straight
-from the potentials of Q, with no `DHBMatrix` in between.
+`representable`, `contains_subscheme` and `census`, and one splice,
+`degree_matrix._splice_row`, builds their squares: the row lands below
+every row of Q whose shift b_i is >= d, so below ties.  `census` asks
+the question for every bounded presentation and splices on the
+potentials of Q, with no `DHBMatrix` in between.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .degree_matrix import (
     DHBMatrix,
     Grid,
     WellOrderedSquare,
-    _landing,
     _splice_row,
     canonicalize,
     grid_from_potentials,
@@ -82,7 +83,7 @@ def _inserted_entries(Q: DHBMatrix, d: int) -> tuple[Grid, int]:
     position.  The row is compatible by construction, so it skips the
     validation and the wrappers of insert_row_sorted.
     """
-    return _splice_row(Q, tuple(d - aj for aj in Q.minor_degrees))
+    return _splice_row(Q.entries, Q.shifts, d, tuple(d - aj for aj in Q.minor_degrees))
 
 
 def _trailing_degrees(entries: Grid) -> tuple[tuple[int, int], ...]:
@@ -353,12 +354,12 @@ def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:
     The counts, and the order of the `byReason` keys, are those of
     `contains_subscheme(Q, d)` over `iter_dhb_matrices(n, bound,
     minimal_only)`, but no `DHBMatrix` is built: each square comes
-    straight from the potentials (u, v) of Q.  The complementary row has
-    potential r = d - a_1, where a_1 = sum(u) + sum(v), and lands below
-    every u_i >= r, the rule `_splice_row` applies to the shifts
-    b_i = a_1 + u_i.  The square goes to the same kernel,
-    `_decide_entries`; every enumerated Q is valid, so nothing else of
-    `contains_subscheme` applies.
+    straight from the potentials (u, v) of Q.  The complementary row
+    (r + v_j) has potential r = d - a_1, where a_1 = sum(u) + sum(v).
+    `_splice_row` lands it below every u_i >= r, which is its rule on
+    the shifts b_i = a_1 + u_i >= d.  The square goes to the same
+    kernel, `_decide_entries`; every enumerated Q is valid, so nothing
+    else of `contains_subscheme` applies.
     """
     _check_enumeration(n, bound)
     if d < 1:
@@ -368,9 +369,8 @@ def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:
     by_reason: dict[str, int] = {}
     for u, v in _iter_potentials(n, bound, minimal_only):
         r = d - sum(u) - sum(v)
-        pos = _landing(u, r)
-        square = grid_from_potentials(u[:pos] + (r,) + u[pos:], v)
-        verdict = _decide_entries(square, d, inserted=pos + 1)
+        square, pos = _splice_row(grid_from_potentials(u, v), u, r, tuple([r + vj for vj in v]))
+        verdict = _decide_entries(square, d, inserted=pos)
         total += 1
         if verdict.verdict:
             yes += 1

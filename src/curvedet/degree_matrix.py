@@ -29,6 +29,7 @@ indices in their new order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IncompatibleRowError, NotHomogeneousError
 
@@ -37,26 +38,6 @@ Grid = tuple[tuple[int, ...], ...]
 #: Entries beyond this magnitude are rejected: degrees in practice are tiny,
 #: and the cap keeps every transversal sum far from any integer-width limit.
 ENTRY_BOUND = 10**6
-
-
-class cached_invariant:
-    """`functools.cached_property` as of Python 3.12: computed once, no lock.
-
-    A non-data descriptor: the first access stores the value in the
-    instance `__dict__`, which shadows the descriptor from then on.  The
-    matrices are immutable, so two threads that race compute equal values.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 def _as_grid(grid) -> Grid:
@@ -157,7 +138,7 @@ class DegreeMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    @cached_invariant
+    @cached_property
     def diagonal(self) -> tuple[int, ...]:
         """Entries m[k][k] for k = 1..min(rows, cols)."""
         return tuple(self.entries[k][k] for k in range(min(self.rows, self.cols)))
@@ -185,7 +166,7 @@ class WellOrderedSquare(DegreeMatrix):
     def n(self) -> int:
         return self.rows
 
-    @cached_invariant
+    @cached_property
     def degree(self) -> int:
         return sum(self.diagonal)
 
@@ -212,7 +193,7 @@ class DHBMatrix(DegreeMatrix):
     def n(self) -> int:
         return self.cols
 
-    @cached_invariant
+    @cached_property
     def minor_degrees(self) -> tuple[int, ...]:
         """Transversal degree of each column-erased square, non-increasing."""
         # a_j = sum(u) + sum(v) - v[j] with u = column 0, v[j] = top[j] - top[0]
@@ -220,17 +201,17 @@ class DHBMatrix(DegreeMatrix):
         total = sum([row[0] for row in self.entries]) + sum(top) - (len(top) - 1) * top[0]
         return tuple([total - x for x in top])
 
-    @cached_invariant
+    @cached_property
     def shifts(self) -> tuple[int, ...]:
         """Syzygy degrees b with q[i][j] = b[i] - a[j]; non-increasing."""
         a0 = self.minor_degrees[0]
         return tuple(a0 + row[0] for row in self.entries)
 
-    @cached_invariant
+    @cached_property
     def diag_nonnegative(self) -> bool:
         return all(x >= 0 for x in self.diagonal)
 
-    @cached_invariant
+    @cached_property
     def max_diag_positive(self) -> bool:
         return max(self.diagonal) > 0
 
@@ -238,7 +219,7 @@ class DHBMatrix(DegreeMatrix):
     def is_valid(self) -> bool:
         return self.diag_nonnegative and self.max_diag_positive
 
-    @cached_invariant
+    @cached_property
     def is_numerically_minimal(self) -> bool:
         """True when no minor degree equals a shift, i.e. no entry is zero."""
         return all(x != 0 for row in self.entries for x in row)
@@ -271,23 +252,16 @@ def canonicalize(grid):
     return shape._trusted(entries), tuple(i + 1 for i in row_order), tuple(j + 1 for j in col_order)
 
 
-def _landing(keys, key) -> int:
-    """The 0-based index at which `key` lands in the non-increasing
-    sequence `keys`: below every entry >= key, so it lands below ties."""
+def _splice_row(entries: Grid, keys, key: int, row: tuple[int, ...]) -> tuple[Grid, int]:
+    """Land `row`, of potential `key`, below every row of `entries` whose
+    potential in the non-increasing `keys` is >= key, so below ties;
+    return the grid and the 1-based landing position."""
     pos = 0
     for x in keys:
         if x < key:
             break
         pos += 1
-    return pos
-
-
-def _splice_row(Q: DHBMatrix, row: tuple[int, ...]) -> tuple[Grid, int]:
-    """Land an unvalidated compatible row of shift t = row[0] + a[0] below
-    every row of Q with shift >= t; return the square grid and the 1-based
-    landing position."""
-    pos = _landing(Q.shifts, row[0] + Q.minor_degrees[0])
-    return Q.entries[:pos] + (row,) + Q.entries[pos:], pos + 1
+    return entries[:pos] + (row,) + entries[pos:], pos + 1
 
 
 def insert_row_sorted(Q: DHBMatrix, row) -> tuple[WellOrderedSquare, int]:
@@ -306,7 +280,7 @@ def insert_row_sorted(Q: DHBMatrix, row) -> tuple[WellOrderedSquare, int]:
     t = row[0] + a[0]
     if any(row[j] + a[j] != t for j in range(n)):
         raise IncompatibleRowError("row breaks homogeneity: row[j] + minor_degrees[j] is not constant")
-    entries, pos = _splice_row(Q, row)
+    entries, pos = _splice_row(Q.entries, Q.shifts, t, row)
     return WellOrderedSquare(entries), pos
 
 

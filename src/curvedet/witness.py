@@ -2,12 +2,12 @@
 
 Decisions about general forms are checked by actually sampling: build a
 matrix of random forms realizing a degree matrix over F_p, measure the
-degree of its determinant by restricting to random lines, compute
-maximal minors by exact cofactor expansion, and compare graded-piece
-dimensions of the minor ideal, obtained as ranks of coefficient matrices
-over F_p, against the predicted Hilbert function.  A negative
-containment verdict is witnessed on its inserted square like a
-representability verdict.
+degree of a square's determinant by restricting it to random lines,
+compute maximal minors by exact cofactor expansion, and compare
+graded-piece dimensions of the minor ideal, obtained as ranks of
+coefficient matrices over F_p, against the predicted Hilbert function.
+A negative containment verdict is witnessed on its inserted square like
+a representability verdict.
 
 A polynomial on the line is kept as its values at the parameter values
 s = 0..D, which fix it when its degree is at most D < p.  Its degree is
@@ -23,7 +23,9 @@ matrix with a row r of random forms inserted at position pos, and its
 membership in the minor ideal is the Laplace expansion along that row:
 F = (-1)^pos * sum_j r_j g_j over the signed maximal minors g_j.  The
 witness computes both sides, `det_form` and the combination of
-`maximal_minors`, and compares them; no span search is needed.
+`maximal_minors`, and compares them; no span search is needed.  The
+curve's degree is read from F as well, so a subscheme trial restricts
+nothing to a line: line restriction serves the square witnesses.
 
 One elimination kernel, `_rank`, serves every graded rank: forward
 elimination mod p on an int64 array.  Only it uses numpy, and it
@@ -616,7 +618,9 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     d, that F = (-1)^pos * sum_j r_j g_j over the maximal minors g_j (so
     F lies in their ideal by an explicit combination), and that the
     ideal's graded-piece dimensions match the predicted Hilbert function
-    up to b_1.
+    up to b_1.  The trial has F itself, so the curve degree is read from
+    it: d when F is nonzero, none when it vanishes.  No line is drawn;
+    line restriction serves the square witnesses.
     """
     _check_witness_parameters(trials, prime)
     decision = contains_subscheme(Q, d)
@@ -645,15 +649,13 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
         entries = A.entries[: pos - 1] + (new_row,) + A.entries[pos - 1 :]
         N = FormMatrix(entries, square, prime)
         F = det_form(N)
-
-        line = random_line(rng, prime)
-        deg = _poly_degree(restrict_det_to_line(N, line, d), prime)
+        deg = None if F.is_zero else F.degree
         report.observed_degrees.append(deg)
         if deg != d:
             report.mismatches.append(f"trial {trial}: curve degree {deg} != {d}")
             continue
         laplace = sum((r * g for r, g in zip(new_row, minors)), zero_form(prime))
-        if F.is_zero or F != (laplace if pos % 2 == 0 else -laplace):
+        if F != (laplace if pos % 2 == 0 else -laplace):
             report.mismatches.append(f"trial {trial}: determinant is not in the minor ideal")
 
         profile = []

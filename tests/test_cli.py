@@ -350,6 +350,21 @@ class TestMismatchExitCode:
         assert body["verdictChecked"]["answer"] == "yes"
         assert body["mismatches"] == ["trial 0: determinant is not in the minor ideal"]
 
+    def test_zero_curve_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(witness, "det_form", lambda N: witness.zero_form(N.prime))
+        code, body = invoke(capsys, "witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "4", "--trials", "1")
+        assert code == 2
+        assert body["verdictChecked"]["answer"] == "yes"
+        assert body["mismatches"] == ["trial 0: curve degree None != 4"]
+
+    def test_curve_on_the_line_direction_is_no_contradiction(self, capsys):
+        # d = 8 is above the stable threshold 7; at p = 101 trial 2 samples a
+        # curve through the direction of the line that trial would draw
+        code, body = invoke(capsys, "witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "8",
+                            "--trials", "5", "--prime", "101", "--seed", "5")
+        assert code == 0
+        assert body["mismatches"] == []
+
     def test_blocks_that_do_not_multiply_exit_2(self, capsys, monkeypatch):
         # doubled values keep each 1 x 1 block's degree but break det = lead * trail
         true_restrict = witness.restrict_det_to_line

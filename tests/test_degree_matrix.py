@@ -1,5 +1,6 @@
 """Degree-matrix algebra: potentials, ordering, minors, row surgery."""
 
+import functools
 import itertools
 import pydoc
 import sys
@@ -370,7 +371,7 @@ class TestCachedInvariants:
             name
             for klass in cls.__mro__
             for name, attr in vars(klass).items()
-            if isinstance(attr, degree_matrix.cached_invariant)
+            if isinstance(attr, functools.cached_property)
         }
 
     @pytest.mark.parametrize("cls", [DHBMatrix, WellOrderedSquare])
@@ -400,7 +401,7 @@ class TestCachedInvariants:
         for cls, names in self.CACHED.items():
             for name in names:
                 attr = getattr(cls, name)
-                assert isinstance(attr, degree_matrix.cached_invariant)
+                assert isinstance(attr, functools.cached_property)
                 assert attr.__doc__ == attr.func.__doc__
         doc = DHBMatrix.minor_degrees.__doc__
         assert doc == "Transversal degree of each column-erased square, non-increasing."

@@ -261,7 +261,10 @@ class TestDeterminantRestriction:
     def test_restriction_commutes_with_determinant(self):
         """(det N) restricted to a line equals det of the restricted entries."""
         rng = random.Random(9)
-        for grid in ([[1, 2], [0, 1]], [[1, 1, 2], [1, 1, 2], [0, 0, 1]]):
+        # the last two are the inserted squares of a subscheme witness,
+        # whose curve degree is read from det_form alone
+        inserted = [contains_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), d).normalized for d in (4, 8)]
+        for grid in ([[1, 2], [0, 1]], [[1, 1, 2], [1, 1, 2], [0, 0, 1]], *inserted):
             M, _, _ = canonicalize(grid)
             N = sample_matrix(M, rng)
             F = det_form(N)
@@ -572,6 +575,20 @@ class TestVerifySubscheme:
         report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=1, seed=4)
         assert report.mismatches == ["trial 0: determinant is not in the minor ideal"]
         assert report.observed_degrees == [4]
+
+    def test_curve_degree_is_read_from_the_determinant(self):
+        # d = 8 is above the stable threshold 7, so every trial must see
+        # degree 8; at p = 101 trial 2 samples a curve through the
+        # direction of the line that trial would draw
+        report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 8, trials=5, seed=5, prime=101)
+        assert report.ok, report.mismatches
+        assert report.observed_degrees == [8] * 5
+
+    def test_zero_curve_is_reported(self, monkeypatch):
+        monkeypatch.setattr(witness, "det_form", lambda N: zero_form(N.prime))
+        report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=1, seed=4)
+        assert report.mismatches == ["trial 0: curve degree None != 4"]
+        assert report.observed_degrees == [None]
 
     def test_negative_verdict_blocks_that_do_not_multiply_are_reported(self, monkeypatch):
         # d = 5 is witnessed on the inserted 3 x 3 square, which splits after row 2
