@@ -33,6 +33,7 @@ from .degree_matrix import (
     transversal_degree,
 )
 from .errors import (
+    CensusBudgetError,
     CofactorBudgetError,
     CurvedetError,
     DegenerateEmptyError,

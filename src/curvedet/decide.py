@@ -12,18 +12,21 @@ Whether a general curve of degree d contains a zero-dimensional
 subscheme with a prescribed degree Hilbert-Burch matrix Q reduces to
 the same test: append the row (d - a_1, ..., d - a_n) of complementary
 minor degrees, reorder, and check the two conditions on the resulting
-square matrix.  One kernel, `_decide_entries`, checks them for
-`representable`, `contains_subscheme` and `census`, and one splice,
-`degree_matrix._splice_row`, builds their squares: the row lands below
-every row of Q whose shift b_i is >= d, so below ties.  `census` asks
-the question for every bounded presentation and splices on the
-potentials of Q, with no `DHBMatrix` in between.
+square matrix.  The conditions read only the diagonal, the subdiagonal
+signs and the diagonal's prefix sums of a square m[i][j] = w_i + v_j, so
+one kernel, `_decide_potentials`, checks them on the potentials (w, v).
+`_decide_entries` hands it a grid's column 0 and row 0 for
+`representable` and `contains_subscheme`; `census` hands it the
+potentials of Q with the row's landed among them.  One rule,
+`degree_matrix._splice_row`, lands the row: below every row of Q whose
+shift b_i is >= d, so below ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterator, NamedTuple
 
 from .degree_matrix import (
@@ -34,13 +37,18 @@ from .degree_matrix import (
     canonicalize,
     grid_from_potentials,
 )
-from .errors import EmptySchemeDegenerateError, InvalidDHBError, NotMinimalError
+from .errors import CensusBudgetError, EmptySchemeDegenerateError, InvalidDHBError, NotMinimalError
 from .resolution import betti_of_matrix, hilbert_function, scheme_degree
 
 REASON_OK = "OK"
 REASON_DEGREE_ZERO = "DegreeZeroTrivial"
 REASON_DIAGONAL = "DiagonalNegative"
 REASON_SUBDIAGONAL = "SubdiagonalBlockDegree"
+
+#: The most (u, v) candidates `census` takes on, by `_census_candidates`.
+#: A census costs 1.0-1.5 us per candidate on one 2.1 GHz Xeon core under
+#: Python 3.11, so a census at the budget runs for 10-15 s.
+CENSUS_BUDGET = 10**7
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,61 +91,46 @@ def _inserted_entries(Q: DHBMatrix, d: int) -> tuple[Grid, int]:
     position.  The row is compatible by construction, so it skips the
     validation and the wrappers of insert_row_sorted.
     """
-    return _splice_row(Q.entries, Q.shifts, d, tuple(d - aj for aj in Q.minor_degrees))
+    return _splice_row(Q.entries, Q.shifts, d, tuple([d - aj for aj in Q.minor_degrees]))
 
 
-def _trailing_degrees(entries: Grid) -> tuple[tuple[int, int], ...]:
-    """(k, e) for every negative subdiagonal entry m[k][k-1], in order of k,
-    where e is the degree of the trailing block starting at (k, k)."""
-    trailing: list[tuple[int, int]] = []
-    tail = 0  # sum of diagonal entries from k (1-based) through n
-    for k in range(len(entries), 1, -1):
-        tail += entries[k - 1][k - 1]
-        if entries[k - 1][k - 2] < 0:
-            trailing.append((k, tail))
-    trailing.reverse()
-    return tuple(trailing)
+def _decide_potentials(w, v, d: int) -> tuple[str, int | None, int | None, tuple[tuple[int, int], ...]]:
+    """The two conditions on the well-ordered square m[i][j] = w_i + v_j - v_1
+    of degree d (so a grid's column 0 and row 0 serve as w and v).
+
+    One pass down the diagonal gives (reason, k, e, trailing).  A negative
+    m[k][k] ends it with e = None.  Otherwise `trailing` lists (k, e) for
+    every negative m[k][k-1], e = d - (m[1][1] + ... + m[k-1][k-1]) being
+    the trailing block's degree, and (k, e) is the first with e not in (0, d).
+    """
+    trailing = []
+    first = None
+    lead = 0  # the diagonal sum above row k
+    v1 = v[0]
+    for i in range(len(w)):  # k = i + 1
+        wi = w[i] - v1
+        x = wi + v[i]
+        if x < 0:
+            return REASON_DIAGONAL, i + 1, None, ()
+        if i and wi + v[i - 1] < 0:
+            e = d - lead
+            trailing.append((i + 1, e))
+            if first is None and e != 0 and e != d:
+                first = (i + 1, e)
+        lead += x
+    if first is not None:
+        return REASON_SUBDIAGONAL, first[0], first[1], tuple(trailing)
+    return REASON_DEGREE_ZERO if d == 0 else REASON_OK, None, None, tuple(trailing)
 
 
 def _decide_entries(entries: Grid, d: int, inserted: int | None = None) -> Decision:
-    """Evaluate the two conditions on a well-ordered square grid of degree d."""
+    """Evaluate the two conditions on a well-ordered square grid of degree d,
+    through its column 0 and row 0."""
     if d < 0:
         raise ValueError(f"matrix degree {d} is negative: malformed input")
-
-    for k in range(len(entries)):
-        if entries[k][k] < 0:
-            return Decision(
-                False,
-                REASON_DIAGONAL,
-                d,
-                entries,
-                k=k + 1,
-                inserted_row_position=inserted,
-            )
-
-    trailing = _trailing_degrees(entries)
-    for k, e in trailing:
-        if e not in (0, d):
-            return Decision(
-                False,
-                REASON_SUBDIAGONAL,
-                d,
-                entries,
-                k=k,
-                block_degree=e,
-                inserted_row_position=inserted,
-                trailing_degrees=trailing,
-            )
-
-    reason = REASON_DEGREE_ZERO if d == 0 else REASON_OK
-    return Decision(
-        True,
-        reason,
-        d,
-        entries,
-        inserted_row_position=inserted,
-        trailing_degrees=trailing,
-    )
+    reason, k, e, trailing = _decide_potentials(next(zip(*entries)), entries[0], d)
+    return Decision(reason == REASON_OK or reason == REASON_DEGREE_ZERO, reason, d, entries,
+                    k, e, inserted, trailing)
 
 
 def representable(grid) -> Decision:
@@ -245,21 +238,16 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
     for x in Q.diagonal:
         prefix.append(prefix[-1] + x)
 
-    def build(verdict: bool, k: int | None = None, e: int | None = None,
-              diagonal_failure: bool = False) -> Decision:
+    def build(verdict: bool, k: int | None = None, e: int | None = None) -> Decision:
         # The certificate (square, landing position, trailing degrees) is
         # built as in the insertion procedure; the verdict and the failing
-        # indices come from the closed form.
+        # indices come from the closed form.  A no without a block degree
+        # is a negative diagonal entry.
         m, pos = _inserted_entries(Q, d)
-        if diagonal_failure:
-            return Decision(False, REASON_DIAGONAL, d, m, k=k,
-                            inserted_row_position=pos)
-        trailing = _trailing_degrees(m)
-        if verdict:
-            return Decision(True, REASON_OK, d, m,
-                            inserted_row_position=pos, trailing_degrees=trailing)
-        return Decision(False, REASON_SUBDIAGONAL, d, m, k=k, block_degree=e,
-                        inserted_row_position=pos, trailing_degrees=trailing)
+        if not verdict and e is None:
+            return Decision(False, REASON_DIAGONAL, d, m, k=k, inserted_row_position=pos)
+        trailing = _decide_potentials(next(zip(*m)), m[0], d)[3]
+        return Decision(verdict, REASON_OK if verdict else REASON_SUBDIAGONAL, d, m, k, e, pos, trailing)
 
     if d >= b[0]:
         return CorollaryResult(build(True), "i")
@@ -268,7 +256,7 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
         # The complementary row lands at the bottom.  The only possibly
         # negative main-diagonal entry of the square matrix is d - a_n.
         if d < a[n - 1]:
-            return CorollaryResult(build(False, k=n, diagonal_failure=True), "ii")
+            return CorollaryResult(build(False, k=n), "ii")
         for k in range(2, n):
             if q[k - 1][k - 2] < 0 and d != prefix[k - 1]:
                 return CorollaryResult(build(False, k=k, e=d - prefix[k - 1]), "ii")
@@ -318,20 +306,38 @@ def _check_enumeration(n: int, bound: int) -> None:
 
 
 def _iter_potentials(n: int, bound: int, minimal_only: bool):
-    """The (u, v) potential pairs of `iter_dhb_matrices`, in its order."""
+    """The (u, v) potential pairs of `iter_dhb_matrices`, in its order, built
+    one at a time and only where valid: v runs like an odometer in which
+    v_k starts at max(v_{k-1}, -u_k), so that Q's diagonal u_k + v_k stays
+    >= 0, and an all-zero diagonal is dropped.  `minimal_only` leaves the
+    values -u_i out of the range; v_1 = 0 then rules out u with a zero.
+    """
+    beyond = bound + 1
+    up = [*range(bound + 1), beyond, beyond]  # up[x]: the least value >= x in the range
     for u in combinations_with_replacement(range(bound, -bound - 1, -1), n - 1):
         if u[0] < 0:
-            continue  # q[1][1] = u[1] would be negative
-        # an entry u[i] + v[j] is zero exactly when v[j] is some -u[i]
-        zero_at = {-x for x in u} if minimal_only else None
-        for v_rest in combinations_with_replacement(range(bound + 1), n - 1):
-            v = (0,) + v_rest
-            diag = [x + y for x, y in zip(u, v)]
-            if min(diag) < 0 or max(diag) == 0:
-                continue
-            if minimal_only and not zero_at.isdisjoint(v):
-                continue
-            yield u, v
+            break  # so is every later u[0]
+        if minimal_only:
+            for x in range(bound, -1, -1):
+                up[x] = up[x + 1] if -x in u else x
+        floor = [0, *[max(-x, 0) for x in u[1:]], 0]
+        if up[0] or any(up[x] == beyond for x in floor):
+            continue  # v_1 = 0 is out of the range, or some v_k has no value
+        zero = [-x for x in u] if u[0] == 0 else None
+        v = [0] * n
+        k = 0
+        while True:
+            for j in range(k + 1, n):
+                x = v[j - 1]
+                v[j] = up[x if x > floor[j] else floor[j]]
+            if zero is None or v[:-1] != zero:
+                yield u, tuple(v)
+            k = n - 1
+            while k and up[v[k] + 1] == beyond:
+                k -= 1
+            if not k:
+                break
+            v[k] = up[v[k] + 1]
 
 
 def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterator[DHBMatrix]:
@@ -348,33 +354,38 @@ def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterato
         yield DHBMatrix(grid_from_potentials(u, v))
 
 
+def _census_candidates(n: int, bound: int) -> int:
+    """The (u, v) pairs a census could examine: C(2 bound + n - 1, n - 1)
+    row potentials times C(bound + n - 1, n - 1) column potentials."""
+    return comb(2 * bound + n - 1, n - 1) * comb(bound + n - 1, n - 1)
+
+
 def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:
     """Count containment decisions at degree d over all bounded matrices.
 
     The counts, and the order of the `byReason` keys, are those of
     `contains_subscheme(Q, d)` over `iter_dhb_matrices(n, bound,
-    minimal_only)`, but no `DHBMatrix` is built: each square comes
-    straight from the potentials (u, v) of Q.  The complementary row
-    (r + v_j) has potential r = d - a_1, where a_1 = sum(u) + sum(v).
-    `_splice_row` lands it below every u_i >= r, which is its rule on
-    the shifts b_i = a_1 + u_i >= d.  The square goes to the same
-    kernel, `_decide_entries`; every enumerated Q is valid, so nothing
-    else of `contains_subscheme` applies.
+    minimal_only)`, but neither a matrix nor a `Decision` is built.  The
+    complementary row of Q has potential r = d - a_1, a_1 = sum(u) + sum(v).
+    `_splice_row` lands r in u below every u_i >= r, its rule on the shifts
+    b_i = a_1 + u_i >= d, and `_decide_potentials` decides the square on
+    its potentials (w, v); every enumerated Q is valid, so nothing else of
+    `contains_subscheme` applies.  Past CENSUS_BUDGET candidates
+    (`_census_candidates`) it raises CensusBudgetError, enumerating nothing.
     """
     _check_enumeration(n, bound)
     if d < 1:
         raise ValueError(f"curve degree must be >= 1, got {d}")
-    total = 0
-    yes = 0
+    candidates = _census_candidates(n, bound)
+    if candidates > CENSUS_BUDGET:
+        raise CensusBudgetError(n, bound, candidates, CENSUS_BUDGET)
     by_reason: dict[str, int] = {}
     for u, v in _iter_potentials(n, bound, minimal_only):
         r = d - sum(u) - sum(v)
-        square, pos = _splice_row(grid_from_potentials(u, v), u, r, tuple([r + vj for vj in v]))
-        verdict = _decide_entries(square, d, inserted=pos)
-        total += 1
-        if verdict.verdict:
-            yes += 1
-        by_reason[verdict.reason] = by_reason.get(verdict.reason, 0) + 1
+        reason = _decide_potentials(_splice_row(u, u, r, r)[0], v, d)[0]
+        by_reason[reason] = by_reason.get(reason, 0) + 1
+    total = sum(by_reason.values())
+    yes = by_reason.get(REASON_OK, 0)  # d >= 1, so no DegreeZeroTrivial
     return {
         "n": n,
         "d": d,

@@ -252,10 +252,11 @@ def canonicalize(grid):
     return shape._trusted(entries), tuple(i + 1 for i in row_order), tuple(j + 1 for j in col_order)
 
 
-def _splice_row(entries: Grid, keys, key: int, row: tuple[int, ...]) -> tuple[Grid, int]:
+def _splice_row(entries: tuple, keys, key: int, row) -> tuple[tuple, int]:
     """Land `row`, of potential `key`, below every row of `entries` whose
     potential in the non-increasing `keys` is >= key, so below ties;
-    return the grid and the 1-based landing position."""
+    return the spliced tuple and the 1-based landing position.  The rows
+    may be a grid's row tuples or the row potentials themselves."""
     pos = 0
     for x in keys:
         if x < key:

@@ -92,6 +92,23 @@ class CofactorBudgetError(CurvedetError, ValueError):
     reason = "CofactorBudgetExceeded"
 
 
+class CensusBudgetError(CurvedetError, ValueError):
+    """A census would examine more candidate presentations than its budget."""
+
+    reason = "CensusBudgetExceeded"
+
+    def __init__(self, n: int, bound: int, candidates: int, budget: int):
+        self.candidates = candidates
+        self.budget = budget
+        super().__init__(
+            f"census over n = {n}, bound = {bound} would examine {candidates:,} candidate "
+            f"presentations, over the budget of {budget:,}"
+        )
+
+    def payload(self) -> dict:
+        return {**super().payload(), "candidates": self.candidates, "budget": self.budget}
+
+
 class InvalidWitnessParameterError(CurvedetError, ValueError):
     """A witness trial count or prime the verification cannot work with."""
 

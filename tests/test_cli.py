@@ -290,6 +290,12 @@ class TestEnumerateCommand:
         assert code == 0
         assert body["total"] == body["yes"] + body["no"] > 0
 
+    def test_over_the_budget_is_refused_at_once(self, capsys):
+        code, body = invoke(capsys, "enumerate", "--n", "8", "--degree", "5", "--bound", "8")
+        assert code == 1
+        assert body["error"] == "CensusBudgetExceeded"
+        assert (body["candidates"], body["budget"]) == (1_577_585_295, 10_000_000)
+
     def test_degree_zero_is_an_input_error(self, capsys):
         code, body = invoke(capsys, "enumerate", "--n", "3", "--degree", "0", "--bound", "2")
         assert code == 1

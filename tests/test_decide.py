@@ -1,12 +1,15 @@
 """Decision procedures: representability, containment, fast paths, thresholds."""
 
+import json
+from dataclasses import fields
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvedet import (
+    CensusBudgetError,
     DHBMatrix,
     EmptySchemeDegenerateError,
     InvalidDHBError,
@@ -21,6 +24,17 @@ from curvedet import (
     representable_2x2,
     scan,
     stable_threshold,
+)
+from curvedet import decide
+from curvedet.decide import (
+    CENSUS_BUDGET,
+    REASON_DEGREE_ZERO,
+    REASON_DIAGONAL,
+    REASON_OK,
+    REASON_SUBDIAGONAL,
+    Decision,
+    _census_candidates,
+    _iter_potentials,
 )
 
 DEGREE8_GRID = [[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]]
@@ -294,11 +308,24 @@ def reference_iter_dhb_matrices(n, bound, minimal_only=False):
 
 class TestEnumeration:
     @pytest.mark.parametrize("minimal_only", [False, True])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_same_sequence_as_the_reference(self, n, minimal_only):
-        for bound in range(1, 5):
+        # n = 6 has the most negative row potentials, where the lower
+        # bounds v_k >= -u_k prune the most
+        for bound in range(1, 5 if n < 6 else 4):
             expected = list(reference_iter_dhb_matrices(n, bound, minimal_only))
             assert list(iter_dhb_matrices(n, bound, minimal_only)) == expected
+
+    @pytest.mark.parametrize("n, bound", [(3, 3), (4, 2), (5, 2), (6, 2)])
+    def test_minimal_only_yields_nothing_for_a_row_potential_zero(self, n, bound):
+        # v_1 = 0 = -u_i makes an entry zero, whatever the other v_k
+        with_zero = {u for u, _ in _iter_potentials(n, bound, False) if 0 in u}
+        assert with_zero
+        assert not with_zero & {u for u, _ in _iter_potentials(n, bound, True)}
+
+    def test_stays_lazy_for_a_large_bound(self):
+        Q = next(iter_dhb_matrices(3, 10**5))
+        assert Q.entries == ((10**5,) * 3,) * 2
 
     def test_census_shape(self):
         result = census(2, 3, 3)
@@ -356,6 +383,33 @@ class TestCensus:
                 assert list(result["byReason"]) == list(expected["byReason"])
                 assert list(result) == list(expected)
 
+    # taken at the commit before census decided on potentials, `byReason`
+    # key order included
+    @pytest.mark.parametrize("args, expected", [
+        ((5, 8, 6), {
+            "n": 5, "d": 8, "bound": 6, "minimalOnly": False, "total": 164220, "yes": 12738,
+            "no": 151482,
+            "byReason": {"DiagonalNegative": 134118, "OK": 12738, "SubdiagonalBlockDegree": 17364},
+        }),
+        ((4, 10, 8), {
+            "n": 4, "d": 10, "bound": 8, "minimalOnly": False, "total": 68046, "yes": 8964,
+            "no": 59082,
+            "byReason": {"DiagonalNegative": 46328, "OK": 8964, "SubdiagonalBlockDegree": 12754},
+        }),
+        ((5, 5, 5, True), {
+            "n": 5, "d": 5, "bound": 5, "minimalOnly": True, "total": 18255, "yes": 13,
+            "no": 18242,
+            "byReason": {"DiagonalNegative": 18103, "OK": 13, "SubdiagonalBlockDegree": 139},
+        }),
+        ((6, 15, 3), {
+            "n": 6, "d": 15, "bound": 3, "minimalOnly": False, "total": 12264, "yes": 11041,
+            "no": 1223,
+            "byReason": {"OK": 11041, "DiagonalNegative": 1188, "SubdiagonalBlockDegree": 35},
+        }),
+    ])
+    def test_pinned_outputs(self, args, expected):
+        assert json.dumps(census(*args)) == json.dumps(expected)
+
     # n is checked before bound, and bound before d
     @pytest.mark.parametrize("args, message", [
         ((1, 3, 2), "need n >= 2"),
@@ -369,6 +423,73 @@ class TestCensus:
             census(*args)
         assert type(info.value) is ValueError
         assert str(info.value) == message
+
+
+class TestCensusBudget:
+    def test_estimate(self):
+        assert _census_candidates(5, 6) == 382_200
+        assert _census_candidates(8, 8) == 1_577_585_295
+
+    def test_admits_every_census_in_use(self):
+        # (n, bound) of the largest census in the tests, the CLI and
+        # perfbench (workloads and reference figures), and n = 6 at bound 6
+        for n, bound in [(5, 6), (4, 8), (6, 3), (5, 5), (5, 4), (4, 5), (3, 6), (6, 6)]:
+            assert _census_candidates(n, bound) <= CENSUS_BUDGET
+
+    def test_rejects_before_enumerating(self, monkeypatch):
+        def enumerate_anyway(*args):
+            raise AssertionError("census enumerated past its budget")
+
+        monkeypatch.setattr(decide, "_iter_potentials", enumerate_anyway)
+        with pytest.raises(CensusBudgetError) as info:
+            census(8, 5, 8)
+        assert info.value.payload() == {
+            "error": "CensusBudgetExceeded",
+            "message": "census over n = 8, bound = 8 would examine 1,577,585,295 candidate "
+            "presentations, over the budget of 10,000,000",
+            "candidates": 1_577_585_295,
+            "budget": CENSUS_BUDGET,
+        }
+
+    def test_argument_errors_come_first(self):
+        with pytest.raises(ValueError, match="curve degree must be >= 1, got 0"):
+            census(8, 0, 8)
+
+
+def reference_decide_entries(entries, d):
+    """`_decide_entries` as it was before the potentials kernel: the
+    diagonal scan on the grid, then a `_trailing_degrees` pass."""
+    for k in range(len(entries)):
+        if entries[k][k] < 0:
+            return Decision(False, REASON_DIAGONAL, d, entries, k=k + 1)
+    trailing = []
+    tail = 0
+    for k in range(len(entries), 1, -1):
+        tail += entries[k - 1][k - 1]
+        if entries[k - 1][k - 2] < 0:
+            trailing.append((k, tail))
+    trailing = tuple(reversed(trailing))
+    for k, e in trailing:
+        if e not in (0, d):
+            return Decision(False, REASON_SUBDIAGONAL, d, entries, k=k, block_degree=e,
+                            trailing_degrees=trailing)
+    reason = REASON_DEGREE_ZERO if d == 0 else REASON_OK
+    return Decision(True, reason, d, entries, trailing_degrees=trailing)
+
+
+class TestDecisionKernel:
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=400)
+    def test_certificate_equals_the_grid_scan(self, n, data):
+        u = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        v = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        assume(sum(u) + sum(v) >= 0)
+        grid = grid_from_potentials(u, v)
+        M, _, _ = canonicalize(grid)
+        got = representable(grid)
+        expected = reference_decide_entries(M.entries, M.degree)
+        for field in fields(Decision):
+            assert getattr(got, field.name) == getattr(expected, field.name), field.name
 
 
 class TestDecisionInvariance:
