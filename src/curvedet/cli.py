@@ -35,14 +35,9 @@ def _check_matrix(value, pointer: str) -> list[list[int]]:
         raise InputError(f"{pointer}: expected a non-empty array of rows")
     out = []
     for i, row in enumerate(value):
-        if not isinstance(row, list) or not row:
-            raise InputError(f"{pointer}/{i}: expected a non-empty array of integers")
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InputError(f"{pointer}/{i}/{j}: expected an integer")
+        out.append(_check_int_list(row, f"{pointer}/{i}"))
         if len(row) != len(value[0]):
             raise InputError(f"{pointer}/{i}: row length {len(row)} != {len(value[0])}")
-        out.append(list(row))
     return out
 
 

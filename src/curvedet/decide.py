@@ -378,7 +378,9 @@ def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:
         raise ValueError(f"curve degree must be >= 1, got {d}")
     candidates = _census_candidates(n, bound)
     if candidates > CENSUS_BUDGET:
-        raise CensusBudgetError(n, bound, candidates, CENSUS_BUDGET)
+        raise CensusBudgetError(f"census over n = {n}, bound = {bound} would examine {candidates:,} candidate "
+                                f"presentations, over the budget of {CENSUS_BUDGET:,}",
+                                candidates=candidates, budget=CENSUS_BUDGET)
     by_reason: dict[str, int] = {}
     for u, v in _iter_potentials(n, bound, minimal_only):
         r = d - sum(u) - sum(v)

@@ -2,14 +2,20 @@
 
 
 class CurvedetError(Exception):
-    """Base class for all errors raised by curvedet."""
+    """Base class for all errors raised by curvedet.  Keyword fields become
+    attributes, and the payload lists them after `error` and `message`."""
 
     #: short machine-readable code, overridden by subclasses
     reason = "Error"
 
+    def __init__(self, message: str = "", **fields):
+        super().__init__(message)
+        self.fields = fields
+        self.__dict__.update(fields)
+
     def payload(self) -> dict:
         """Machine-readable description, used by the CLI error channel."""
-        return {"error": self.reason, "message": str(self)}
+        return {"error": self.reason, "message": str(self), **self.fields}
 
 
 class NotHomogeneousError(CurvedetError, ValueError):
@@ -97,27 +103,8 @@ class CensusBudgetError(CurvedetError, ValueError):
 
     reason = "CensusBudgetExceeded"
 
-    def __init__(self, n: int, bound: int, candidates: int, budget: int):
-        self.candidates = candidates
-        self.budget = budget
-        super().__init__(
-            f"census over n = {n}, bound = {bound} would examine {candidates:,} candidate "
-            f"presentations, over the budget of {budget:,}"
-        )
-
-    def payload(self) -> dict:
-        return {**super().payload(), "candidates": self.candidates, "budget": self.budget}
-
 
 class InvalidWitnessParameterError(CurvedetError, ValueError):
     """A witness trial count or prime the verification cannot work with."""
 
     reason = "InvalidWitnessParameter"
-
-    def __init__(self, parameter: str, value: int, message: str):
-        self.parameter = parameter
-        self.value = value
-        super().__init__(message)
-
-    def payload(self) -> dict:
-        return {**super().payload(), "parameter": self.parameter, "value": self.value}

@@ -13,7 +13,7 @@ divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .decide import contains_subscheme
 from .errors import InfeasibleQueryError
@@ -138,8 +138,10 @@ def enumerate_hvectors(delta: int, constraints, curve_degree: int) -> list[tuple
 
     Admissibility is Macaulay growth with the curve bound
     h[t] <= min(t+1, curve_degree); a constraint at level t is checked
-    against the partial sum through t.  Output is sorted by Hilbert
-    function, lexicographically decreasing.
+    against the partial sum through t.  Rows come out lexicographically
+    decreasing, unsorted: the stack pops the largest next entry first.  Two
+    h-vectors of total delta first differ at an index inside both, so their
+    Hilbert functions (partial sums) come out lexicographically decreasing too.
     """
     if delta < 1:
         return []
@@ -173,16 +175,6 @@ def enumerate_hvectors(delta: int, constraints, curve_degree: int) -> list[tuple
         for v in range(1, cap + 1):
             if check_level(t, total + v):
                 stack.append((t, total, v))
-
-    def hf_key(h: tuple[int, ...]):
-        partial = []
-        total = 0
-        for x in h:
-            total += x
-            partial.append(total)
-        return tuple(partial) + (delta,) * (delta - len(h))
-
-    results.sort(key=hf_key, reverse=True)
     return results
 
 
@@ -221,16 +213,7 @@ class SeriesAnswer:
             "curveDegree": self.query.curve_degree,
             "divisorDegree": self.query.divisor_degree,
             "seriesDim": self.query.series_dim,
-            "constraints": [
-                {
-                    "level": c.level,
-                    "relation": c.relation,
-                    "value": c.value,
-                    "mandatory": c.mandatory,
-                    "label": c.label,
-                }
-                for c in self.constraints
-            ],
+            "constraints": [asdict(c) for c in self.constraints],
             "rows": [row.to_json() for row in self.rows],
         }
 

@@ -16,7 +16,9 @@ into two blocks is checked value by value.  An entry of degree m is a
 polynomial of degree m in the parameter, so it is evaluated at only
 m + 1 of the parameter values, as one dot product with monomial values
 that all entries share, and its other values follow from its forward
-differences.
+differences.  Where a verdict fixes the degree of a determinant or of a
+block, a line may lower that degree but not raise it: a higher one fails
+its trial, a lower one fails only if no trial shows the degree.
 
 A curve through the scheme is the determinant F of the presentation
 matrix with a row r of random forms inserted at position pos, and its
@@ -86,14 +88,14 @@ def _is_prime(n: int) -> bool:
 def _check_prime(p: int) -> None:
     if not (p < _PRIME_BOUND and _is_prime(p)):
         raise InvalidWitnessParameterError(
-            "prime", p, f"prime must be a prime below 2^31, got {p}"
+            f"prime must be a prime below 2^31, got {p}", parameter="prime", value=p
         )
 
 
 def _check_witness_parameters(trials: int, prime: int) -> None:
     if trials < 1:
         raise InvalidWitnessParameterError(
-            "trials", trials, f"trials must be at least 1, got {trials}"
+            f"trials must be at least 1, got {trials}", parameter="trials", value=trials
         )
     _check_prime(prime)
 
@@ -168,12 +170,6 @@ class Form:
                 k = index[(ia + ib, ja + jb)]
                 out[k] = (out[k] + ca * cb) % p
         return Form(m, tuple(out), p)
-
-    def evaluate(self, point: tuple[int, int, int]) -> int:
-        if self.is_zero:
-            return 0
-        p = self.prime
-        return sum(map(mul, self.coeffs, _monomial_values(point, self.degree, p)[-1])) % p
 
 
 def _monomial_values(point: tuple[int, int, int], top: int, p: int) -> list[list[int]]:
@@ -553,7 +549,8 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
     yes: some trial must restrict to the full degree d.  no by a
     negative diagonal entry: every restriction must vanish identically.
     no by a bad subdiagonal block: the determinant must factor as the
-    product of the two block determinants, with degrees e' and d - e'.
+    product of the two block determinants, of degrees d - e' and e',
+    which some trial must show.  No restriction may exceed its degree.
     """
     _check_witness_parameters(trials, prime)
     return _verify_square(representable(grid), trials, seed, prime)
@@ -566,6 +563,11 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
     d = decision.degree
     if prime <= d:
         raise FieldTooSmallError(f"prime {prime} is too small for degree {d}")
+    # name: (degree, its degree on each trial's line) of what the verdict fixes
+    expected = {"full": (d, report.observed_degrees)} if decision.verdict else {}
+    if decision.reason == REASON_SUBDIAGONAL:
+        k, e = decision.k, decision.block_degree
+        expected = {"leading block": (d - e, []), "trailing block": (e, [])}
 
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -584,19 +586,19 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
         elif decision.reason == REASON_SUBDIAGONAL:
             # the blocks have degrees d - e and e, so their product, like
             # det(N), is fixed by its values at the d + 1 nodes
-            k, e = decision.k, decision.block_degree
             lead = restrict_det_to_line(_block(N, 0, k - 1), line, d)
             trail = restrict_det_to_line(_block(N, k - 1, M.rows), line, d)
-            if _poly_degree(lead, prime) != d - e:
-                report.mismatches.append(f"trial {trial}: leading block degree {_poly_degree(lead, prime)} != {d - e}")
-            if _poly_degree(trail, prime) != e:
-                report.mismatches.append(f"trial {trial}: trailing block degree {_poly_degree(trail, prime)} != {e}")
+            for (name, (w, seen)), block in zip(expected.items(), (lead, trail)):
+                g = _poly_degree(block, prime)
+                seen.append(g)
+                if g is not None and g > w:
+                    report.mismatches.append(f"trial {trial}: {name} degree {g} exceeds {w}")
             if any(a * b % prime != v for a, b, v in zip(lead, trail, values)):
                 report.mismatches.append(f"trial {trial}: block determinants do not multiply to the determinant")
 
-    if decision.verdict and not report.mismatches:
-        if all(deg != d for deg in report.observed_degrees):
-            report.mismatches.append(f"no trial realized the full degree {d}")
+    if not report.mismatches:
+        report.mismatches += [f"no trial realized the {name} degree {w}"
+                              for name, (w, seen) in expected.items() if w not in seen]
     return report
 
 

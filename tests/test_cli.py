@@ -302,6 +302,60 @@ class TestEnumerateCommand:
         assert body == {"error": "InputError", "message": "curve degree must be >= 1, got 0"}
 
 
+class TestPinnedStdout:
+    """Whole stdout, compared as text so that key order counts."""
+
+    SERIES_G20 = (
+        '{"curveDegree": 8, "divisorDegree": 20, "seriesDim": 2, "constraints": ['
+        '{"level": 5, "relation": "==", "value": 18, "mandatory": true, "label": "complete series dimension 2"}, '
+        '{"level": 4, "relation": "==", "value": 15, "mandatory": false, "label": "D+1H nonspecial"}, '
+        '{"level": 6, "relation": "<=", "value": 19, "mandatory": false, "label": "D-1H effective"}], "rows": ['
+        '{"h": [1, 2, 3, 4, 5, 3, 2], "hf": [1, 3, 6, 10, 15, 18, 20, 20], "gens": [7, 5, 5, 5], '
+        '"syz": [8, 8, 6], "existsOnGeneralCurve": true, '
+        '"flags": {"D+1H nonspecial": true, "D-1H effective": false}}, '
+        '{"h": [1, 2, 3, 4, 5, 3, 1, 1], "hf": [1, 3, 6, 10, 15, 18, 19, 20, 20], "gens": [8, 5, 5, 5], '
+        '"syz": [9, 7, 7], "existsOnGeneralCurve": true, '
+        '"flags": {"D+1H nonspecial": true, "D-1H effective": true}}, '
+        '{"h": [1, 2, 3, 4, 4, 4, 2], "hf": [1, 3, 6, 10, 14, 18, 20, 20], "gens": [6, 6, 4], '
+        '"syz": [8, 8], "existsOnGeneralCurve": true, '
+        '"flags": {"D+1H nonspecial": false, "D-1H effective": false}}, '
+        '{"h": [1, 2, 3, 4, 4, 4, 1, 1], "hf": [1, 3, 6, 10, 14, 18, 19, 20, 20], "gens": [8, 6, 6, 6, 4], '
+        '"syz": [9, 7, 7, 7], "existsOnGeneralCurve": true, '
+        '"flags": {"D+1H nonspecial": false, "D-1H effective": true}}]}\n'
+    )
+
+    @pytest.mark.parametrize("argv, code, stdout", [
+        (
+            ["series", "--curve-degree", "8", "--divisor-degree", "20", "--series-dim", "2",
+             "--properties", '[{"z":1,"kind":"nonspecial"},{"z":-1,"kind":"effective"}]'],
+            0,
+            SERIES_G20,
+        ),
+        (
+            ["enumerate", "--n", "8", "--degree", "5", "--bound", "8"],
+            1,
+            '{"error": "CensusBudgetExceeded", "message": "census over n = 8, bound = 8 would examine '
+            '1,577,585,295 candidate presentations, over the budget of 10,000,000", '
+            '"candidates": 1577585295, "budget": 10000000}\n',
+        ),
+        (
+            ["witness", "--matrix", "[[1,1],[1,1]]", "--prime", "9"],
+            1,
+            '{"error": "InvalidWitnessParameter", "message": "prime must be a prime below 2^31, got 9", '
+            '"parameter": "prime", "value": 9}\n',
+        ),
+        (
+            ["witness", "--matrix", "[[1,1],[1,1]]", "--trials", "0"],
+            1,
+            '{"error": "InvalidWitnessParameter", "message": "trials must be at least 1, got 0", '
+            '"parameter": "trials", "value": 0}\n',
+        ),
+    ], ids=["series-g20", "census-budget", "witness-prime", "witness-trials"])
+    def test_stdout(self, capsys, argv, code, stdout):
+        assert run(argv) == code
+        assert capsys.readouterr().out == stdout
+
+
 class TestInputValidation:
     def test_bad_json(self, capsys):
         code, body = invoke(capsys, "check-representable", "--matrix", "[[1,")
@@ -312,6 +366,22 @@ class TestInputValidation:
         code, body = invoke(capsys, "check-representable", "--matrix", '[[1,2],[3,"x"]]')
         assert code == 1
         assert "/matrix/1/1" in body["message"]
+
+    @pytest.mark.parametrize("matrix, message", [
+        ("{}", "/matrix: expected a non-empty array of rows"),
+        ("[]", "/matrix: expected a non-empty array of rows"),
+        ("[[]]", "/matrix/0: expected a non-empty array of integers"),
+        ("[[1,2],5]", "/matrix/1: expected a non-empty array of integers"),
+        ("[[1,true]]", "/matrix/0/1: expected an integer"),
+        ("[[1,2],[3,4],[5,null]]", "/matrix/2/1: expected an integer"),
+        # an entry is checked before the row's length
+        ('[[1],[2,"x"]]', "/matrix/1/1: expected an integer"),
+        ("[[1,2,3],[1,2]]", "/matrix/1: row length 2 != 3"),
+    ])
+    def test_matrix_schema_messages(self, capsys, matrix, message):
+        code, body = invoke(capsys, "check-representable", "--matrix", matrix)
+        assert code == 1
+        assert body == {"error": "InputError", "message": message}
 
     def test_ragged_matrix(self, capsys):
         code, body = invoke(capsys, "check-representable", "--matrix", "[[1,2],[3]]")
@@ -369,6 +439,15 @@ class TestMismatchExitCode:
         code, body = invoke(capsys, "witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "8",
                             "--trials", "5", "--prime", "101", "--seed", "5")
         assert code == 0
+        assert body["mismatches"] == []
+
+    def test_a_block_degree_lost_on_one_line_is_no_contradiction(self, capsys):
+        # trial 3's line lowers the leading block's degree from 5 to 4
+        code, body = invoke(capsys, "witness", "--matrix",
+                            "[[2,2,5,6,5],[-3,-3,0,1,0],[-3,-3,0,1,0],[3,3,6,7,6],[-1,-1,2,3,2]]",
+                            "--seed", "604815836", "--trials", "4")
+        assert code == 0
+        assert body["observedDegrees"] == [8, 8, 8, 7]
         assert body["mismatches"] == []
 
     def test_blocks_that_do_not_multiply_exit_2(self, capsys, monkeypatch):

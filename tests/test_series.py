@@ -101,6 +101,13 @@ def brute_hvectors(delta, constraints, d):
     return found
 
 
+def by_hilbert_function(delta, hvectors):
+    """h-vectors of total delta by Hilbert function HF(0..delta-1), decreasing."""
+    def hf(h):
+        return tuple(itertools.accumulate(h)) + (delta,) * (delta - len(h))
+    return sorted(hvectors, key=hf, reverse=True)
+
+
 class TestEnumerateHVectors:
     def test_four_g20_classes(self):
         constraints = hf_constraints(G20_QUERY)
@@ -117,6 +124,20 @@ class TestEnumerateHVectors:
         constraints = hf_constraints(SeriesQuery(8, 20, 2))
         smart = set(enumerate_hvectors(20, constraints, 8))
         assert smart == brute_hvectors(20, constraints, 8)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_rows_come_in_decreasing_hilbert_function_order(self, d):
+        # the brute-force set, sorted here, against the list as returned
+        for delta in range(1, 15):
+            queries = [[]]
+            for r in range(4) if d >= 4 else ():
+                try:
+                    queries.append(hf_constraints(SeriesQuery(d, delta, r)))
+                except InfeasibleQueryError:
+                    pass
+            for constraints in queries:
+                expected = by_hilbert_function(delta, brute_hvectors(delta, constraints, d))
+                assert enumerate_hvectors(delta, constraints, d) == expected, (delta, constraints)
 
     def test_four_points_off_a_line(self):
         from curvedet.series import HFConstraint

@@ -49,6 +49,8 @@ from curvedet.witness import (
 )
 
 DEGREE8_GRID = [[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]]
+# no, by a subdiagonal block of degree 3 at k = 3: the leading block has degree 5
+BLOCK_LOST_ON_A_LINE = [[2, 2, 5, 6, 5], [-3, -3, 0, 1, 0], [-3, -3, 0, 1, 0], [3, 3, 6, 7, 6], [-1, -1, 2, 3, 2]]
 P = DEFAULT_PRIME
 KERNEL_PRIMES = (2, 3, 32003, 2**31 - 1)
 
@@ -199,7 +201,7 @@ class TestForms:
         assert h.degree == 5
         for _ in range(5):
             pt = tuple(rng.randrange(P) for _ in range(3))
-            assert h.evaluate(pt) == f.evaluate(pt) * g.evaluate(pt) % P
+            assert reference_evaluate(h, pt, P) == reference_evaluate(f, pt, P) * reference_evaluate(g, pt, P) % P
 
     def test_addition_rules(self):
         rng = random.Random(4)
@@ -276,7 +278,7 @@ class TestDeterminantRestriction:
             via_entries = restrict_det_to_line(N, line, d)
             (p0, p1, p2), (q0, q1, q2) = line
             direct = [
-                F.evaluate((p0 + s * q0, p1 + s * q1, p2 + s * q2)) for s in range(d + 1)
+                reference_evaluate(F, (p0 + s * q0, p1 + s * q1, p2 + s * q2), P) for s in range(d + 1)
             ]
             assert direct == via_entries
 
@@ -484,6 +486,34 @@ class TestVerifyRepresentable:
         report = verify_representable([[1, 3], [-1, 1]], trials=1, seed=2)
         assert "trial 0: block determinants do not multiply to the determinant" in report.mismatches
 
+    def test_a_block_degree_lost_on_one_line_is_no_mismatch(self):
+        # trial 3 draws a line on which the leading block has degree 4, not 5
+        report = verify_representable(BLOCK_LOST_ON_A_LINE, trials=4, seed=604815836)
+        assert report.verdict_checked["reason"] == REASON_SUBDIAGONAL
+        assert report.observed_degrees == [8, 8, 8, 7]
+        assert report.mismatches == []
+
+    def test_a_block_degree_above_its_own_is_reported(self, monkeypatch):
+        # each 1 x 1 block of degree 1 is given the values of s^2 on its line
+        true_restrict = witness.restrict_det_to_line
+
+        def restrict(N, line, max_degree):
+            if N.rows < 2:
+                return [s * s % N.prime for s in range(max_degree + 1)]
+            return true_restrict(N, line, max_degree)
+
+        monkeypatch.setattr(witness, "restrict_det_to_line", restrict)
+        report = verify_representable([[1, 3], [-1, 1]], trials=2, seed=2)
+        assert report.mismatches == [
+            text
+            for i in range(2)
+            for text in (
+                f"trial {i}: leading block degree 2 exceeds 1",
+                f"trial {i}: trailing block degree 2 exceeds 1",
+                f"trial {i}: block determinants do not multiply to the determinant",
+            )
+        ]
+
     def test_degree_zero(self):
         report = verify_representable([[0, 0], [0, 0]], trials=4, seed=2)
         assert report.ok
@@ -613,8 +643,9 @@ class TestPinnedReports:
     The line restriction and the membership check may be computed any
     way, but the reports they produce must not change.  The small primes
     make some restrictions lose degree, so the pins see the values, not
-    only the verdicts.  At p = 3 the block factorization drops a block
-    degree in two trials, so that report pins mismatch texts as well.
+    only the verdicts.  At p = 3 a block loses its degree on some lines,
+    which is no mismatch while another trial shows it, and on every line
+    of the last pin, which is.
     """
 
     def test_representable(self):
@@ -637,8 +668,16 @@ class TestPinnedReports:
         assert json.dumps(report.to_json()) == (
             '{"seed": 1, "prime": 3, "trials": 3, "verdictChecked": {"answer": "no", "degree": 2, '
             '"reason": "SubdiagonalBlockDegree", "k": 2, "blockDegree": 1}, "observedDegrees": [2, 1, 1], '
-            '"hfProfile": [], "mismatches": ["trial 1: leading block degree 0 != 1", '
-            '"trial 2: trailing block degree 0 != 1"]}'
+            '"hfProfile": [], "mismatches": []}'
+        )
+
+    def test_block_degrees_lost_on_every_line(self):
+        report = verify_representable([[1, 3], [-1, 1]], trials=2, seed=9, prime=3)
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 9, "prime": 3, "trials": 2, "verdictChecked": {"answer": "no", "degree": 2, '
+            '"reason": "SubdiagonalBlockDegree", "k": 2, "blockDegree": 1}, "observedDegrees": [null, null], '
+            '"hfProfile": [], "mismatches": ["no trial realized the leading block degree 1", '
+            '"no trial realized the trailing block degree 1"]}'
         )
 
     def test_subscheme(self):
