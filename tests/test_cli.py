@@ -274,6 +274,12 @@ class TestLazyNumpy:
             "cli.run(['check-representable', '--matrix', '[[0,1,10,11],[-1,0,9,10],[-5,-4,5,6],[-8,-7,2,3]]'])"
         )
 
+    def test_a_subscheme_witness_proved_by_coprime_minors_does_not_load_numpy(self):
+        assert not self._loads_numpy(
+            "from curvedet import cli\n"
+            "cli.run(['witness', '--matrix', '[[2,3,5],[1,2,4]]', '--degree', '4'])"
+        )
+
     def test_a_graded_rank_loads_numpy(self):
         assert self._loads_numpy(
             "import random\n"
@@ -410,8 +416,9 @@ class TestInputValidation:
 
 class TestMismatchExitCode:
     def test_contradicting_witness_exits_2(self, capsys, monkeypatch):
-        # a determinant that vanishes on every line contradicts a yes
-        monkeypatch.setattr(witness, "restrict_det_to_line", lambda N, line, max_degree: [0] * (max_degree + 1))
+        # a determinant that vanishes everywhere contradicts a yes; both the
+        # value at the line's direction and the restriction see it
+        monkeypatch.setattr(witness, "_det_numeric", lambda mat, p: 0)
         code, body = invoke(capsys, "witness", "--matrix", "[[1,1],[1,1]]", "--trials", "2")
         assert code == 2
         assert body["verdictChecked"]["answer"] == "yes"
@@ -484,7 +491,7 @@ class TestClosedStdout:
         assert "Exception ignored" not in stderr
 
     def test_a_contradiction_still_exits_2(self, monkeypatch):
-        monkeypatch.setattr(witness, "restrict_det_to_line", lambda N, line, max_degree: [0] * (max_degree + 1))
+        monkeypatch.setattr(witness, "_det_numeric", lambda mat, p: 0)
         read_end, write_end = os.pipe()
         os.close(read_end)
         with open(write_end, "w") as closed:

@@ -1,6 +1,8 @@
 """Finite-field witness engine: forms, determinants, ranks, verification."""
 
+import hashlib
 import json
+import math
 import random
 from collections import Counter
 
@@ -36,11 +38,16 @@ from curvedet.degree_matrix import DegreeMatrix
 from curvedet.witness import (
     DEFAULT_PRIME,
     FormMatrix,
+    _coprime,
+    _coprime_minors,
+    _dense_product,
     _det_numeric,
     _is_prime,
     _monomial_values,
     _poly_degree,
+    _kronecker_product,
     _rank,
+    _residues,
     monomial_index,
     monomials,
     random_line,
@@ -257,6 +264,13 @@ class TestSampling:
         rng = random.Random(8)
         N = sample_matrix([[4]], rng)
         assert N.entries[0][0].degree == 4
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 32003, 2**31 - 1])
+    def test_batched_residues_are_the_randrange_stream(self, p):
+        for count in range(plane_dim(30) + 1):
+            batched, single = random.Random(count), random.Random(count)
+            assert _residues(batched, count, p) == [single.randrange(p) for _ in range(count)]
+            assert batched.random() == single.random()
 
 
 class TestDeterminantRestriction:
@@ -637,6 +651,96 @@ class TestVerifySubscheme:
             assert entry["predicted"] == hilbert_function(B, entry["t"])
 
 
+def sparse_form(m: int, p: int, seed: int, density: float) -> Form:
+    """A form of degree m whose coefficients are nonzero with the given density."""
+    rng = random.Random(seed)
+    return Form(m, tuple(rng.randrange(1, p) if rng.random() < density else 0 for _ in range(plane_dim(m))), p)
+
+
+class TestFastPaths:
+    """Each shortcut of the witness against the computation it replaces."""
+
+    @given(
+        st.integers(0, 40), st.integers(0, 40), st.sampled_from([2, 3, 101, 32003, 2**31 - 1]),
+        st.integers(0, 2**32), st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kronecker_product_is_the_dense_product(self, da, db, p, seed, density):
+        if density > 0.05:  # the dense reference is quadratic in the number of terms
+            da, db = min(da, 25), min(db, 15)
+        a, b = sparse_form(da, p, seed, density), sparse_form(db, p, seed + 1, 1.0)
+        assert _kronecker_product(a, b) == _dense_product(a, b)
+        assert _kronecker_product(b, a) == _dense_product(a, b)
+        assert a * zero_form(p) == zero_form(p) * b == zero_form(p)
+
+    def test_top_slots_at_the_largest_prime(self):
+        # every coefficient p - 1: each slot of the product reaches its bound
+        p = 2**31 - 1
+        a, b = (Form(m, (p - 1,) * plane_dim(m), p) for m in (40, 40))
+        assert _kronecker_product(a, b) == _dense_product(a, b)
+
+    @given(st.integers(1, 4), st.integers(0, 2**32), st.sampled_from([11, 101, 32003, 2**31 - 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_top_difference_is_the_value_at_the_direction(self, n, seed, p):
+        # det(N) has degree d, so on P + sQ its s^d coefficient is det(N(Q)),
+        # and the d-th forward difference of the values is d! times it; on
+        # the line through Q with no direction, the value at s = 0 is det(N(Q))
+        rng = random.Random(seed)
+        u = [rng.randint(-2, 3) for _ in range(n)]
+        v = [rng.randint(0, 3) for _ in range(n)]
+        grid = [[ui + vj for vj in v] for ui in u]
+        d = sum(grid[k][k] for k in range(n))
+        if not 0 <= d < p:
+            return
+        N = form_matrix(grid, rng, p)
+        line = random_line(rng, p)
+        values = restrict_det_to_line(N, line, d)
+        top = sum((-1) ** (d - k) * math.comb(d, k) * value for k, value in enumerate(values))
+        at_direction = restrict_det_to_line(N, (line[1], (0, 0, 0)), 0)[0]
+        assert top % p == math.factorial(d) * at_direction % p
+
+    @pytest.mark.parametrize("f, g, coprime", [
+        ([1, -3 % 7, 2], [1, -4 % 7, 3], False),  # (z - 1)(z - 2) and (z - 1)(z - 3)
+        ([1, -3 % 7, 2], [1, 0, 6], False),  # and z^2 - 1 = (z - 1)(z + 1)
+        ([1, 1], [1, 2], True),
+        ([3], [1, 2, 3, 4], True),
+        ([1, 2, 3, 4], [3], True),
+        ([1, 0, 0], [1, 0], False),
+    ])
+    def test_euclid(self, f, g, coprime):
+        assert _coprime(f, g, 7) is coprime
+
+    def test_the_certificate_never_passes_where_the_ranks_disagree(self):
+        # a pass proves the Hilbert function, so no sample may pass it with a
+        # rank off the prediction; at these small primes some samples fail it
+        passed = failed = 0
+        for p in (7, 11, 101):
+            for n, bound in ((3, 2), (3, 3), (4, 2)):
+                for Q in iter_dhb_matrices(n, bound):
+                    B = BettiData(Q.minor_degrees, Q.shifts)
+                    rng = random.Random(f"{p} {Q.entries}")
+                    minors = maximal_minors(sample_matrix(Q, rng, p))
+                    if not _coprime_minors(minors, rng, p):
+                        failed += 1
+                        continue
+                    passed += 1
+                    for t in range(Q.shifts[0] + 1):
+                        assert plane_dim(t) - ideal_dim(minors, t) == hilbert_function(B, t), (p, Q.entries, t)
+        assert passed > 900 and failed > 20
+
+    @pytest.mark.parametrize("grid, d, prime, seed", [
+        ([[2, 3, 5], [1, 2, 4]], 4, P, 4),
+        ([[1, 1, 1], [0, 0, 0]], 3, 7, 54),
+        ([[2, 2, 2], [2, 2, 2]], 6, 11, 3),
+        ([[1, 1, 3, 3, 3], [1, 1, 3, 3, 3], [0, 0, 2, 2, 2], [-1, -1, 1, 1, 1]], 6, 13, 6),
+    ])
+    def test_a_failing_certificate_leaves_the_report_unchanged(self, monkeypatch, grid, d, prime, seed):
+        Q = dhb(grid)
+        proved = verify_subscheme(Q, d, trials=4, seed=seed, prime=prime).to_json()
+        monkeypatch.setattr(witness, "_coprime_minors", lambda minors, rng, p: False)
+        assert verify_subscheme(Q, d, trials=4, seed=seed, prime=prime).to_json() == proved
+
+
 class TestPinnedReports:
     """Whole reports, byte for byte, for one input of each kind.
 
@@ -699,3 +803,26 @@ class TestPinnedReports:
             '"reason": "SubdiagonalBlockDegree", "k": 3, "blockDegree": 1, "insertedRowPosition": 3}, '
             '"observedDegrees": [5, 5, 5], "hfProfile": [], "mismatches": []}'
         )
+
+    def test_subscheme_settled_by_the_ranks(self):
+        # at p = 7 the certificate fails on trial 0, whose ranks miss the prediction
+        report = verify_subscheme(dhb([[1, 1, 1], [0, 0, 0]]), 3, trials=3, seed=54, prime=7)
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 54, "prime": 7, "trials": 3, "verdictChecked": {"answer": "yes", "degree": 3, '
+            '"insertedRowPosition": 1}, "observedDegrees": [3, 3, 3], "hfProfile": ['
+            '{"t": 0, "predicted": 1, "observed": 1}, {"t": 1, "predicted": 1, "observed": 2}, '
+            '{"t": 2, "predicted": 1, "observed": 3}], "mismatches": ['
+            '"trial 0: Hilbert function at level 1 is 2, predicted 1", '
+            '"trial 0: Hilbert function at level 2 is 3, predicted 1"]}'
+        )
+
+    @pytest.mark.parametrize("k, digest", [
+        (10, "7f413badf5f1b00f0d3fafc87ce5d275a526d84645943bf5416fbf1b17e139b0"),
+        (15, "11040cbc539cb7c220418631c6afbf1db371424268651e715904c93e0fa711c0"),
+    ])
+    def test_complete_intersections(self, k, digest):
+        # a = (2k)^3, b = (3k)^2 at d = 3k: the sha256 of the whole report
+        Q = BettiData((2 * k,) * 3, (3 * k,) * 2).to_dhb()
+        report = verify_subscheme(Q, 3 * k, trials=1, seed=0)
+        assert report.ok and report.observed_degrees == [3 * k]
+        assert hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest() == digest
