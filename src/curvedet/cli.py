@@ -215,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--matrix", required=True, help="JSON array of arrays of integers")
-        p.add_argument("--verbose", action="store_true", help="include the normalized matrix")
+        p.add_argument("--verbose", action="store_true",
+                       help="check-representable, check-subscheme, corollary and scan add the "
+                            "normalized matrix and trailing degrees; threshold and witness ignore it")
 
     p = add("check-representable", "decide determinantal representability")
     common(p)

@@ -8,10 +8,15 @@ with the prediction.  A negative containment verdict is witnessed on its
 inserted square like a representability verdict.
 
 A trial first tries a cheap check that proves its fact and computes in
-full only when that fails, so a report is the same either way: a yes
-square's det(N(Q)) is the s^d coefficient of det(N) on the line P + sQ,
-and two maximal minors shown coprime prove the Hilbert function at every
-level.  Products of forms of degree >= 2 use Kronecker substitution.
+full only when that fails, so a report is the same either way.  A yes
+square's det(N(Q)) is the s^d coefficient of det(N) on the line P + sQ.
+A no by a negative diagonal entry is proved by a zero corner of the
+sampled N, which forces det(N) = 0 (Frobenius-Koenig); a no by a
+negative subdiagonal entry by the zero corner that makes N block upper
+triangular, together with block values at Q whose product is nonzero and
+equals det(N(Q)).  Two maximal minors shown coprime prove the Hilbert
+function at every level.  Products of forms of degree >= 2 use Kronecker
+substitution.
 
 A polynomial on the line is kept as its values at s = 0..D, which fix it
 when its degree is at most D < p; its degree is read from their forward
@@ -635,6 +640,13 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
     no by a bad subdiagonal block: the determinant must factor as the
     product of the two block determinants, of degrees d - e' and e',
     which some trial must show.  No restriction may exceed its degree.
+
+    A trial is settled without restricting to its line when a proof
+    holds on the sampled N (see `_settled_trial`): det(N(Q)) nonzero at
+    the line's direction Q for a yes; for a diagonal no at k, rows k..n
+    zero in columns 1..k; for a subdiagonal no at k, rows k..n zero in
+    columns 1..k - 1 and the block values L, T at Q with L T nonzero and
+    equal to det(N(Q)).  Otherwise the trial restricts at d + 1 nodes.
     """
     _check_witness_parameters(trials, prime)
     return _verify_square(representable(grid), trials, seed, prime)
@@ -657,13 +669,14 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
         rng = _trial_rng(seed, trial)
         N = sample_matrix(M, rng, prime)
         line = random_line(rng, prime)
-        # det(N) has degree d, so its s^d coefficient on the line P + sQ
-        # is det(N(Q)), the value on the constant line at Q
-        if decision.verdict and restrict_det_to_line(N, (line[1], (0, 0, 0)), 0)[0]:
-            deg = d
-        else:
-            values = restrict_det_to_line(N, line, d)
-            deg = _poly_degree(values, prime)
+        settled = _settled_trial(decision, N, line[1])
+        if settled is not None:
+            report.observed_degrees.append(settled[0])
+            for (_, seen), g in zip(expected.values(), settled[1:]):
+                seen.append(g)
+            continue
+        values = restrict_det_to_line(N, line, d)
+        deg = _poly_degree(values, prime)
         report.observed_degrees.append(deg)
 
         if decision.verdict:
@@ -689,6 +702,39 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
         report.mismatches += [f"no trial realized the {name} degree {w}"
                               for name, (w, seen) in expected.items() if w not in seen]
     return report
+
+
+def _settled_trial(decision: Decision, N: FormMatrix, direction) -> tuple | None:
+    """What a trial of `decision` on N records when a proof settles it:
+    the degree of det(N) on the line with this direction Q, then the
+    block degrees.  None when the proof fails, and the trial runs in full.
+
+    A block on the diagonal of N has a form of its diagonal sum's degree
+    as its determinant, so the value at Q is its s^top coefficient on the
+    line P + sQ.  yes: det(N(Q)) nonzero proves degree d.  No at k by a
+    negative diagonal entry: rows k..n of N zero in columns 1..k are an
+    (n - k + 1) x k zero corner, so det(N) = 0 (Frobenius-Koenig).  No at k
+    by a subdiagonal block: rows k..n zero in columns 1..k - 1 make
+    det(N) = det(lead) det(trail) as forms, so block values L, T at Q with
+    L T nonzero prove degrees d, d - e and e and the product at every
+    node.  L T must also equal det(N(Q)), so that an evaluation at fault
+    sends the trial to the full path.
+    """
+    def at_q(A: FormMatrix) -> int:
+        return restrict_det_to_line(A, (direction, (0, 0, 0)), 0)[0]
+
+    d, k = decision.degree, decision.k
+    if decision.verdict:
+        return (d,) if at_q(N) else None
+    width = k if decision.reason == REASON_DIAGONAL else k - 1
+    if not all(f.is_zero for row in N.entries[k - 1 :] for f in row[:width]):
+        return None
+    if decision.reason == REASON_DIAGONAL:
+        return (None,)
+    product = at_q(_block(N, 0, k - 1)) * at_q(_block(N, k - 1, N.rows)) % N.prime
+    if not product or product != at_q(N):
+        return None
+    return d, d - decision.block_degree, decision.block_degree
 
 
 def _block(N: FormMatrix, start: int, stop: int) -> FormMatrix:

@@ -95,6 +95,25 @@ class TestCorollaryAndThreshold:
         assert code == 0
         assert body == {"threshold": 7}
 
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--matrix", "[[2,3,5],[1,2,4]]"],
+        ["witness", "--matrix", "[[1,1],[1,1]]", "--trials", "2"],
+        ["witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "5", "--trials", "2"],
+    ])
+    def test_verbose_is_accepted_and_ignored(self, capsys, argv):
+        outputs = []
+        for extra in ([], ["--verbose"]):
+            code = run(argv + extra)
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
+    def test_verbose_help_names_the_commands_that_read_it(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["threshold", "--help"])
+        assert ("check-representable, check-subscheme, corollary and scan add the normalized matrix "
+                "and trailing degrees; threshold and witness ignore it") in " ".join(capsys.readouterr().out.split())
+
     def test_scan(self, capsys):
         code, body = invoke(
             capsys, "scan", "--matrix", "[[2,3,5],[1,2,4]]", "--dmax", "9"

@@ -33,7 +33,7 @@ from curvedet import (
     verify_subscheme,
 )
 from curvedet import witness
-from curvedet.decide import REASON_DIAGONAL, REASON_SUBDIAGONAL
+from curvedet.decide import REASON_DIAGONAL, REASON_SUBDIAGONAL, Decision
 from curvedet.degree_matrix import DegreeMatrix
 from curvedet.witness import (
     DEFAULT_PRIME,
@@ -528,6 +528,61 @@ class TestVerifyRepresentable:
             )
         ]
 
+    def test_a_wrong_diagonal_verdict_is_never_settled(self, monkeypatch):
+        # [[1, 1], [1, 1]] has no zero corner, so each trial runs in full
+        wrong = Decision(False, REASON_DIAGONAL, 2, ((1, 1), (1, 1)), k=2)
+        monkeypatch.setattr(witness, "representable", lambda grid: wrong)
+        report = verify_representable([[1, 1], [1, 1]], trials=3, seed=2)
+        assert report.mismatches == [
+            f"trial {i}: expected zero determinant, saw degree 2" for i in range(3)
+        ]
+
+    def test_a_wrong_subdiagonal_verdict_is_never_settled(self, monkeypatch):
+        wrong = Decision(False, REASON_SUBDIAGONAL, 2, ((1, 1), (1, 1)), k=2, block_degree=1)
+        monkeypatch.setattr(witness, "representable", lambda grid: wrong)
+        report = verify_representable([[1, 1], [1, 1]], trials=3, seed=2)
+        assert report.observed_degrees == [2, 2, 2]
+        assert report.mismatches == [
+            f"trial {i}: block determinants do not multiply to the determinant" for i in range(3)
+        ]
+
+    def test_a_corner_that_vanishes_only_at_the_direction_is_no_proof(self, monkeypatch):
+        # N[2][1] = x vanishes at the direction Q = (0, 0, 1), so there
+        # L T = det(N(Q)), but not on the line, where det(N) != lead * trail
+        wrong = Decision(False, REASON_SUBDIAGONAL, 2, ((1, 1), (1, 1)), k=2, block_degree=1)
+        monkeypatch.setattr(witness, "representable", lambda grid: wrong)
+        monkeypatch.setattr(witness, "random_line", lambda rng, p: ((1, 2, 3), (0, 0, 1)))
+        true_sample = witness.sample_matrix
+
+        def sample(M, rng, p):
+            (n11, n12), (_, n22) = true_sample(M, rng, p).entries
+            return FormMatrix(((n11, n12), (Form(1, (1, 0, 0), p), n22)), M, p)
+
+        monkeypatch.setattr(witness, "sample_matrix", sample)
+        report = verify_representable([[1, 1], [1, 1]], trials=2, seed=2)
+        assert report.mismatches == [
+            f"trial {i}: block determinants do not multiply to the determinant" for i in range(2)
+        ]
+
+    @pytest.mark.parametrize("grid, blocks", [
+        ([[2, 3, 8], [-3, -2, 3], [-4, -3, 2]], 0),
+        ([[5, 6, 8, 9], [2, 3, 5, 6], [-2, -1, 1, 2], [-3, -2, 0, 1]], 3),
+    ])
+    def test_negative_squares_settle_without_a_restriction(self, monkeypatch, grid, blocks):
+        # a zero corner proves a diagonal verdict outright; a subdiagonal one
+        # reads the blocks and det(N) at the line's direction only
+        true_restrict = witness.restrict_det_to_line
+        calls = []
+
+        def restrict(N, line, max_degree):
+            calls.append(max_degree)
+            return true_restrict(N, line, max_degree)
+
+        monkeypatch.setattr(witness, "restrict_det_to_line", restrict)
+        report = verify_representable(grid, trials=4, seed=3)
+        assert report.ok
+        assert calls == [0] * (4 * blocks)
+
     def test_degree_zero(self):
         report = verify_representable([[0, 0], [0, 0]], trials=4, seed=2)
         assert report.ok
@@ -782,6 +837,54 @@ class TestPinnedReports:
             '"reason": "SubdiagonalBlockDegree", "k": 2, "blockDegree": 1}, "observedDegrees": [null, null], '
             '"hfProfile": [], "mismatches": ["no trial realized the leading block degree 1", '
             '"no trial realized the trailing block degree 1"]}'
+        )
+
+    @pytest.mark.parametrize("grid, seed, pin", [
+        ([[6, 7, 9, 10], [3, 4, 6, 7], [-4, -3, -1, 0], [-5, -4, -2, -1]], 13,
+         '{"seed": 13, "prime": 32003, "trials": 3, "verdictChecked": {"answer": "no", "degree": 8, '
+         '"reason": "DiagonalNegative", "k": 3}, "observedDegrees": [null, null, null], '
+         '"hfProfile": [], "mismatches": []}'),
+        ([[4, 2, 5], [1, -1, 2], [-2, -4, -1]], 11,
+         '{"seed": 11, "prime": 32003, "trials": 3, "verdictChecked": {"answer": "no", "degree": 2, '
+         '"reason": "DiagonalNegative", "k": 3}, "observedDegrees": [null, null, null], '
+         '"hfProfile": [], "mismatches": []}'),
+        ([[5, 6, 8, 9], [2, 3, 5, 6], [-2, -1, 1, 2], [-3, -2, 0, 1]], 6,
+         '{"seed": 6, "prime": 32003, "trials": 3, "verdictChecked": {"answer": "no", "degree": 10, '
+         '"reason": "SubdiagonalBlockDegree", "k": 3, "blockDegree": 2}, "observedDegrees": [10, 10, 10], '
+         '"hfProfile": [], "mismatches": []}'),
+        ([[5, 6, 8, 9, 11], [2, 3, 5, 6, 8], [1, 2, 4, 5, 7], [-4, -3, -1, 0, 2], [-5, -4, -2, -1, 1]], 14,
+         '{"seed": 14, "prime": 32003, "trials": 3, "verdictChecked": {"answer": "no", "degree": 13, '
+         '"reason": "SubdiagonalBlockDegree", "k": 4, "blockDegree": 1}, "observedDegrees": [13, 13, 13], '
+         '"hfProfile": [], "mismatches": []}'),
+    ])
+    def test_negative_squares(self, grid, seed, pin):
+        report = verify_representable(grid, trials=3, seed=seed)
+        assert json.dumps(report.to_json()) == pin
+
+    def test_subdiagonal_trials_that_run_in_full(self):
+        # at p = 7 a block vanishes at the direction of the lines of trials 1
+        # and 2, which then restrict at every node and lose degree
+        report = verify_representable([[2, 2, 4], [-1, -1, 1], [0, 0, 2]], trials=3, seed=0, prime=7)
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 0, "prime": 7, "trials": 3, "verdictChecked": {"answer": "no", "degree": 3, '
+            '"reason": "SubdiagonalBlockDegree", "k": 3, "blockDegree": 1}, "observedDegrees": [3, null, 2], '
+            '"hfProfile": [], "mismatches": []}'
+        )
+
+    def test_leading_block_degree_lost_on_every_line(self):
+        report = verify_representable([[1, 3], [-1, 1]], trials=2, seed=10, prime=11)
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 10, "prime": 11, "trials": 2, "verdictChecked": {"answer": "no", "degree": 2, '
+            '"reason": "SubdiagonalBlockDegree", "k": 2, "blockDegree": 1}, "observedDegrees": [1, 1], '
+            '"hfProfile": [], "mismatches": ["no trial realized the leading block degree 1"]}'
+        )
+
+    def test_negative_diagonal_subscheme(self):
+        report = verify_subscheme(dhb([[3, 3, 3], [3, 3, 3]]), 2, trials=2, seed=3)
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 3, "prime": 32003, "trials": 2, "verdictChecked": {"answer": "no", "degree": 2, '
+            '"reason": "DiagonalNegative", "k": 3, "insertedRowPosition": 3}, "observedDegrees": [null, null], '
+            '"hfProfile": [], "mismatches": []}'
         )
 
     def test_subscheme(self):
