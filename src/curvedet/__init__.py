@@ -12,6 +12,7 @@ from .decide import (
     CorollaryResult,
     Decision,
     census,
+    containment_profile,
     contains_subscheme,
     corollary_case,
     iter_dhb_matrices,
@@ -47,6 +48,7 @@ from .errors import (
     InvalidWitnessParameterError,
     NotHomogeneousError,
     NotMinimalError,
+    ScanBudgetError,
 )
 from .resolution import (
     BettiData,

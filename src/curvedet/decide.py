@@ -19,13 +19,16 @@ one kernel, `_decide_potentials`, checks them on the potentials (w, v).
 `representable` and `contains_subscheme`; `census` hands it the
 potentials of Q with the row's landed among them.  One rule,
 `degree_matrix._splice_row`, lands the row: below every row of Q whose
-shift b_i is >= d, so below ties.
+shift b_i is >= d, so below ties.  Between consecutive shifts the landing
+position is fixed, so `scan`, `containment_profile` and `stable_threshold`
+read the conditions in closed form off those intervals (`_landing_intervals`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -37,7 +40,13 @@ from .degree_matrix import (
     canonicalize,
     grid_from_potentials,
 )
-from .errors import CensusBudgetError, EmptySchemeDegenerateError, InvalidDHBError, NotMinimalError
+from .errors import (
+    CensusBudgetError,
+    EmptySchemeDegenerateError,
+    InvalidDHBError,
+    NotMinimalError,
+    ScanBudgetError,
+)
 from .resolution import betti_of_matrix, hilbert_function, scheme_degree
 
 REASON_OK = "OK"
@@ -49,6 +58,11 @@ REASON_SUBDIAGONAL = "SubdiagonalBlockDegree"
 #: A census costs 1.0-1.5 us per candidate on one 2.1 GHz Xeon core under
 #: Python 3.11, so a census at the budget runs for 10-15 s.
 CENSUS_BUDGET = 10**7
+
+#: The most cells (dmax times n) `scan` fills.  A scan costs about 4 us per
+#: degree on one 2.1 GHz Xeon core under Python 3.11, and the CLI `scan` 10 us
+#: and 0.75 KB of peak memory, so 10**6 degrees at n = 3 take 10 s and 750 MB.
+SCAN_BUDGET = 3 * 10**6
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,27 +289,110 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
     return CorollaryResult(build(True), "iii")
 
 
+def _landing_intervals(Q: DHBMatrix):
+    """Yield (lo, hi, p, own, lead) for each interval lo <= d <= hi of degrees
+    d >= 1 (hi None for the last) on which the row (d - a_j) lands in the
+    valid Q at 0-based position p, b_p < d <= b_{p-1}.  Only its own entries
+    d - a_p (diagonal) and d - a_{p-1} (subdiagonal, k = p + 1, lead = P_p)
+    can be negative there, besides Q's q[k-1][k-2] < 0 for k <= p, listed in
+    `own` as (k, P_{k-1}); the prefix sum P_i of Q's diagonal makes d - P_{k-1}
+    the trailing degree at k.
+    """
+    b = (*Q.shifts, 0)  # every shift is >= a_n >= 1, so the bottom interval starts at d = 1
+    prefix = [0, *accumulate(Q.diagonal)]
+    own = [(k, prefix[k - 1]) for k in range(2, Q.n) if Q.entries[k - 1][k - 2] < 0]
+    for p in range(Q.n - 1, -1, -1):
+        hi = b[p - 1] if p else None
+        if hi is None or b[p] < hi:
+            yield b[p] + 1, hi, p, [x for x in own if x[0] <= p], prefix[p]
+
+
+def containment_profile(Q: DHBMatrix) -> tuple[tuple[int, int | None], ...]:
+    """The degrees d >= 1 at which a general curve of degree d contains the
+    scheme Q presents, as sorted disjoint intervals (lo, hi), the last one
+    (lo, None) as containment holds for every d > b_1.  Valid for
+    non-minimal Q too; it reads the verdicts off `_landing_intervals`.
+    """
+    _require_valid(Q)
+    a = Q.minor_degrees
+    out: list[list] = []
+    for lo, hi, p, own, lead in _landing_intervals(Q):
+        lo = max(lo, a[p])  # below a_p the row's diagonal entry is negative
+        # below `below` the row's subdiagonal entry is negative, so its
+        # trailing degree d - lead must be 0 or d
+        below = a[p - 1] if p and lead else 0
+        forced = {P for _, P in own if P}  # d - P is never d here, so it must be 0: d = P
+        if len(forced) > 1:
+            continue
+        if forced:
+            (x,) = forced
+            pieces = [(x, x)] if lo <= x and (hi is None or x <= hi) and (x >= below or x == lead) else []
+        else:
+            start = max(lo, below)
+            pieces = [(lead, lead)] if lo <= lead < start and (hi is None or lead <= hi) else []
+            if hi is None or start <= hi:
+                pieces.append((start, hi))
+        for x, y in pieces:
+            if out and out[-1][1] == x - 1:
+                out[-1][1] = y
+            else:
+                out.append([x, y])
+    return tuple(map(tuple, out))
+
+
 def stable_threshold(Q: DHBMatrix) -> int:
     """Least degree from which containment holds for every larger degree.
 
     This is the least d at which the decision is yes and the Hilbert
     function has already reached the scheme degree; it never exceeds
-    b_1 (where both conditions are guaranteed).
+    b_1 (where both conditions are guaranteed).  The Hilbert function of a
+    valid presentation rises to the scheme degree by b_1 and then stays
+    there, so bisection over 1..b_1 finds the least t where it has reached
+    it, and the threshold is the first degree >= t of `containment_profile`.
     """
-    _require_valid(Q)
+    profile = containment_profile(Q)
     B = betti_of_matrix(Q)
     delta = scheme_degree(B)
-    for d in range(1, B.syz[0] + 1):
-        if hilbert_function(B, d) == delta and contains_subscheme(Q, d).verdict:
-            return d
-    raise AssertionError("unreachable: containment holds at d = b_1")
+    t = 1 + bisect_left(range(1, B.syz[0] + 1), True, key=lambda x: hilbert_function(B, x) == delta)
+    return next(max(x, t) for x, y in profile if y is None or y >= t)
 
 
 def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
-    """Decisions for every curve degree d = 1..dmax."""
+    """Decisions for every curve degree d = 1..dmax.
+
+    Each equals `contains_subscheme(Q, d)`, certificate included, but is
+    read off `_landing_intervals`.  Past SCAN_BUDGET cells (dmax times n)
+    it raises ScanBudgetError, deciding nothing.
+    """
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
-    return [(d, contains_subscheme(Q, d)) for d in range(1, dmax + 1)]
+    _require_valid(Q)
+    cells = dmax * Q.n
+    if cells > SCAN_BUDGET:
+        raise ScanBudgetError(f"scan to dmax = {dmax} over n = {Q.n} would fill {cells:,} cells, "
+                              f"over the budget of {SCAN_BUDGET:,}", cells=cells, budget=SCAN_BUDGET)
+    a = Q.minor_degrees
+    q = Q.entries
+    out = []
+    for lo, hi, p, own, lead in _landing_intervals(Q):
+        head, tail = q[:p], q[p:]
+        below = a[p - 1] if p else 0  # the row's subdiagonal entry d - a_{p-1} is negative below it
+        for d in range(lo, (dmax if hi is None else min(hi, dmax)) + 1):
+            square = head + (tuple([d - x for x in a]),) + tail
+            if d < a[p]:
+                out.append((d, Decision(False, REASON_DIAGONAL, d, square, p + 1, None, p + 1)))
+                continue
+            trailing = [(k, d - P) for k, P in own]
+            if d < below:
+                trailing.append((p + 1, d - lead))
+            k = e = None
+            for x, y in trailing:
+                if y and y != d:
+                    k, e = x, y
+                    break
+            reason = REASON_OK if k is None else REASON_SUBDIAGONAL
+            out.append((d, Decision(k is None, reason, d, square, k, e, p + 1, tuple(trailing))))
+    return out
 
 
 def _check_enumeration(n: int, bound: int) -> None:

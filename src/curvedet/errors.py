@@ -104,6 +104,12 @@ class CensusBudgetError(CurvedetError, ValueError):
     reason = "CensusBudgetExceeded"
 
 
+class ScanBudgetError(CurvedetError, ValueError):
+    """A scan would fill more cells (degrees times n) than its budget."""
+
+    reason = "ScanBudgetExceeded"
+
+
 class InvalidWitnessParameterError(CurvedetError, ValueError):
     """A witness trial count or prime the verification cannot work with."""
 

@@ -122,6 +122,17 @@ class TestCorollaryAndThreshold:
         answers = [entry["answer"] for entry in body["scan"]]
         assert answers == ["no", "no", "no", "yes", "no", "yes", "yes", "yes", "yes"]
 
+    def test_threshold_at_the_entry_bound(self, capsys):
+        # a bisection of the Hilbert function, not about 2 * 10^6 levels
+        assert run(["threshold", "--matrix", "[[1000000,1000000]]"]) == 0
+        assert capsys.readouterr().out == '{"threshold": 1999998}\n'
+
+    def test_scan_over_the_budget_is_refused_at_once(self, capsys):
+        code, body = invoke(capsys, "scan", "--matrix", "[[2,3,5],[1,2,4]]", "--dmax", "1000000000")
+        assert code == 1
+        assert body["error"] == "ScanBudgetExceeded"
+        assert (body["cells"], body["budget"]) == (3_000_000_000, 3_000_000)
+
 
 class TestResolutionCommands:
     def test_hf(self, capsys):

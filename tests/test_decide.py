@@ -14,8 +14,10 @@ from curvedet import (
     EmptySchemeDegenerateError,
     InvalidDHBError,
     NotMinimalError,
+    ScanBudgetError,
     canonicalize,
     census,
+    containment_profile,
     contains_subscheme,
     corollary_case,
     grid_from_potentials,
@@ -32,10 +34,12 @@ from curvedet.decide import (
     REASON_DIAGONAL,
     REASON_OK,
     REASON_SUBDIAGONAL,
+    SCAN_BUDGET,
     Decision,
     _census_candidates,
     _iter_potentials,
 )
+from curvedet.resolution import betti_of_matrix, hilbert_function, scheme_degree
 
 DEGREE8_GRID = [[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]]
 
@@ -274,6 +278,84 @@ class TestStableThreshold:
         t = stable_threshold(Q)
         for d in range(t, t + 5):
             assert contains_subscheme(Q, d).verdict
+
+
+def reference_stable_threshold(Q):
+    """`stable_threshold` as first written: a Hilbert-function sum and a
+    `contains_subscheme` call at every degree up to b_1."""
+    B = betti_of_matrix(Q)
+    delta = scheme_degree(B)
+    for d in range(1, B.syz[0] + 1):
+        if hilbert_function(B, d) == delta and contains_subscheme(Q, d).verdict:
+            return d
+    raise AssertionError("no threshold up to b_1")
+
+
+def in_profile(profile, d):
+    return any(lo <= d and (hi is None or d <= hi) for lo, hi in profile)
+
+
+class TestContainmentProfile:
+    def test_degree_22_scheme(self):
+        assert containment_profile(Q_61) == ((4, 4), (6, None))
+
+    def test_invalid_presentation_rejected(self):
+        with pytest.raises(InvalidDHBError):
+            containment_profile(dhb([[-1, 0, 0], [-2, -1, -1]]))
+
+    # every presentation of these enumerations, minimal or not, at every
+    # degree d = 1..b_1 + 3
+    @pytest.mark.parametrize("n, bound", [(2, 3), (3, 3), (4, 3), (5, 3), (6, 2)])
+    def test_scan_profile_and_threshold_match_the_procedure(self, n, bound):
+        for Q in iter_dhb_matrices(n, bound):
+            dmax = Q.shifts[0] + 3
+            expected = [(d, contains_subscheme(Q, d)) for d in range(1, dmax + 1)]
+            # Decision equality compares every field, the certificate included
+            assert scan(Q, dmax) == expected, Q.entries
+            for cut in {1, *Q.shifts}:
+                assert scan(Q, cut) == expected[:cut], (Q.entries, cut)
+            profile = containment_profile(Q)
+            for d, decision in expected:
+                assert in_profile(profile, d) == decision.verdict, (Q.entries, d, profile)
+            # sorted, disjoint and not adjacent, the last one unbounded
+            assert all(lo <= hi and hi + 1 < nxt for (lo, hi), (nxt, _) in zip(profile, profile[1:]))
+            assert profile[-1][1] is None
+            threshold = stable_threshold(Q)
+            assert threshold == reference_stable_threshold(Q), Q.entries
+            # the docstring's claim: containment holds at every degree from
+            # the threshold on
+            assert profile[-1][0] <= threshold, (Q.entries, profile, threshold)
+
+
+class TestScanBudget:
+    def test_rejects_before_deciding(self, monkeypatch):
+        def decide_anyway(*args):
+            raise AssertionError("scan decided past its budget")
+
+        monkeypatch.setattr(decide, "_landing_intervals", decide_anyway)
+        with pytest.raises(ScanBudgetError) as info:
+            scan(Q_61, 10**9)
+        assert info.value.payload() == {
+            "error": "ScanBudgetExceeded",
+            "message": "scan to dmax = 1000000000 over n = 3 would fill 3,000,000,000 cells, "
+            "over the budget of 3,000,000",
+            "cells": 3 * 10**9,
+            "budget": SCAN_BUDGET,
+        }
+
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(decide, "SCAN_BUDGET", 27)
+        assert len(scan(Q_61, 9)) == 9  # 27 cells, at the budget
+        monkeypatch.setattr(decide, "SCAN_BUDGET", 29)
+        with pytest.raises(ScanBudgetError) as info:
+            scan(Q_61, 10)  # 30 cells, one past it
+        assert (info.value.cells, info.value.budget) == (30, 29)
+
+    def test_argument_errors_come_first(self):
+        with pytest.raises(ValueError, match="dmax must be >= 1, got 0"):
+            scan(Q_61, 0)
+        with pytest.raises(InvalidDHBError):
+            scan(dhb([[-1, 0, 0], [-2, -1, -1]]), 10**9)
 
 
 class TestConditionTwoSymmetry:
