@@ -16,7 +16,7 @@ import sys
 
 from . import decide, resolution, series, witness
 from .degree_matrix import DHBMatrix, canonicalize
-from .errors import CurvedetError
+from .errors import CurvedetError, ScanBudgetError
 
 
 class InputError(Exception):
@@ -110,12 +110,17 @@ def _cmd_hf(args):
     gens = _check_int_list(_parse_json(args.gens, "--gens"), "/gens")
     syz = _check_int_list(_parse_json(args.syz, "--syz"), "/syz") if args.syz else []
     B = resolution.BettiData.of(gens, syz)
-    tmax = args.tmax if args.tmax is not None else max(resolution.stabilization_bound(B) + 1, 0)
+    delta, bound = resolution.scheme_degree(B), resolution.stabilization_bound(B)
+    tmax = args.tmax if args.tmax is not None else max(bound + 1, 0)
+    cells, budget = (tmax + 1) * B.n, decide.SCAN_BUDGET
+    if cells > budget:
+        raise ScanBudgetError(f"hf to tmax = {tmax} over n = {B.n} would fill {cells:,} cells, "
+                              f"over the budget of {budget:,}", cells=cells, budget=budget)
     return {
         "gens": list(B.gens),
         "syz": list(B.syz),
-        "delta": resolution.scheme_degree(B),
-        "stabilizationBound": resolution.stabilization_bound(B),
+        "delta": delta,
+        "stabilizationBound": bound,
         "hf": [
             {"t": t, "hf": resolution.hilbert_function(B, t), "h0": resolution.h0_ideal(B, t)}
             for t in range(tmax + 1)

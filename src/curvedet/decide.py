@@ -20,14 +20,14 @@ one kernel, `_decide_potentials`, checks them on the potentials (w, v).
 potentials of Q with the row's landed among them.  One rule,
 `degree_matrix._splice_row`, lands the row: below every row of Q whose
 shift b_i is >= d, so below ties.  Between consecutive shifts the landing
-position is fixed, so `scan`, `containment_profile` and `stable_threshold`
-read the conditions in closed form off those intervals (`_landing_intervals`).
+position is fixed (`_landing_intervals`): `scan` splices the row there and
+decides through `_decide_entries`; `containment_profile` and
+`stable_threshold` read the verdicts in closed form off those intervals.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
 from math import comb
 from typing import Iterator, NamedTuple
@@ -59,14 +59,15 @@ REASON_SUBDIAGONAL = "SubdiagonalBlockDegree"
 #: Python 3.11, so a census at the budget runs for 10-15 s.
 CENSUS_BUDGET = 10**7
 
-#: The most cells (dmax times n) `scan` fills.  A scan costs about 4 us per
-#: degree on one 2.1 GHz Xeon core under Python 3.11, and the CLI `scan` 10 us
-#: and 0.75 KB of peak memory, so 10**6 degrees at n = 3 take 10 s and 750 MB.
+#: The most cells (degrees times n) `scan` and the CLI `hf` fill.  A scan costs
+#: about 4 us per degree on one 2.1 GHz Xeon core under Python 3.11, and the CLI
+#: `scan` 10 us and 0.75 KB of peak memory, so 10**6 degrees at n = 3 take 10 s
+#: and 750 MB.  The CLI `hf` costs about 3.6 us and 0.17 KB per cell (t times n),
+#: so 11 s and 520 MB at the budget.
 SCAN_BUDGET = 3 * 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Decision(NamedTuple):
     """Verdict with a machine-checkable certificate.
 
     `normalized` is the canonical well-ordered square the conditions
@@ -221,11 +222,12 @@ class CorollaryResult(NamedTuple):
 
 
 def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
-    """Fast-path decision from generator/syzygy degrees alone.
+    """Decision from generator/syzygy degrees alone.
 
-    Requires a numerically minimal Q.  With a = minor degrees and
-    b = shifts, the inserted complementary row lands by the size of d
-    relative to the b's:
+    Only the verdict, k, e and the case are closed form; the certificate
+    comes from the insertion square through the kernel.  Requires a
+    numerically minimal Q.  With a = minor degrees and b = shifts, the
+    inserted complementary row lands by the size of d relative to the b's:
 
     - case i   (d >= b_1): always yes;
     - case ii  (d < b_{n-1}): yes iff (d = a_n or d >= a_{n-1}) and, for
@@ -290,38 +292,39 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
 
 
 def _landing_intervals(Q: DHBMatrix):
-    """Yield (lo, hi, p, own, lead) for each interval lo <= d <= hi of degrees
-    d >= 1 (hi None for the last) on which the row (d - a_j) lands in the
-    valid Q at 0-based position p, b_p < d <= b_{p-1}.  Only its own entries
-    d - a_p (diagonal) and d - a_{p-1} (subdiagonal, k = p + 1, lead = P_p)
-    can be negative there, besides Q's q[k-1][k-2] < 0 for k <= p, listed in
-    `own` as (k, P_{k-1}); the prefix sum P_i of Q's diagonal makes d - P_{k-1}
-    the trailing degree at k.
+    """Yield (lo, hi, p) for each interval lo <= d <= hi of degrees d >= 1
+    (hi None for the last) on which `_splice_row` lands the row (d - a_j)
+    in the valid Q at 0-based position p: below the p shifts b_i >= d, so
+    b_p < d <= b_{p-1}.
     """
     b = (*Q.shifts, 0)  # every shift is >= a_n >= 1, so the bottom interval starts at d = 1
-    prefix = [0, *accumulate(Q.diagonal)]
-    own = [(k, prefix[k - 1]) for k in range(2, Q.n) if Q.entries[k - 1][k - 2] < 0]
     for p in range(Q.n - 1, -1, -1):
         hi = b[p - 1] if p else None
         if hi is None or b[p] < hi:
-            yield b[p] + 1, hi, p, [x for x in own if x[0] <= p], prefix[p]
+            yield b[p] + 1, hi, p
 
 
 def containment_profile(Q: DHBMatrix) -> tuple[tuple[int, int | None], ...]:
     """The degrees d >= 1 at which a general curve of degree d contains the
     scheme Q presents, as sorted disjoint intervals (lo, hi), the last one
     (lo, None) as containment holds for every d > b_1.  Valid for
-    non-minimal Q too; it reads the verdicts off `_landing_intervals`.
+    non-minimal Q too.  With the row landed at p, only its own d - a_p
+    (diagonal) and d - a_{p-1} (subdiagonal, k = p + 1) can be negative,
+    besides Q's q[k-1][k-2] < 0 for k <= p, listed in `own` as (k, P_{k-1}):
+    with P the prefix sums of Q's diagonal, d - P_{k-1} is the trailing degree.
     """
     _require_valid(Q)
     a = Q.minor_degrees
+    prefix = [0, *accumulate(Q.diagonal)]
+    own = [(k, prefix[k - 1]) for k in range(2, Q.n) if Q.entries[k - 1][k - 2] < 0]
     out: list[list] = []
-    for lo, hi, p, own, lead in _landing_intervals(Q):
+    for lo, hi, p in _landing_intervals(Q):
+        lead = prefix[p]
         lo = max(lo, a[p])  # below a_p the row's diagonal entry is negative
         # below `below` the row's subdiagonal entry is negative, so its
         # trailing degree d - lead must be 0 or d
         below = a[p - 1] if p and lead else 0
-        forced = {P for _, P in own if P}  # d - P is never d here, so it must be 0: d = P
+        forced = {P for k, P in own if k <= p and P}  # d - P is never d here, so it must be 0: d = P
         if len(forced) > 1:
             continue
         if forced:
@@ -360,9 +363,10 @@ def stable_threshold(Q: DHBMatrix) -> int:
 def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
     """Decisions for every curve degree d = 1..dmax.
 
-    Each equals `contains_subscheme(Q, d)`, certificate included, but is
-    read off `_landing_intervals`.  Past SCAN_BUDGET cells (dmax times n)
-    it raises ScanBudgetError, deciding nothing.
+    Each is `contains_subscheme(Q, d)`: the row is spliced at the landing
+    position `_landing_intervals` gives and the square decided through
+    `_decide_entries`.  Past SCAN_BUDGET cells (dmax times n) it raises
+    ScanBudgetError, deciding nothing.
     """
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
@@ -374,24 +378,10 @@ def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
     a = Q.minor_degrees
     q = Q.entries
     out = []
-    for lo, hi, p, own, lead in _landing_intervals(Q):
+    for lo, hi, p in _landing_intervals(Q):
         head, tail = q[:p], q[p:]
-        below = a[p - 1] if p else 0  # the row's subdiagonal entry d - a_{p-1} is negative below it
         for d in range(lo, (dmax if hi is None else min(hi, dmax)) + 1):
-            square = head + (tuple([d - x for x in a]),) + tail
-            if d < a[p]:
-                out.append((d, Decision(False, REASON_DIAGONAL, d, square, p + 1, None, p + 1)))
-                continue
-            trailing = [(k, d - P) for k, P in own]
-            if d < below:
-                trailing.append((p + 1, d - lead))
-            k = e = None
-            for x, y in trailing:
-                if y and y != d:
-                    k, e = x, y
-                    break
-            reason = REASON_OK if k is None else REASON_SUBDIAGONAL
-            out.append((d, Decision(k is None, reason, d, square, k, e, p + 1, tuple(trailing))))
+            out.append((d, _decide_entries(head + (tuple([d - x for x in a]),) + tail, d, p + 1)))
     return out
 
 

@@ -105,7 +105,8 @@ class CensusBudgetError(CurvedetError, ValueError):
 
 
 class ScanBudgetError(CurvedetError, ValueError):
-    """A scan would fill more cells (degrees times n) than its budget."""
+    """A scan or an hf table would fill more cells (degrees times n) than
+    the scan budget."""
 
     reason = "ScanBudgetExceeded"
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import curvedet
-from curvedet import witness
+from curvedet import decide, resolution, witness
 from curvedet.cli import _render_table, run
 
 SRC = str(Path(curvedet.__file__).resolve().parents[1])
@@ -144,6 +145,49 @@ class TestResolutionCommands:
         assert body["stabilizationBound"] == 7
         assert body["hf"][4] == {"t": 4, "hf": 14, "h0": 1}
         assert body["hf"][7]["hf"] == 22
+
+    @pytest.mark.parametrize("argv, tmax, cells", [
+        (["--gens", "[2,2]", "--syz", "[4]", "--tmax", "1000000000"], "1000000000", "2,000,000,002"),
+        # the default tmax is b_1 - 1
+        (["--gens", "[1000000000,1000000000]", "--syz", "[2000000000]"], "1999999999", "4,000,000,000"),
+    ])
+    def test_hf_over_the_budget_is_refused_at_once(self, capsys, monkeypatch, argv, tmax, cells):
+        def tabulate_anyway(*args):
+            raise AssertionError("hf tabulated past its budget")
+
+        monkeypatch.setattr(resolution, "hilbert_function", tabulate_anyway)
+        code, body = invoke(capsys, "hf", *argv)
+        assert code == 1
+        assert body == {
+            "error": "ScanBudgetExceeded",
+            "message": f"hf to tmax = {tmax} over n = 2 would fill {cells} cells, over the budget of 3,000,000",
+            "cells": int(cells.replace(",", "")),
+            "budget": decide.SCAN_BUDGET,
+        }
+
+    def test_hf_budget_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(decide, "SCAN_BUDGET", 27)
+        code, body = invoke(capsys, "hf", "--gens", "[7,6,4]", "--syz", "[9,8]")
+        assert code == 0 and len(body["hf"]) == 9  # the default tmax 8 over n = 3: 27 cells, at the budget
+        monkeypatch.setattr(decide, "SCAN_BUDGET", 26)
+        code, body = invoke(capsys, "hf", "--gens", "[7,6,4]", "--syz", "[9,8]")
+        assert code == 1 and (body["cells"], body["budget"]) == (27, 26)
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--gens", "[2,2]", "--syz", "[5]", "--tmax", "1000000000"], "InvalidResolution"),
+        (["--gens", "[2,2]", "--syz", "[4,4]", "--tmax", "1000000000"], "InvalidResolution"),
+        (["--gens", "[2,2.5]", "--syz", "[4]", "--tmax", "1000000000"], "InputError"),
+    ])
+    def test_hf_input_errors_come_before_the_budget(self, capsys, argv, error):
+        code, body = invoke(capsys, "hf", *argv)
+        assert code == 1 and body["error"] == error
+
+    def test_the_readme_hf_calls_are_within_the_budget(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        calls = [shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("curvedet hf ")]
+        assert calls
+        for argv in calls:
+            assert run(argv) == 0, argv
 
     def test_betti_from_hf(self, capsys):
         code, body = invoke(capsys, "betti-from-hf", "--h", "[1,2,3,4,5,3,2]")

@@ -1,7 +1,6 @@
 """Decision procedures: representability, containment, fast paths, thresholds."""
 
 import json
-from dataclasses import fields
 from itertools import combinations_with_replacement
 
 import pytest
@@ -570,8 +569,28 @@ class TestDecisionKernel:
         M, _, _ = canonicalize(grid)
         got = representable(grid)
         expected = reference_decide_entries(M.entries, M.degree)
-        for field in fields(Decision):
-            assert getattr(got, field.name) == getattr(expected, field.name), field.name
+        for name in Decision._fields:
+            assert getattr(got, name) == getattr(expected, name), name
+
+
+class TestDecisionRecord:
+    def test_repr_hash_immutability_and_json(self):
+        # the README's d = 5 decision
+        decision = contains_subscheme(Q_61, 5)
+        assert repr(decision) == (
+            "Decision(verdict=False, reason='SubdiagonalBlockDegree', degree=5, "
+            "normalized=((2, 3, 5), (1, 2, 4), (-2, -1, 1)), k=3, block_degree=1, "
+            "inserted_row_position=3, trailing_degrees=((3, 1),))"
+        )
+        again = scan(Q_61, 5)[-1][1]
+        assert again == decision and again is not decision
+        assert hash(again) == hash(decision)
+        with pytest.raises(AttributeError):
+            decision.verdict = True
+        assert json.dumps(decision.to_json()).encode() == (
+            b'{"answer": "no", "degree": 5, "reason": "SubdiagonalBlockDegree", '
+            b'"k": 3, "blockDegree": 1, "insertedRowPosition": 3}'
+        )
 
 
 class TestDecisionInvariance:
