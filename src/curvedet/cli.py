@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import decide, resolution, series, witness
+from . import decide, resolution
 from .degree_matrix import DHBMatrix, canonicalize
 from .errors import CurvedetError, ScanBudgetError
 
@@ -135,6 +135,8 @@ def _cmd_betti_from_hf(args):
 
 
 def _cmd_series(args):
+    from . import series
+
     props = []
     if args.properties:
         raw = _parse_json(args.properties, "--properties")
@@ -156,15 +158,18 @@ def _cmd_series(args):
 
 
 def _cmd_witness(args):
+    from . import witness
+
     grid = _matrix_arg(args)
     rows, cols = len(grid), len(grid[0])
+    prime = witness.DEFAULT_PRIME if args.prime is None else args.prime
     if rows == cols:
-        report = witness.verify_representable(grid, trials=args.trials, seed=args.seed, prime=args.prime)
+        report = witness.verify_representable(grid, trials=args.trials, seed=args.seed, prime=prime)
     elif rows + 1 == cols:
         if args.degree is None:
             raise InputError("--degree is required for an (n-1) x n matrix")
         report = witness.verify_subscheme(
-            _as_dhb(grid), args.degree, trials=args.trials, seed=args.seed, prime=args.prime
+            _as_dhb(grid), args.degree, trials=args.trials, seed=args.seed, prime=prime
         )
     else:
         raise InputError(f"/matrix: expected n x n or (n-1) x n, got {rows} x {cols}")
@@ -269,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, help="curve degree (required for (n-1) x n input)")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prime", type=int, default=witness.DEFAULT_PRIME)
+    p.add_argument("--prime", type=int)  # None: witness.DEFAULT_PRIME
     p.set_defaults(func=_cmd_witness)
 
     p = add("enumerate", "census of containment decisions over bounded matrices")

@@ -28,7 +28,6 @@ indices in their new order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IncompatibleRowError, NotHomogeneousError
@@ -109,13 +108,49 @@ def transversal_degree(grid) -> int:
     return sum(rows[i][i] for i in range(len(rows)))
 
 
-@dataclass(frozen=True)
-class DegreeMatrix:
+class _Record:
+    """An immutable record of the attributes named in `_fields`.
+
+    Instances of the same class compare and hash by those values, in
+    order; the repr lists them; assigning or deleting an attribute raises
+    AttributeError.  A `cached_property` still caches, since it writes
+    the instance dict directly, and copy and pickle restore that dict.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DegreeMatrix(_Record):
     """A homogeneous integer grid, stored as its entries only (checked when built)."""
 
-    entries: Grid
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: Grid):
+        object.__setattr__(self, "entries", entries)
+        self._check()
+
+    def _check(self):
         _check_homogeneous(self.entries)
 
     @classmethod
@@ -125,7 +160,7 @@ class DegreeMatrix:
     @classmethod
     def _trusted(cls, entries: Grid) -> "DegreeMatrix":
         """Wrap entries that are already known to be a valid grid of this
-        shape, skipping `__post_init__`."""
+        shape, skipping `_check`."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "entries", entries)
         return matrix
@@ -151,12 +186,11 @@ class DegreeMatrix:
         )
 
 
-@dataclass(frozen=True)
 class WellOrderedSquare(DegreeMatrix):
     """A well-ordered homogeneous n x n grid and its degree."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
+        super()._check()
         if self.rows != self.cols:
             raise ValueError("expected a square grid")
         if not self.is_well_ordered():
@@ -171,7 +205,6 @@ class WellOrderedSquare(DegreeMatrix):
         return sum(self.diagonal)
 
 
-@dataclass(frozen=True)
 class DHBMatrix(DegreeMatrix):
     """A well-ordered homogeneous (n-1) x n degree Hilbert-Burch candidate.
 
@@ -182,8 +215,8 @@ class DHBMatrix(DegreeMatrix):
     exactly when the diagonal is non-negative and not identically zero.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
+        super()._check()
         if self.rows + 1 != self.cols:
             raise ValueError(f"expected an (n-1) x n grid, got {self.rows} x {self.cols}")
         if not self.is_well_ordered():

@@ -111,6 +111,12 @@ class ScanBudgetError(CurvedetError, ValueError):
     reason = "ScanBudgetExceeded"
 
 
+class WitnessBudgetError(CurvedetError, ValueError):
+    """A witness would draw and tabulate more residues than its budget."""
+
+    reason = "WitnessBudgetExceeded"
+
+
 class InvalidWitnessParameterError(CurvedetError, ValueError):
     """A witness trial count or prime the verification cannot work with."""
 

@@ -11,9 +11,8 @@ incidence-variety dimension counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .degree_matrix import DHBMatrix, grid_from_potentials
+from .degree_matrix import DHBMatrix, _Record, grid_from_potentials
 from .errors import (
     DegenerateEmptyError,
     InadmissibleHVectorError,
@@ -26,14 +25,14 @@ def plane_dim(x: int) -> int:
     return (x + 2) * (x + 1) // 2 if x >= 0 else 0
 
 
-@dataclass(frozen=True)
-class BettiData:
+class BettiData(_Record):
     """Generator degrees (n values) and syzygy degrees (n-1 values), non-increasing."""
 
-    gens: tuple[int, ...]
-    syz: tuple[int, ...]
+    _fields = ("gens", "syz")
 
-    def __post_init__(self):
+    def __init__(self, gens: tuple[int, ...], syz: tuple[int, ...]):
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "syz", syz)
         if len(self.gens) != len(self.syz) + 1:
             raise InvalidResolutionError(
                 f"need one more generator than syzygies, got {len(self.gens)} and {len(self.syz)}"

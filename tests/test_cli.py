@@ -321,6 +321,21 @@ class TestWitnessCommand:
             "message": "cofactor expansion budget is n <= 6, got n = 7",
         }
 
+    @pytest.mark.parametrize("matrix", [
+        "[[1000000,1000000],[1000000,1000000]]",  # an OverflowError in the sampling before
+        "[[3000,3000],[3000,3000]]",  # a MemoryError in the monomial tables before
+        "[[3000,3000,3000],[3000,3000,3000]]",
+    ])
+    def test_a_witness_over_its_budget_is_refused(self, capsys, monkeypatch, matrix):
+        monkeypatch.setattr(witness, "sample_matrix", lambda *args: pytest.fail("sampled"))
+        code, body = invoke(
+            capsys, "witness", "--matrix", matrix, "--degree", "9000", "--prime", "2147483629",
+            "--trials", "1",
+        )
+        assert code == 1
+        assert body["error"] == "WitnessBudgetExceeded"
+        assert body["estimate"] > body["budget"] == witness.WITNESS_BUDGET
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     @pytest.mark.parametrize("matrix", ["[[1,1],[1,1]]", "[[1,1,1],[1,1,1]]"])
     def test_trials_must_be_positive(self, capsys, matrix, trials):
@@ -332,15 +347,42 @@ class TestWitnessCommand:
         assert (body["parameter"], body["value"]) == ("trials", int(trials))
 
 
+# the README's call of each command that only decides or counts
+DECISION_COMMANDS = [
+    ["check-representable", "--matrix", "[[0,1,10,11],[-1,0,9,10],[-5,-4,5,6],[-8,-7,2,3]]"],
+    ["check-subscheme", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "5"],
+    ["corollary", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "9"],
+    ["threshold", "--matrix", "[[2,3,5],[1,2,4]]"],
+    ["scan", "--matrix", "[[2,3,5],[1,2,4]]", "--dmax", "9"],
+    ["hf", "--gens", "[7,6,4]", "--syz", "[9,8]", "--tmax", "8"],
+    ["betti-from-hf", "--h", "[1,2,3,4,5,3,2]"],
+    ["enumerate", "--n", "3", "--degree", "4", "--bound", "3", "--minimal"],
+]
+
+
 class TestLazyNumpy:
     @staticmethod
-    def _loads_numpy(code: str) -> bool:
-        probe = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+    def _loaded(code: str, modules) -> list[str]:
+        """Which of `modules` a fresh interpreter has loaded after `code`."""
+        probe = f"import sys\n{code}\nprint(*[m in sys.modules for m in {list(modules)!r}])"
         out = subprocess.run(
             [sys.executable, "-c", probe],
             env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
         ).stdout
-        return out.strip().splitlines()[-1] == "True"
+        flags = out.strip().splitlines()[-1].split()
+        return [m for m, flag in zip(modules, flags) if flag == "True"]
+
+    @classmethod
+    def _loads_numpy(cls, code: str) -> bool:
+        return cls._loaded(code, ["numpy"]) == ["numpy"]
+
+    @pytest.mark.parametrize("argv", DECISION_COMMANDS, ids=[argv[0] for argv in DECISION_COMMANDS])
+    def test_a_decision_command_loads_only_what_it_runs(self, argv):
+        loaded = self._loaded(
+            f"from curvedet import cli\nassert cli.run({argv!r}) == 0",
+            ["curvedet.series", "curvedet.witness", "dataclasses", "numpy"],
+        )
+        assert loaded == []
 
     def test_decisions_do_not_load_numpy(self):
         assert not self._loads_numpy(

@@ -1,7 +1,9 @@
 """Degree-matrix algebra: potentials, ordering, minors, row surgery."""
 
+import copy
 import functools
 import itertools
+import pickle
 import pydoc
 import sys
 import threading
@@ -12,11 +14,13 @@ from hypothesis import strategies as st
 
 from curvedet import degree_matrix
 from curvedet import (
+    BettiData,
     DegreeMatrix,
     DHBMatrix,
     IncompatibleRowError,
     NotHomogeneousError,
     WellOrderedSquare,
+    betti_of_matrix,
     canonicalize,
     erase_row,
     generic_betti,
@@ -428,6 +432,49 @@ class TestCachedInvariants:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert seen == [expected] * len(threads)
+
+
+class TestRecords:
+    def test_value_semantics_immutability_copy_and_pickle(self):
+        # the README's presentation and degree-8 square
+        Q = canonicalize([[2, 3, 5], [1, 2, 4]])[0]
+        M = canonicalize(DEGREE8_GRID)[0]
+        B = betti_of_matrix(Q)
+        assert repr(Q) == "DHBMatrix(entries=((2, 3, 5), (1, 2, 4)))"
+        assert repr(M) == (
+            "WellOrderedSquare(entries=((0, 1, 10, 11), (-1, 0, 9, 10), (-5, -4, 5, 6), (-8, -7, 2, 3)))"
+        )
+        assert repr(B) == "BettiData(gens=(7, 6, 4), syz=(9, 8))"
+        for record, fields in ((Q, (Q.entries,)), (M, (M.entries,)), (B, (B.gens, B.syz))):
+            again = type(record)(*fields)
+            assert again == record and again is not record
+            assert hash(again) == hash(record) == hash(fields)
+            assert record != fields
+        assert B == BettiData.of([4, 6, 7], [8, 9]) != BettiData((7, 6, 4), (9, 7))
+
+        # the three DegreeMatrix classes never compare equal, even on one grid
+        grids = {cls: cls(Q.entries) for cls in (DegreeMatrix, DHBMatrix)}
+        grids[WellOrderedSquare] = M
+        assert DegreeMatrix(M.entries) != M and M != DegreeMatrix(M.entries)
+        assert grids[DegreeMatrix] != grids[DHBMatrix] and grids[DHBMatrix] != grids[DegreeMatrix]
+
+        for record, name in ((Q, "entries"), (Q, "minor_degrees"), (M, "degree"), (B, "gens")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, ())
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert (Q.entries, Q.minor_degrees, M.degree, B.gens) == (
+            ((2, 3, 5), (1, 2, 4)), (7, 6, 4), 8, (7, 6, 4))
+
+        fresh = DHBMatrix(Q.entries)
+        for round_trip in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            for record in (Q, fresh, M, B):
+                again = round_trip(record)
+                assert type(again) is type(record)
+                assert again == record and hash(again) == hash(record) and repr(again) == repr(record)
+            again = round_trip(fresh)
+            assert (again.minor_degrees, again.shifts) == ((7, 6, 4), (9, 8))
+            assert vars(again)["minor_degrees"] == (7, 6, 4)
 
 
 class TestInsertRow:

@@ -18,6 +18,7 @@ from curvedet import (
     FieldTooSmallError,
     Form,
     InvalidWitnessParameterError,
+    WitnessBudgetError,
     canonicalize,
     contains_subscheme,
     det_degree_on_lines,
@@ -704,6 +705,57 @@ class TestVerifySubscheme:
         report = verify_subscheme(Q, 4, trials=1, seed=8)
         for entry in report.hf_profile:
             assert entry["predicted"] == hilbert_function(B, entry["t"])
+
+
+class TestWitnessBudget:
+    """The work estimate, checked with the budget patched; nothing large is sampled."""
+
+    # (call, its estimate): per trial, the coefficients of the sampled square
+    # plus the monomial values of degree <= top at each tabulated point
+    CASES = [
+        # the README's degree-8 square: d = 8, top 11, tables at 9 nodes
+        (lambda: verify_representable(
+            [[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]], trials=3),
+         3 * ((1 + 3 + 66 + 78) + (1 + 55 + 66) + (21 + 28) + (6 + 10) + 9 * math.comb(14, 3))),
+        # the README's yes at d = 4: Q, an inserted row (-3, -2, 0), minors of degree <= 7 at 3 points
+        (lambda: verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=2),
+         2 * (6 + 10 + 21 + 3 + 6 + 15 + 1 + 3 * math.comb(10, 3))),
+        # the README's no at d = 5, witnessed on its square (third row -2, -1, 1):
+        # top 5, tables at 6 nodes
+        (lambda: verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 5, trials=4),
+         4 * (6 + 10 + 21 + 3 + 6 + 15 + 3 + 6 * math.comb(8, 3))),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_a_witness_at_its_estimate_runs_and_one_above_is_refused_before_sampling(
+        self, monkeypatch, index
+    ):
+        call, estimate = self.CASES[index]
+        expected = call().to_json()
+        monkeypatch.setattr(witness, "WITNESS_BUDGET", estimate)
+        assert call().to_json() == expected
+        monkeypatch.setattr(witness, "WITNESS_BUDGET", estimate - 1)
+        monkeypatch.setattr(witness, "sample_matrix", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(WitnessBudgetError) as info:
+            call()
+        assert (info.value.estimate, info.value.budget) == (estimate, estimate - 1)
+        assert info.value.payload()["error"] == "WitnessBudgetExceeded"
+
+    def test_the_estimate_grows_with_the_trials(self, monkeypatch):
+        _, estimate = self.CASES[0]
+        monkeypatch.setattr(witness, "WITNESS_BUDGET", 0)
+        monkeypatch.setattr(witness, "sample_matrix", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(WitnessBudgetError) as info:
+            verify_representable([[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]],
+                                 trials=3 * 10**9)
+        assert info.value.estimate == estimate * 10**9
+
+    def test_parameter_and_field_errors_come_first(self, monkeypatch):
+        monkeypatch.setattr(witness, "WITNESS_BUDGET", 0)
+        with pytest.raises(InvalidWitnessParameterError):
+            verify_representable([[1, 1], [1, 1]], trials=0)
+        with pytest.raises(FieldTooSmallError):
+            verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, prime=3)
 
 
 def sparse_form(m: int, p: int, seed: int, density: float) -> Form:
