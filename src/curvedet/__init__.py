@@ -58,6 +58,7 @@ from .errors import (
     NotHomogeneousError,
     NotMinimalError,
     ScanBudgetError,
+    SeriesBudgetError,
     WitnessBudgetError,
 )
 from .resolution import (

@@ -113,11 +113,19 @@ class _Record:
 
     Instances of the same class compare and hash by those values, in
     order; the repr lists them; assigning or deleting an attribute raises
-    AttributeError.  A `cached_property` still caches, since it writes
-    the instance dict directly, and copy and pickle restore that dict.
+    AttributeError.  `__init__` checks its arguments, then stores them
+    with `_set`.  A `cached_property` still caches, since it writes the
+    instance dict directly, and copy and pickle restore that dict.  Every
+    value class of the package is a `_Record` except `Decision` and
+    `CorollaryResult`: the decision loops build those by the million, and
+    a NamedTuple costs half as much to build.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        """Store `values` as the fields, in `_fields` order."""
+        self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -147,7 +155,7 @@ class DegreeMatrix(_Record):
     _fields = ("entries",)
 
     def __init__(self, entries: Grid):
-        object.__setattr__(self, "entries", entries)
+        self._set(entries)
         self._check()
 
     def _check(self):
@@ -162,7 +170,7 @@ class DegreeMatrix(_Record):
         """Wrap entries that are already known to be a valid grid of this
         shape, skipping `_check`."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", entries)
+        matrix._set(entries)
         return matrix
 
     @property

@@ -111,6 +111,12 @@ class ScanBudgetError(CurvedetError, ValueError):
     reason = "ScanBudgetExceeded"
 
 
+class SeriesBudgetError(CurvedetError, ValueError):
+    """A series enumeration pops more h-vector prefixes than its budget."""
+
+    reason = "SeriesBudgetExceeded"
+
+
 class WitnessBudgetError(CurvedetError, ValueError):
     """A witness would draw and tabulate more residues than its budget."""
 

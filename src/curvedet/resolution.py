@@ -31,16 +31,15 @@ class BettiData(_Record):
     _fields = ("gens", "syz")
 
     def __init__(self, gens: tuple[int, ...], syz: tuple[int, ...]):
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "syz", syz)
-        if len(self.gens) != len(self.syz) + 1:
+        if len(gens) != len(syz) + 1:
             raise InvalidResolutionError(
-                f"need one more generator than syzygies, got {len(self.gens)} and {len(self.syz)}"
+                f"need one more generator than syzygies, got {len(gens)} and {len(syz)}"
             )
-        if any(self.gens[i] < self.gens[i + 1] for i in range(len(self.gens) - 1)) or any(
-            self.syz[i] < self.syz[i + 1] for i in range(len(self.syz) - 1)
+        if any(gens[i] < gens[i + 1] for i in range(len(gens) - 1)) or any(
+            syz[i] < syz[i + 1] for i in range(len(syz) - 1)
         ):
             raise InvalidResolutionError("degrees must be sorted non-increasing")
+        self._set(gens, syz)
 
     @classmethod
     def of(cls, gens, syz) -> "BettiData":

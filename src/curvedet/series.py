@@ -13,10 +13,9 @@ divisor.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 from .decide import contains_subscheme
-from .errors import InfeasibleQueryError
+from .degree_matrix import _Record
+from .errors import InfeasibleQueryError, SeriesBudgetError
 from .resolution import (
     BettiData,
     generic_betti,
@@ -29,6 +28,12 @@ from .resolution import (
 NONSPECIAL = "nonspecial"
 EFFECTIVE = "effective"
 
+#: The most h-vector prefixes `enumerate_hvectors` pops before it refuses with
+#: SeriesBudgetError.  No cheap count of them is known in advance, so the
+#: loop counts.  A pop costs 2.6-3.2 us on one Xeon core under Python 3.11 and
+#: rows are about 2 % of pops, so the budget is 8-10 s of enumeration.
+SERIES_BUDGET = 3 * 10**6
+
 
 def genus(d: int) -> int:
     """Genus of a smooth plane curve of degree d: (d-1)(d-2)/2."""
@@ -37,54 +42,48 @@ def genus(d: int) -> int:
     return (d - 1) * (d - 2) // 2
 
 
-@dataclass(frozen=True)
-class ShiftedProperty:
+class ShiftedProperty(_Record):
     """A property of the shifted divisor D + zH.
 
     kind "nonspecial": D + zH is non-special (its speciality index is 0).
     kind "effective": D + zH is linearly equivalent to an effective divisor.
     """
 
-    z: int
-    kind: str
+    _fields = ("z", "kind")
 
-    def __post_init__(self):
-        if self.kind not in (NONSPECIAL, EFFECTIVE):
-            raise ValueError(f"unknown property kind {self.kind!r}")
+    def __init__(self, z: int, kind: str):
+        if kind not in (NONSPECIAL, EFFECTIVE):
+            raise ValueError(f"unknown property kind {kind!r}")
+        self._set(z, kind)
 
 
-@dataclass(frozen=True)
-class SeriesQuery:
+class SeriesQuery(_Record):
     """Does a general curve of degree d carry a complete series g^r_delta
     whose divisors satisfy the given shifted properties?"""
 
-    curve_degree: int
-    divisor_degree: int
-    series_dim: int
-    properties: tuple[ShiftedProperty, ...] = ()
+    _fields = ("curve_degree", "divisor_degree", "series_dim", "properties")
 
-    def __post_init__(self):
-        if self.curve_degree < 4:
+    def __init__(self, curve_degree: int, divisor_degree: int, series_dim: int, properties: tuple = ()):
+        if curve_degree < 4:
             raise ValueError("curve degree must be >= 4 (positive genus regime)")
-        if self.divisor_degree < 1:
+        if divisor_degree < 1:
             raise ValueError("divisor degree must be >= 1")
-        if self.series_dim < 0:
+        if series_dim < 0:
             raise ValueError("series dimension must be >= 0")
+        self._set(curve_degree, divisor_degree, series_dim, properties)
 
 
-@dataclass(frozen=True)
-class HFConstraint:
+class HFConstraint(_Record):
     """A single condition on the Hilbert function of the divisor.
 
     relation is one of '==' / '<=' / '>='.  Mandatory constraints cut
     the enumeration; the others are evaluated as flags per row.
     """
 
-    level: int
-    relation: str
-    value: int
-    mandatory: bool
-    label: str
+    _fields = ("level", "relation", "value", "mandatory", "label")
+
+    def __init__(self, level: int, relation: str, value: int, mandatory: bool, label: str):
+        self._set(level, relation, value, mandatory, label)
 
     def satisfied_by(self, hf_value: int) -> bool:
         if self.relation == "==":
@@ -142,6 +141,7 @@ def enumerate_hvectors(delta: int, constraints, curve_degree: int) -> list[tuple
     decreasing, unsorted: the stack pops the largest next entry first.  Two
     h-vectors of total delta first differ at an index inside both, so their
     Hilbert functions (partial sums) come out lexicographically decreasing too.
+    Past SERIES_BUDGET popped prefixes it raises SeriesBudgetError.
     """
     if delta < 1:
         return []
@@ -160,7 +160,13 @@ def enumerate_hvectors(delta: int, constraints, curve_degree: int) -> list[tuple
     # (t, total, value) sets h[t] = value after the t entries summing to total
     h: list[int] = []
     stack = [(0, 0, 1)] if check_level(0, 1) else []
+    pops = 0
     while stack:
+        pops += 1
+        if pops > SERIES_BUDGET:
+            raise SeriesBudgetError(f"series enumeration for delta = {delta} on a degree-{curve_degree} curve "
+                                    f"popped {pops:,} h-vector prefixes, over the budget of {SERIES_BUDGET:,}",
+                                    prefixes=pops, budget=SERIES_BUDGET)
         t, total, value = stack.pop()
         del h[t:]
         h.append(value)
@@ -178,14 +184,13 @@ def enumerate_hvectors(delta: int, constraints, curve_degree: int) -> list[tuple
     return results
 
 
-@dataclass(frozen=True)
-class SeriesRow:
+class SeriesRow(_Record):
     """One compatible Hilbert function with its existence analysis."""
 
-    hvector: tuple[int, ...]
-    betti: BettiData
-    exists_on_general_curve: bool
-    flags: tuple[tuple[str, bool], ...]
+    _fields = ("hvector", "betti", "exists_on_general_curve", "flags")
+
+    def __init__(self, hvector: tuple[int, ...], betti: BettiData, exists_on_general_curve: bool, flags: tuple):
+        self._set(hvector, betti, exists_on_general_curve, flags)
 
     def hilbert_values(self, tmax: int) -> tuple[int, ...]:
         return tuple(hilbert_function(self.betti, t) for t in range(tmax + 1))
@@ -202,18 +207,18 @@ class SeriesRow:
         }
 
 
-@dataclass(frozen=True)
-class SeriesAnswer:
-    query: SeriesQuery
-    constraints: tuple[HFConstraint, ...]
-    rows: tuple[SeriesRow, ...] = field(default=())
+class SeriesAnswer(_Record):
+    _fields = ("query", "constraints", "rows")
+
+    def __init__(self, query: SeriesQuery, constraints: tuple[HFConstraint, ...], rows: tuple[SeriesRow, ...] = ()):
+        self._set(query, constraints, rows)
 
     def to_json(self) -> dict:
         return {
             "curveDegree": self.query.curve_degree,
             "divisorDegree": self.query.divisor_degree,
             "seriesDim": self.query.series_dim,
-            "constraints": [asdict(c) for c in self.constraints],
+            "constraints": [dict(zip(c._fields, c._values())) for c in self.constraints],
             "rows": [row.to_json() for row in self.rows],
         }
 

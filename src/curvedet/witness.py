@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations, dropwhile
 from math import comb
 from operator import mul, not_, sub
 
 from .decide import REASON_DIAGONAL, REASON_SUBDIAGONAL, Decision, contains_subscheme, representable
-from .degree_matrix import DegreeMatrix, DHBMatrix
+from .degree_matrix import DegreeMatrix, DHBMatrix, _Record
 from .errors import CofactorBudgetError, FieldTooSmallError, InvalidWitnessParameterError, WitnessBudgetError
 from .resolution import betti_of_matrix, hilbert_function, plane_dim
 
@@ -136,22 +135,22 @@ def monomial_index(m: int) -> dict[tuple[int, int], int]:
     return {(i, j): idx for idx, (i, j, _) in enumerate(monomials(m))}
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(_Record):
     """A homogeneous trivariate polynomial over F_p (dense coefficients).
 
     The zero form is represented with degree -1 and no coefficients; an
     all-zero coefficient vector of non-negative degree is also zero.
     """
 
-    degree: int
-    coeffs: tuple[int, ...]
-    prime: int
+    _fields = ("degree", "coeffs", "prime")
 
-    def __post_init__(self):
-        expected = plane_dim(self.degree) if self.degree >= 0 else 0
-        if len(self.coeffs) != expected:
-            raise ValueError(f"degree-{self.degree} form needs {expected} coefficients")
+    def __init__(self, degree: int, coeffs: tuple[int, ...], prime: int):
+        expected = plane_dim(degree) if degree >= 0 else 0
+        if len(coeffs) != expected:
+            raise ValueError(f"degree-{degree} form needs {expected} coefficients")
+        # every product, sum and negation builds a Form: no `_set` loop here
+        fields = self.__dict__
+        fields["degree"], fields["coeffs"], fields["prime"] = degree, coeffs, prime
 
     @property
     def is_zero(self) -> bool:
@@ -270,21 +269,18 @@ def _residues(rng: random.Random, count: int, p: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class FormMatrix:
+class FormMatrix(_Record):
     """A matrix of forms realizing an integer degree matrix.
 
     Entries at negative-degree slots are identically zero; every other
     entry has exactly the prescribed degree.
     """
 
-    entries: tuple[tuple[Form, ...], ...]
-    degree_matrix: DegreeMatrix
-    prime: int
+    _fields = ("entries", "degree_matrix", "prime")
 
-    def __post_init__(self):
-        grid = self.degree_matrix.entries
-        for i, row in enumerate(self.entries):
+    def __init__(self, entries: tuple[tuple[Form, ...], ...], degree_matrix: DegreeMatrix, prime: int):
+        grid = degree_matrix.entries
+        for i, row in enumerate(entries):
             for j, f in enumerate(row):
                 m = grid[i][j]
                 if m < 0:
@@ -294,6 +290,7 @@ class FormMatrix:
                     raise ValueError(
                         f"entry ({i + 1},{j + 1}) has degree {f.degree}, expected {m}"
                     )
+        self._set(entries, degree_matrix, prime)
 
     @property
     def rows(self) -> int:
@@ -486,11 +483,11 @@ def random_line(rng: random.Random, prime: int) -> tuple[tuple[int, int, int], t
     )
 
 
-@dataclass
-class LineDegreeReport:
-    identically_zero: bool
-    observed_degree: int | None
-    per_trial: list[int | None]
+class LineDegreeReport(_Record):
+    _fields = ("identically_zero", "observed_degree", "per_trial")
+
+    def __init__(self, identically_zero: bool, observed_degree: int | None, per_trial: list[int | None]):
+        self._set(identically_zero, observed_degree, per_trial)
 
 
 def det_degree_on_lines(N: FormMatrix, trials: int, rng: random.Random) -> LineDegreeReport:
@@ -620,15 +617,15 @@ def _coprime(f: list[int], g: list[int], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WitnessReport:
-    seed: int
-    prime: int
-    trials: int
-    verdict_checked: dict
-    observed_degrees: list[int | None] = field(default_factory=list)
-    hf_profile: list[dict] = field(default_factory=list)
-    mismatches: list[str] = field(default_factory=list)
+class WitnessReport(_Record):
+    """What the trials saw.  The three lists, fresh and empty unless given, are filled in place."""
+
+    _fields = ("seed", "prime", "trials", "verdict_checked", "observed_degrees", "hf_profile", "mismatches")
+
+    def __init__(self, seed: int, prime: int, trials: int, verdict_checked: dict,
+                 observed_degrees=None, hf_profile=None, mismatches=None):
+        lists = [[] if x is None else x for x in (observed_degrees, hf_profile, mismatches)]
+        self._set(seed, prime, trials, verdict_checked, *lists)
 
     @property
     def ok(self) -> bool:
@@ -722,8 +719,8 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
                 report.mismatches.append(f"trial {trial}: block determinants do not multiply to the determinant")
 
     if not report.mismatches:
-        report.mismatches += [f"no trial realized the {name} degree {w}"
-                              for name, (w, seen) in expected.items() if w not in seen]
+        report.mismatches.extend(f"no trial realized the {name} degree {w}"
+                                 for name, (w, seen) in expected.items() if w not in seen)
     return report
 
 
@@ -832,5 +829,5 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
                     f"trial {trial}: Hilbert function at level {t} is {observed}, predicted {predicted}"
                 )
         if trial == 0:
-            report.hf_profile = profile
+            report.hf_profile.extend(profile)
     return report

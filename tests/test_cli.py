@@ -201,6 +201,15 @@ class TestResolutionCommands:
 
 
 class TestSeriesCommand:
+    def test_over_the_budget_is_refused(self, capsys, monkeypatch):
+        from curvedet import series
+
+        monkeypatch.setattr(series, "SERIES_BUDGET", 10)
+        code, body = invoke(capsys, "series", "--curve-degree", "8", "--divisor-degree", "20", "--series-dim", "2")
+        assert code == 1
+        assert body["error"] == "SeriesBudgetExceeded"
+        assert (body["prefixes"], body["budget"]) == (11, 10)
+
     def test_g20_table(self, capsys):
         code, body = invoke(
             capsys,
@@ -358,6 +367,14 @@ DECISION_COMMANDS = [
     ["betti-from-hf", "--h", "[1,2,3,4,5,3,2]"],
     ["enumerate", "--n", "3", "--degree", "4", "--bound", "3", "--minimal"],
 ]
+# the README's series and witness calls, and a witness on the README's square
+SERIES_AND_WITNESS_COMMANDS = {
+    "series": ["series", "--curve-degree", "8", "--divisor-degree", "20", "--series-dim", "2",
+               "--properties", '[{"z":1,"kind":"nonspecial"},{"z":-1,"kind":"effective"}]'],
+    "witness-subscheme": ["witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "4", "--trials", "10",
+                          "--seed", "1"],
+    "witness-square": ["witness", "--matrix", DECISION_COMMANDS[0][2]],
+}
 
 
 class TestLazyNumpy:
@@ -380,8 +397,13 @@ class TestLazyNumpy:
     def test_a_decision_command_loads_only_what_it_runs(self, argv):
         loaded = self._loaded(
             f"from curvedet import cli\nassert cli.run({argv!r}) == 0",
-            ["curvedet.series", "curvedet.witness", "dataclasses", "numpy"],
+            ["curvedet.series", "curvedet.witness", "dataclasses", "inspect", "numpy"],
         )
+        assert loaded == []
+
+    @pytest.mark.parametrize("argv", SERIES_AND_WITNESS_COMMANDS.values(), ids=SERIES_AND_WITNESS_COMMANDS)
+    def test_series_and_witness_do_not_load_dataclasses(self, argv):
+        loaded = self._loaded(f"from curvedet import cli\nassert cli.run({argv!r}) == 0", ["dataclasses", "inspect"])
         assert loaded == []
 
     def test_decisions_do_not_load_numpy(self):

@@ -32,6 +32,8 @@ from curvedet import (
     potentials,
     transversal_degree,
 )
+from curvedet.series import HFConstraint, SeriesAnswer, SeriesQuery, SeriesRow, ShiftedProperty
+from curvedet.witness import Form, FormMatrix, LineDegreeReport, WitnessReport
 
 DEGREE8_GRID = [[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]]
 
@@ -475,6 +477,87 @@ class TestRecords:
             again = round_trip(fresh)
             assert (again.minor_degrees, again.shifts) == ((7, 6, 4), (9, 8))
             assert vars(again)["minor_degrees"] == (7, 6, 4)
+
+    def test_series_and_witness_records(self):
+        x, y = Form(1, (1, 0, 0), 7), Form(1, (0, 1, 0), 7)
+        prop = ShiftedProperty(1, "nonspecial")
+        query = SeriesQuery(8, 20, 2, (prop,))
+        constraint = HFConstraint(5, "==", 18, True, "complete series dimension 2")
+        row = SeriesRow((1, 2, 1), BettiData((3, 2), (4,)), True, (("D+1H nonspecial", True),))
+        profile = [{"t": 0, "predicted": 1, "observed": 1}]
+        # (record, its field values in order, its repr as the dataclasses printed it)
+        cases = [
+            (prop, (1, "nonspecial"), "ShiftedProperty(z=1, kind='nonspecial')"),
+            (query, (8, 20, 2, (prop,)),
+             "SeriesQuery(curve_degree=8, divisor_degree=20, series_dim=2, "
+             "properties=(ShiftedProperty(z=1, kind='nonspecial'),))"),
+            (constraint, (5, "==", 18, True, "complete series dimension 2"),
+             "HFConstraint(level=5, relation='==', value=18, mandatory=True, label='complete series dimension 2')"),
+            (row, (row.hvector, row.betti, True, row.flags),
+             "SeriesRow(hvector=(1, 2, 1), betti=BettiData(gens=(3, 2), syz=(4,)), "
+             "exists_on_general_curve=True, flags=(('D+1H nonspecial', True),))"),
+            (SeriesAnswer(query, (constraint,), (row,)), (query, (constraint,), (row,)),
+             f"SeriesAnswer(query={query!r}, constraints=({constraint!r},), rows=({row!r},))"),
+            (x, (1, (1, 0, 0), 7), "Form(degree=1, coeffs=(1, 0, 0), prime=7)"),
+            (FormMatrix(((x, y),), DegreeMatrix(((1, 1),)), 7), (((x, y),), DegreeMatrix(((1, 1),)), 7),
+             f"FormMatrix(entries=(({x!r}, {y!r}),), degree_matrix=DegreeMatrix(entries=((1, 1),)), prime=7)"),
+            (LineDegreeReport(False, 3, [3, None]), (False, 3, [3, None]),
+             "LineDegreeReport(identically_zero=False, observed_degree=3, per_trial=[3, None])"),
+            (WitnessReport(1, 7, 2, {"answer": "yes"}, [3, 3], profile, []),
+             (1, 7, 2, {"answer": "yes"}, [3, 3], profile, []),
+             "WitnessReport(seed=1, prime=7, trials=2, verdict_checked={'answer': 'yes'}, observed_degrees=[3, 3], "
+             "hf_profile=[{'t': 0, 'predicted': 1, 'observed': 1}], mismatches=[])"),
+        ]
+        for record, values, text in cases:
+            assert repr(record) == text
+            again = type(record)(*values)
+            assert again == record and again is not record and record != values
+            if isinstance(record, (LineDegreeReport, WitnessReport)):
+                with pytest.raises(TypeError):  # their lists are unhashable
+                    hash(record)
+            else:
+                assert hash(again) == hash(record) == hash(values)
+            name = record._fields[0]
+            with pytest.raises(AttributeError):
+                setattr(record, name, values[0])
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) == values[0]
+            for round_trip in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+                again = round_trip(record)
+                assert type(again) is type(record) and again == record and repr(again) == text
+        for (a, _, _), (b, _, _) in itertools.combinations(cases, 2):
+            assert a != b and b != a
+        assert ShiftedProperty(1, "nonspecial") != SeriesQuery(8, 20, 2) != (8, 20, 2, ())
+
+        # keywords and defaults
+        assert SeriesQuery(curve_degree=8, divisor_degree=20, series_dim=2, properties=(prop,)) == query
+        assert repr(SeriesQuery(8, 20, 2)) == (
+            "SeriesQuery(curve_degree=8, divisor_degree=20, series_dim=2, properties=())"
+        )
+        assert SeriesAnswer(query=query, constraints=()).rows == ()
+        assert Form(degree=-1, coeffs=(), prime=7).is_zero
+        reports = [WitnessReport(0, 7, 1, {}), WitnessReport(seed=0, prime=7, trials=1, verdict_checked={})]
+        assert reports[0] == reports[1]
+        lists = [(r.observed_degrees, r.hf_profile, r.mismatches) for r in reports]
+        assert lists[0] == lists[1] == ([], [], [])
+        assert len({id(x) for fields in lists for x in fields}) == 6
+        reports[0].mismatches.append("filled in place")
+        assert reports[1].mismatches == [] and not reports[0].ok
+
+        # the constructor checks
+        with pytest.raises(ValueError, match="unknown property kind 'ample'"):
+            ShiftedProperty(1, "ample")
+        with pytest.raises(ValueError, match="degree-1 form needs 3 coefficients"):
+            Form(1, (1, 0), 7)
+        with pytest.raises(ValueError, match=r"entry \(1,2\) has degree 1, expected 2"):
+            FormMatrix(((x, y),), DegreeMatrix(((1, 2),)), 7)
+
+        constraints = SeriesAnswer(query, (constraint,)).to_json()["constraints"]
+        assert constraints == [
+            {"level": 5, "relation": "==", "value": 18, "mandatory": True, "label": "complete series dimension 2"}
+        ]
+        assert [list(c) for c in constraints] == [["level", "relation", "value", "mandatory", "label"]]
 
 
 class TestInsertRow:

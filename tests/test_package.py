@@ -30,6 +30,7 @@ PUBLIC = {
         "EmptySchemeDegenerateError", "FieldTooSmallError", "InadmissibleHVectorError",
         "IncompatibleRowError", "InfeasibleQueryError", "InvalidDHBError", "InvalidResolutionError",
         "InvalidWitnessParameterError", "NotHomogeneousError", "NotMinimalError", "ScanBudgetError",
+        "SeriesBudgetError", "WitnessBudgetError",
     ],
     "resolution": [
         "BettiData", "betti_of_matrix", "generic_betti", "h0_ideal", "hilbert_function",

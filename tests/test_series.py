@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
+from curvedet import series
 from curvedet import (
     InfeasibleQueryError,
+    SeriesBudgetError,
     SeriesQuery,
     ShiftedProperty,
     analyze,
@@ -203,3 +205,31 @@ class TestAnalyze:
         assert payload["curveDegree"] == 8
         assert len(payload["rows"]) == 4
         assert payload["rows"][0]["gens"] == [7, 5, 5, 5]
+
+
+class TestSeriesBudget:
+    def test_the_budget_counts_popped_prefixes(self, monkeypatch):
+        # the g^2_20 enumeration on an octic pops 39 prefixes
+        monkeypatch.setattr(series, "SERIES_BUDGET", 39)
+        assert len(analyze(G20_QUERY).rows) == 4
+        monkeypatch.setattr(series, "SERIES_BUDGET", 38)
+        with pytest.raises(SeriesBudgetError) as refused:
+            analyze(G20_QUERY)
+        assert refused.value.payload() == {
+            "error": "SeriesBudgetExceeded",
+            "message": "series enumeration for delta = 20 on a degree-8 curve popped 39 h-vector prefixes, "
+                       "over the budget of 38",
+            "prefixes": 39,
+            "budget": 38,
+        }
+        assert isinstance(refused.value, ValueError)
+
+    def test_documented_and_benchmarked_queries_stay_far_below_the_budget(self, monkeypatch):
+        monkeypatch.setattr(series, "SERIES_BUDGET", series.SERIES_BUDGET // 100)
+        assert len(analyze(G20_QUERY).rows) == 4
+        assert len(analyze(SeriesQuery(4, 3000, 2998)).rows) == 1
+        # the range the benchmark's command-line pools draw series queries from
+        for d in range(6, 9):
+            for delta in range(2 * d, 3 * d + 1):
+                for r in (1, 2):
+                    analyze(SeriesQuery(d, delta, r))
