@@ -16,7 +16,7 @@ import sys
 
 from . import decide, resolution
 from .degree_matrix import DHBMatrix, canonicalize
-from .errors import CurvedetError, ScanBudgetError
+from .errors import CurvedetError
 
 
 class InputError(Exception):
@@ -112,10 +112,7 @@ def _cmd_hf(args):
     B = resolution.BettiData.of(gens, syz)
     delta, bound = resolution.scheme_degree(B), resolution.stabilization_bound(B)
     tmax = args.tmax if args.tmax is not None else max(bound + 1, 0)
-    cells, budget = (tmax + 1) * B.n, decide.SCAN_BUDGET
-    if cells > budget:
-        raise ScanBudgetError(f"hf to tmax = {tmax} over n = {B.n} would fill {cells:,} cells, "
-                              f"over the budget of {budget:,}", cells=cells, budget=budget)
+    decide._check_cells(f"hf to tmax = {tmax} over n = {B.n}", (tmax + 1) * B.n)
     return {
         "gens": list(B.gens),
         "syz": list(B.syz),

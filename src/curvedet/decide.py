@@ -202,6 +202,13 @@ def _require_valid(Q: DHBMatrix):
         raise EmptySchemeDegenerateError("all diagonal entries are zero: empty scheme")
 
 
+def _check_cells(what: str, cells: int) -> None:
+    """Raise ScanBudgetError when `what` would fill more than SCAN_BUDGET cells."""
+    if cells > SCAN_BUDGET:
+        raise ScanBudgetError(f"{what} would fill {cells:,} cells, over the budget of {SCAN_BUDGET:,}",
+                              cells=cells, budget=SCAN_BUDGET)
+
+
 def contains_subscheme(Q: DHBMatrix, d: int) -> Decision:
     """Does a general plane curve of degree d contain a zero-dimensional
     subscheme presented by Q?
@@ -250,9 +257,7 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
     n = Q.n
     q = Q.entries
 
-    prefix = [0]  # prefix[k] = q[1][1] + ... + q[k][k]
-    for x in Q.diagonal:
-        prefix.append(prefix[-1] + x)
+    prefix = [0, *accumulate(Q.diagonal)]  # prefix[k] = q[1][1] + ... + q[k][k]
 
     def build(verdict: bool, k: int | None = None, e: int | None = None) -> Decision:
         # The certificate (square, landing position, trailing degrees) is
@@ -371,10 +376,7 @@ def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
     _require_valid(Q)
-    cells = dmax * Q.n
-    if cells > SCAN_BUDGET:
-        raise ScanBudgetError(f"scan to dmax = {dmax} over n = {Q.n} would fill {cells:,} cells, "
-                              f"over the budget of {SCAN_BUDGET:,}", cells=cells, budget=SCAN_BUDGET)
+    _check_cells(f"scan to dmax = {dmax} over n = {Q.n}", dmax * Q.n)
     a = Q.minor_degrees
     q = Q.entries
     out = []

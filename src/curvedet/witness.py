@@ -20,7 +20,9 @@ substitution.
 
 A polynomial on the line is kept as its values at s = 0..D, which fix it
 when its degree is at most D < p; its degree is read from their forward
-differences, and a factorization into two blocks is checked value by
+differences.  A square trial evaluates N once per point, at Q for its
+proof and at the d + 1 nodes in full, and reads det(N) and both blocks'
+determinants from those values, so a factorization is checked value by
 value.  An entry of degree m is evaluated at only m + 1 of the nodes, as
 one dot product with monomial values that all entries share, and its
 other values follow from its forward differences.  Where a verdict fixes
@@ -424,19 +426,23 @@ def _poly_degree(values: list[int], p: int) -> int | None:
 
 
 def restrict_det_to_line(N: FormMatrix, line, max_degree: int) -> list[int]:
-    """Values mod p of det(N) on a line at s = 0..max_degree.
-
-    The line is (P, Q): the parametrization s -> P + s Q.  These
-    max_degree + 1 values fix a restriction of degree at most
-    max_degree, and `_poly_degree` reads its degree from their forward
-    differences.  An entry of degree m restricts to a polynomial of
-    degree m in s, so it is evaluated only at s = 0..min(m, max_degree),
-    against monomial values shared by every entry at that point, and
-    its remaining values come from its forward differences.
-    """
+    """Values mod p of det(N) at s = 0..max_degree on the line (P, Q), the
+    parametrization s -> P + s Q: they fix a restriction of degree at most
+    max_degree, and `_poly_degree` reads its degree from them."""
     p = N.prime
     if p <= max_degree:
         raise FieldTooSmallError(f"prime {p} is too small for degree {max_degree} on a line")
+    return [_det_numeric(mat, p) for mat in _values_on_line(N, line, max_degree)]
+
+
+def _values_on_line(N: FormMatrix, line, max_degree: int) -> list[list[list[int]]]:
+    """The values mod p of N's entries at P + s Q, one matrix per s = 0..max_degree.
+
+    An entry, of degree m in s on the line, is evaluated only at
+    s = 0..min(m, max_degree), against monomial values shared by every
+    entry there; its other values follow from its forward differences.
+    """
+    p = N.prime
     (p0, p1, p2), (q0, q1, q2) = line
     forms = [f for row in N.entries for f in row]
     top = max(f.degree for f in forms)
@@ -455,10 +461,7 @@ def restrict_det_to_line(N: FormMatrix, line, max_degree: int) -> list[int]:
             values += _extend_by_differences(values, max_degree - m, p)
         columns.append(values)
     n = N.cols
-    return [
-        _det_numeric([list(at_s[i : i + n]) for i in range(0, len(at_s), n)], p)
-        for at_s in zip(*columns)
-    ]
+    return [[list(at_s[i : i + n]) for i in range(0, len(at_s), n)] for at_s in zip(*columns)]
 
 
 def _extend_by_differences(values: list[int], count: int, p: int) -> list[int]:
@@ -658,11 +661,10 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
     which some trial must show.  No restriction may exceed its degree.
 
     A trial is settled without restricting to its line when a proof
-    holds on the sampled N (see `_settled_trial`): det(N(Q)) nonzero at
-    the line's direction Q for a yes; for a diagonal no at k, rows k..n
-    zero in columns 1..k; for a subdiagonal no at k, rows k..n zero in
-    columns 1..k - 1 and the block values L, T at Q with L T nonzero and
-    equal to det(N(Q)).  Otherwise the trial restricts at d + 1 nodes.
+    holds on the sampled N (see `_settled_trial`), and otherwise runs in
+    full at the d + 1 nodes.  N is evaluated once per point, at the line's
+    direction Q for a proof and at each node in full, and det(N) and both
+    blocks are read from those values.
     """
     _check_witness_parameters(trials, prime)
     return _verify_square(representable(grid), trials, seed, prime)
@@ -695,7 +697,8 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
             for (_, seen), g in zip(expected.values(), settled[1:]):
                 seen.append(g)
             continue
-        values = restrict_det_to_line(N, line, d)
+        nodes = _values_on_line(N, line, d)
+        values = [_det_numeric(mat, prime) for mat in nodes]
         deg = _poly_degree(values, prime)
         report.observed_degrees.append(deg)
 
@@ -708,8 +711,7 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
         elif decision.reason == REASON_SUBDIAGONAL:
             # the blocks have degrees d - e and e, so their product, like
             # det(N), is fixed by its values at the d + 1 nodes
-            lead = restrict_det_to_line(_block(N, 0, k - 1), line, d)
-            trail = restrict_det_to_line(_block(N, k - 1, M.rows), line, d)
+            lead, trail = zip(*(_block_dets(mat, k, prime) for mat in nodes))
             for (name, (w, seen)), block in zip(expected.items(), (lead, trail)):
                 g = _poly_degree(block, prime)
                 seen.append(g)
@@ -740,27 +742,25 @@ def _settled_trial(decision: Decision, N: FormMatrix, direction) -> tuple | None
     node.  L T must also equal det(N(Q)), so that an evaluation at fault
     sends the trial to the full path.
     """
-    def at_q(A: FormMatrix) -> int:
-        return restrict_det_to_line(A, (direction, (0, 0, 0)), 0)[0]
-
-    d, k = decision.degree, decision.k
+    d, k, e, p = decision.degree, decision.k, decision.block_degree, N.prime
+    if not decision.verdict:
+        width = k if decision.reason == REASON_DIAGONAL else k - 1
+        if not all(f.is_zero for row in N.entries[k - 1 :] for f in row[:width]):
+            return None
+        if decision.reason == REASON_DIAGONAL:
+            return (None,)
+    at_direction = _values_on_line(N, (direction, (0, 0, 0)), 0)[0]
+    det = _det_numeric(at_direction, p)
     if decision.verdict:
-        return (d,) if at_q(N) else None
-    width = k if decision.reason == REASON_DIAGONAL else k - 1
-    if not all(f.is_zero for row in N.entries[k - 1 :] for f in row[:width]):
-        return None
-    if decision.reason == REASON_DIAGONAL:
-        return (None,)
-    product = at_q(_block(N, 0, k - 1)) * at_q(_block(N, k - 1, N.rows)) % N.prime
-    if not product or product != at_q(N):
-        return None
-    return d, d - decision.block_degree, decision.block_degree
+        return (d,) if det else None
+    lead, trail = _block_dets(at_direction, k, p)
+    return (d, d - e, e) if det and lead * trail % p == det else None
 
 
-def _block(N: FormMatrix, start: int, stop: int) -> FormMatrix:
-    entries = tuple(row[start:stop] for row in N.entries[start:stop])
-    grid = tuple(row[start:stop] for row in N.degree_matrix.entries[start:stop])
-    return FormMatrix(entries, DegreeMatrix(grid), N.prime)
+def _block_dets(mat: list[list[int]], k: int, p: int) -> tuple[int, int]:
+    """Determinants mod p of the leading (k - 1) x (k - 1) block of `mat` and of its trailing block."""
+    return (_det_numeric([row[: k - 1] for row in mat[: k - 1]], p),
+            _det_numeric([row[k - 1 :] for row in mat[k - 1 :]], p))
 
 
 def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,

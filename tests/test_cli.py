@@ -597,13 +597,13 @@ class TestMismatchExitCode:
 
     def test_blocks_that_do_not_multiply_exit_2(self, capsys, monkeypatch):
         # doubled values keep each 1 x 1 block's degree but break det = lead * trail
-        true_restrict = witness.restrict_det_to_line
+        true_det = witness._det_numeric
 
-        def restrict(N, line, max_degree):
-            values = true_restrict(N, line, max_degree)
-            return [2 * v % N.prime for v in values] if N.rows < 2 else values
+        def det(mat, p):
+            value = true_det(mat, p)
+            return 2 * value % p if len(mat) < 2 else value
 
-        monkeypatch.setattr(witness, "restrict_det_to_line", restrict)
+        monkeypatch.setattr(witness, "_det_numeric", det)
         code, body = invoke(capsys, "witness", "--matrix", "[[1,3],[-1,1]]", "--trials", "3")
         assert code == 2
         assert body["verdictChecked"]["reason"] == "SubdiagonalBlockDegree"

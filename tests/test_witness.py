@@ -144,13 +144,13 @@ def patch_det_off_the_ideal(monkeypatch):
 
 def patch_blocks_off_the_product(monkeypatch, full: int):
     # doubled values keep each block's degree but break det = lead * trail
-    true_restrict = witness.restrict_det_to_line
+    true_det = witness._det_numeric
 
-    def restrict(N, line, max_degree):
-        values = true_restrict(N, line, max_degree)
-        return [2 * v % N.prime for v in values] if N.rows < full else values
+    def det(mat, p):
+        value = true_det(mat, p)
+        return 2 * value % p if len(mat) < full else value
 
-    monkeypatch.setattr(witness, "restrict_det_to_line", restrict)
+    monkeypatch.setattr(witness, "_det_numeric", det)
 
 
 def dhb(grid):
@@ -491,13 +491,20 @@ class TestVerifyRepresentable:
         assert report.observed_degrees == [2, 2, 2]
 
     def test_block_product_is_checked_at_the_last_node(self, monkeypatch):
-        true_restrict = witness.restrict_det_to_line
+        # in full, the trial reads its 1 x 1 blocks lead then trail at each
+        # node, so the fifth read is the leading block at the last node d = 2
+        true_det = witness._det_numeric
+        reads = []
 
-        def restrict(N, line, max_degree):
-            values = true_restrict(N, line, max_degree)
-            return values[:-1] + [(values[-1] + 1) % N.prime] if N.rows < 2 else values
+        def det(mat, p):
+            value = true_det(mat, p)
+            if len(mat) < 2:
+                reads.append(value)
+                return (value + 1) % p if len(reads) == 5 else value
+            return value
 
-        monkeypatch.setattr(witness, "restrict_det_to_line", restrict)
+        monkeypatch.setattr(witness, "_settled_trial", lambda decision, N, direction: None)
+        monkeypatch.setattr(witness, "_det_numeric", det)
         report = verify_representable([[1, 3], [-1, 1]], trials=1, seed=2)
         assert "trial 0: block determinants do not multiply to the determinant" in report.mismatches
 
@@ -509,15 +516,15 @@ class TestVerifyRepresentable:
         assert report.mismatches == []
 
     def test_a_block_degree_above_its_own_is_reported(self, monkeypatch):
-        # each 1 x 1 block of degree 1 is given the values of s^2 on its line
-        true_restrict = witness.restrict_det_to_line
+        # each 1 x 1 block of degree 1 is given the squares of its values,
+        # which have degree 2 on its line
+        true_det = witness._det_numeric
 
-        def restrict(N, line, max_degree):
-            if N.rows < 2:
-                return [s * s % N.prime for s in range(max_degree + 1)]
-            return true_restrict(N, line, max_degree)
+        def det(mat, p):
+            value = true_det(mat, p)
+            return value * value % p if len(mat) < 2 else value
 
-        monkeypatch.setattr(witness, "restrict_det_to_line", restrict)
+        monkeypatch.setattr(witness, "_det_numeric", det)
         report = verify_representable([[1, 3], [-1, 1]], trials=2, seed=2)
         assert report.mismatches == [
             text
@@ -565,24 +572,27 @@ class TestVerifyRepresentable:
             f"trial {i}: block determinants do not multiply to the determinant" for i in range(2)
         ]
 
-    @pytest.mark.parametrize("grid, blocks", [
-        ([[2, 3, 8], [-3, -2, 3], [-4, -3, 2]], 0),
-        ([[5, 6, 8, 9], [2, 3, 5, 6], [-2, -1, 1, 2], [-3, -2, 0, 1]], 3),
+    @pytest.mark.parametrize("grid, prime, seed, evaluations", [
+        ([[2, 3, 8], [-3, -2, 3], [-4, -3, 2]], DEFAULT_PRIME, 3, []),
+        ([[5, 6, 8, 9], [2, 3, 5, 6], [-2, -1, 1, 2], [-3, -2, 0, 1]], DEFAULT_PRIME, 3, [0] * 4),
+        # at p = 7 trials 1 and 2 fail the proof and evaluate N at the d + 1 = 4 nodes
+        ([[2, 2, 4], [-1, -1, 1], [0, 0, 2]], 7, 0, [0, 0, 3, 0, 3, 0]),
     ])
-    def test_negative_squares_settle_without_a_restriction(self, monkeypatch, grid, blocks):
+    def test_negative_squares_settle_without_a_restriction(self, monkeypatch, grid, prime, seed, evaluations):
         # a zero corner proves a diagonal verdict outright; a subdiagonal one
-        # reads the blocks and det(N) at the line's direction only
-        true_restrict = witness.restrict_det_to_line
+        # evaluates N once, at the line's direction, and reads det(N) and
+        # both blocks from those values, as a trial in full does at each node
+        true_values = witness._values_on_line
         calls = []
 
-        def restrict(N, line, max_degree):
+        def values_on_line(N, line, max_degree):
             calls.append(max_degree)
-            return true_restrict(N, line, max_degree)
+            return true_values(N, line, max_degree)
 
-        monkeypatch.setattr(witness, "restrict_det_to_line", restrict)
-        report = verify_representable(grid, trials=4, seed=3)
+        monkeypatch.setattr(witness, "_values_on_line", values_on_line)
+        report = verify_representable(grid, trials=4, seed=seed, prime=prime)
         assert report.ok
-        assert calls == [0] * (4 * blocks)
+        assert calls == evaluations
 
     def test_degree_zero(self):
         report = verify_representable([[0, 0], [0, 0]], trials=4, seed=2)
