@@ -15,8 +15,8 @@ sampled N, which forces det(N) = 0 (Frobenius-Koenig); a no by a
 negative subdiagonal entry by the zero corner that makes N block upper
 triangular, together with block values at Q whose product is nonzero and
 equals det(N(Q)).  Two maximal minors shown coprime prove the Hilbert
-function at every level.  Products of forms of degree >= 2 use Kronecker
-substitution.
+function at every level.  Products of forms and their signed sums are one
+Kronecker-substitution dot product, `_form_dot`, unpacked once per sum.
 
 A polynomial on the line is kept as its values at s = 0..D, which fix it
 when its degree is at most D < p; its degree is read from their forward
@@ -51,6 +51,8 @@ from __future__ import annotations
 
 import random
 import struct
+import sys
+from array import array
 from functools import lru_cache
 from itertools import accumulate, combinations, dropwhile
 from math import comb
@@ -156,7 +158,7 @@ class Form(_Record):
 
     @property
     def is_zero(self) -> bool:
-        return self.degree < 0 or all(c == 0 for c in self.coeffs)
+        return self.degree < 0 or not any(self.coeffs)
 
     def __add__(self, other: "Form") -> "Form":
         if self.is_zero:
@@ -176,56 +178,63 @@ class Form(_Record):
         return self + (-other)
 
     def __mul__(self, other: "Form") -> "Form":
-        if self.is_zero or other.is_zero:
-            return zero_form(self.prime)
-        if min(self.degree, other.degree) >= 2:  # below, the double loop is faster
-            return _kronecker_product(self, other)
-        return _dense_product(self, other)
+        return _form_dot(((self, other, False),), self.prime)
 
 
-def _dense_product(a: Form, b: Form) -> Form:
-    """a * b of two nonzero forms, one term pair at a time."""
-    p, m = a.prime, a.degree + b.degree
-    index = monomial_index(m)
-    out = [0] * plane_dim(m)
-    mono_b = monomials(b.degree)
-    for ca, (ia, ja, _) in zip(a.coeffs, monomials(a.degree)):
-        if ca == 0:
-            continue
-        for cb, (ib, jb, _) in zip(b.coeffs, mono_b):
-            if cb == 0:
-                continue
-            k = index[(ia + ib, ja + jb)]
-            out[k] = (out[k] + ca * cb) % p
-    return Form(m, tuple(out), p)
+def _form_dot(terms, p: int) -> Form:
+    """The sum of f * g, or of -f * g where `negative`, over the terms
+    (f, g, negative), whose nonzero products must all have one degree m.
 
-
-def _kronecker_product(a: Form, b: Form) -> Form:
-    """a * b of two nonzero forms through one integer product (Kronecker
-    substitution): x^i y^j z^k goes to slot i(m + 1) + j, m = deg(a * b),
-    so slots add like exponents.  A product slot sums at most
-    plane_dim(min degree) products of residues, which w bytes hold.
-    Graded-lex order is descending slot order, read big-endian.
+    One integer product per term (Kronecker substitution): x^i y^j goes
+    to slot i(m + 1) + j, so slots add like exponents, and the products
+    are summed before one unpacking.  A negative term packs -c mod p for
+    each c of its lower-degree factor.  A slot of a product adds at most
+    plane_dim(e) coefficient products, e the lower degree, so the sum's
+    slots fit the w bytes set by those counts and the largest packed
+    coefficients.  Integers are big-endian, so graded-lex order is
+    ascending slot order.
     """
-    p, m = a.prime, a.degree + b.degree
-    w = -(-(plane_dim(min(a.degree, b.degree)) * (p - 1) ** 2).bit_length() // 8)
+    live = [(f, g, negative) if f.degree <= g.degree else (g, f, negative)
+            for f, g, negative in terms if not (f.is_zero or g.is_zero)]
+    if not live:
+        return zero_form(p)
+    m = live[0][0].degree + live[0][1].degree
+    if any(f.degree + g.degree != m for f, g, _ in live):
+        raise ValueError("cannot add forms of different degrees")
+    packed = [(f.degree, [-c % p for c in f.coeffs] if negative else f.coeffs, g) for f, g, negative in live]
+    w = -(-(sum(plane_dim(e) * max(low) * max(g.coeffs) for e, low, g in packed) or 1).bit_length() // 8)
+    total = sum(_pack(low, e, m, w) * _pack(g.coeffs, g.degree, m, w) for e, low, g in packed)
+    k = -(-w // 8)  # words per slot
+    words = array("Q", _reslot(total.to_bytes(w * (m * (m + 1) + 1), "big"), w, 8 * k))
+    if sys.byteorder == "little":
+        words.byteswap()
+    slots = words[::k]  # each slot's high word, then its lower words shifted in
+    for i in range(1, k):
+        slots = [high << 64 | word for high, word in zip(slots, words[i::k])]
+    # x^(m - a) y^j sits at slot a(m + 1) - j from the top, j = a..0
+    coeffs = tuple([c % p for a in range(m + 1) for c in slots[a * m : a * m + a + 1]])
+    return Form(m, coeffs, p) if any(coeffs) else zero_form(p)
 
-    def pack(f: Form) -> int:
-        buf = bytearray(w * (f.degree * (m + 1) + 1))
-        for c, q in zip(f.coeffs, _slot_offsets(f.degree, m, w)):
-            buf[q : q + w] = c.to_bytes(w, "big")
-        return int.from_bytes(buf, "big")
 
-    buf = (pack(a) * pack(b)).to_bytes(w * (m * (m + 1) + 1), "big")
-    return Form(m, tuple(int.from_bytes(buf[q : q + w], "big") % p for q in _slot_offsets(m, m, w)), p)
+def _pack(coeffs, e: int, m: int, w: int) -> int:
+    """Degree-e coefficients in [0, 2^64) as a big-endian integer of
+    w-byte slots for products of degree m, one word slice per power of x."""
+    coeffs = array("Q", coeffs)
+    words = array("Q", bytes(8 * (e * (m + 1) + 1)))
+    for a in range(e + 1):  # x^(e - a) y^j for j = a..0, from coefficient a(a + 1)/2 on
+        words[a * m : a * m + a + 1] = coeffs[a * (a + 1) // 2 : (a + 1) * (a + 2) // 2]
+    if sys.byteorder == "little":
+        words.byteswap()
+    return int.from_bytes(_reslot(words.tobytes(), 8, w), "big")
 
 
-@lru_cache(maxsize=None)
-def _slot_offsets(e: int, m: int, w: int) -> tuple[int, ...]:
-    """Byte offsets of the degree-e monomials, in graded-lex order, in a
-    big-endian integer that ends with the slot of x^e."""
-    top = e * (m + 1)
-    return tuple(w * (top - i * (m + 1) - j) for i, j, _ in monomials(e))
+def _reslot(data: bytes, old: int, new: int) -> bytearray:
+    """Big-endian slots of `old` bytes as slots of `new` bytes, keeping the
+    low min(old, new) bytes of each: one strided copy per byte."""
+    out = bytearray(len(data) // old * new)
+    for b in range(1, min(old, new) + 1):
+        out[new - b :: new] = data[old - b :: old]
+    return out
 
 
 def _monomial_values(point: tuple[int, int, int], top: int, p: int) -> list[list[int]]:
@@ -344,11 +353,10 @@ def _det_numeric(mat: list[list[int]], p: int) -> int:
 
 
 def det_form(N: FormMatrix) -> Form:
-    """Full trivariate determinant by cofactor expansion.
-
-    Subdeterminants are memoized on the column subset, so the n minors
-    of an (n-1) x n matrix share all their recursive work.  Intended
-    for small matrices (n <= 6).
+    """Full trivariate determinant by cofactor expansion, one `_form_dot`
+    per level.  Subdeterminants are memoized on the column subset, so the
+    n minors of an (n-1) x n matrix share all their recursive work.
+    Intended for small matrices (n <= 6).
     """
     if N.rows != N.cols:
         raise ValueError("determinant needs a square matrix")
@@ -356,24 +364,14 @@ def det_form(N: FormMatrix) -> Form:
 
 
 def _det_cofactor(rows, cols: tuple[int, ...], memo: dict, p: int) -> Form:
-    key = cols
-    hit = memo.get(key)
+    hit = memo.get(cols)
     if hit is not None:
         return hit
-    k = len(cols)
-    first = len(rows) - k  # expand along this row; trailing rows pair with cols
-    if k == 1:
-        result = rows[first][cols[0]]
-    else:
-        result = zero_form(p)
-        for idx, j in enumerate(cols):
-            f = rows[first][j]
-            if f.is_zero:
-                continue
-            sub = _det_cofactor(rows, cols[:idx] + cols[idx + 1 :], memo, p)
-            term = f * sub
-            result = result + (term if idx % 2 == 0 else -term)
-    memo[key] = result
+    row = rows[len(rows) - len(cols)]  # expand along this row; trailing rows pair with cols
+    if len(cols) == 1:
+        return row[cols[0]]
+    result = memo[cols] = _form_dot([(row[j], _det_cofactor(rows, cols[:idx] + cols[idx + 1 :], memo, p), idx % 2 == 1)
+                                     for idx, j in enumerate(cols) if not row[j].is_zero], p)
     return result
 
 
@@ -814,8 +812,7 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
         if deg != d:
             report.mismatches.append(f"trial {trial}: curve degree {deg} != {d}")
             continue
-        laplace = sum((r * g for r, g in zip(new_row, minors)), zero_form(prime))
-        if F != (laplace if pos % 2 == 0 else -laplace):
+        if F != _form_dot([(r, g, pos % 2 == 1) for r, g in zip(new_row, minors)], prime):
             report.mismatches.append(f"trial {trial}: determinant is not in the minor ideal")
 
         proved = _coprime_minors(minors, random.Random(f"coprime {seed} {trial}"), prime)

@@ -41,12 +41,11 @@ from curvedet.witness import (
     FormMatrix,
     _coprime,
     _coprime_minors,
-    _dense_product,
     _det_numeric,
+    _form_dot,
     _is_prime,
     _monomial_values,
     _poly_degree,
-    _kronecker_product,
     _rank,
     _residues,
     monomial_index,
@@ -392,6 +391,22 @@ class TestMaximalMinors:
         }
         with pytest.raises(CofactorBudgetError):
             verify_subscheme(Q, 7, trials=1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_det_form_at_a_point_is_the_determinant_of_the_values(self, n, p):
+        # evaluation is a ring map, so det(N) at a point is det of N's values
+        # there; reference_evaluate shares nothing with the cofactor sums
+        rng = random.Random(f"det {n} {p}")
+        for _ in range(4):
+            u = [rng.randint(-1, 2 if n <= 4 else 1) for _ in range(n)]
+            v = [rng.randint(0, 3 if n <= 4 else 1) for _ in range(n)]
+            N = form_matrix([[ui + vj for vj in v] for ui in u], rng, p, zero_share=0.1)
+            F = det_form(N)
+            for _ in range(3):
+                point = tuple(rng.randrange(p) for _ in range(3))
+                values = [[reference_evaluate(f, point, p) for f in row] for row in N.entries]
+                assert reference_evaluate(F, point, p) == _det_numeric(values, p)
 
     def test_laplace_expansion_identity(self):
         # expanding the square determinant along the row appended at
@@ -768,6 +783,23 @@ class TestWitnessBudget:
             verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, prime=3)
 
 
+def dense_dot(terms, p: int) -> Form:
+    """The sum of f * g, or of -f * g where `negative`, over the terms
+    (f, g, negative), one term pair at a time; the zero form if it vanishes."""
+    coeffs, m = {}, None
+    for f, g, negative in terms:
+        if f.is_zero or g.is_zero:
+            continue
+        m = f.degree + g.degree
+        sign = -1 if negative else 1
+        for ca, (ia, ja, _) in zip(f.coeffs, monomials(f.degree)):
+            for cb, (ib, jb, _) in zip(g.coeffs, monomials(g.degree)):
+                coeffs[ia + ib, ja + jb] = coeffs.get((ia + ib, ja + jb), 0) + sign * ca * cb
+    if m is None or not any(c % p for c in coeffs.values()):
+        return zero_form(p)
+    return Form(m, tuple(coeffs.get((i, j), 0) % p for i, j, _ in monomials(m)), p)
+
+
 def sparse_form(m: int, p: int, seed: int, density: float) -> Form:
     """A form of degree m whose coefficients are nonzero with the given density."""
     rng = random.Random(seed)
@@ -782,19 +814,63 @@ class TestFastPaths:
         st.integers(0, 2**32), st.sampled_from([0.0, 0.05, 0.5, 1.0]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_kronecker_product_is_the_dense_product(self, da, db, p, seed, density):
+    def test_a_product_is_the_dense_product(self, da, db, p, seed, density):
         if density > 0.05:  # the dense reference is quadratic in the number of terms
             da, db = min(da, 25), min(db, 15)
         a, b = sparse_form(da, p, seed, density), sparse_form(db, p, seed + 1, 1.0)
-        assert _kronecker_product(a, b) == _dense_product(a, b)
-        assert _kronecker_product(b, a) == _dense_product(a, b)
+        expected = dense_dot([(a, b, False)], p)
+        assert _form_dot([(a, b, False)], p) == _form_dot([(b, a, False)], p) == expected
+        assert a * b == b * a == expected
         assert a * zero_form(p) == zero_form(p) * b == zero_form(p)
 
-    def test_top_slots_at_the_largest_prime(self):
-        # every coefficient p - 1: each slot of the product reaches its bound
-        p = 2**31 - 1
-        a, b = (Form(m, (p - 1,) * plane_dim(m), p) for m in (40, 40))
-        assert _kronecker_product(a, b) == _dense_product(a, b)
+    @given(
+        st.integers(0, 16), st.sampled_from([2, 3, 101, 32003, 2**31 - 1]), st.integers(0, 2**32),
+        st.lists(st.tuples(st.integers(0, 16), st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.booleans()),
+                 min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_signed_sum_is_the_dense_sum(self, m, p, seed, shape):
+        # density 0 gives an all-zero form, which the sum skips
+        terms = [(sparse_form(min(da, m), p, seed + 2 * t, density),
+                  sparse_form(m - min(da, m), p, seed + 2 * t + 1, 1.0), negative)
+                 for t, (da, density, negative) in enumerate(shape)]
+        assert _form_dot(terms, p) == dense_dot(terms, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+    def test_zero_terms_are_skipped_and_a_vanishing_sum_is_the_zero_form(self, p):
+        a, b = sparse_form(3, p, p, 1.0), sparse_form(4, p, p + 1, 1.0)
+        zeros = [(zero_form(p), b, False), (a, Form(2, (0,) * plane_dim(2), p), True),
+                 (zero_form(p), zero_form(p), False)]
+        assert _form_dot(zeros + [(a, b, False)], p) == dense_dot([(a, b, False)], p) == a * b
+        assert _form_dot(zeros, p) == _form_dot([], p) == zero_form(p)
+        assert _form_dot([(a, b, False), (b, a, True)], p) == zero_form(p)
+
+    def test_coefficients_need_not_be_reduced(self):
+        # the slot width follows the largest packed coefficient, so any
+        # coefficients in [0, 2^64) give the residues of the exact sum
+        rng = random.Random(10)
+        a, b, c = (Form(m, tuple(rng.randrange(2**63) for _ in range(plane_dim(m))), P) for m in (1, 3, 2))
+        terms = [(a, b, False), (c, c, True), (b, a, True)]
+        assert _form_dot(terms, P) == dense_dot(terms, P)
+        assert a * b == dense_dot([(a, b, False)], P)
+
+    def test_products_of_different_degrees_do_not_add(self):
+        rng = random.Random(9)
+        a, b, c = random_form(2, rng), random_form(3, rng), random_form(4, rng)
+        with pytest.raises(ValueError, match="different degrees"):
+            _form_dot([(a, b, False), (a, c, False)], P)
+        with pytest.raises(ValueError, match="different degrees"):
+            _form_dot([(a, b, False), (b, c, True)], P)
+
+    @pytest.mark.parametrize("p", [32003, 2**31 - 1])
+    def test_slots_at_their_bound(self, p):
+        # every coefficient p - 1: six positive terms take each slot of the
+        # sum to its bound, wider than one 64-bit word at the largest prime
+        full = [Form(m, (p - 1,) * plane_dim(m), p) for m in (12, 20, 28)]
+        terms = [(full[t % 3], full[2 - t % 3], False) for t in range(6)]
+        assert _form_dot(terms, p) == dense_dot(terms, p)
+        signed = [(f, g, t % 3 == 0) for t, (f, g, _) in enumerate(terms)]
+        assert _form_dot(signed, p) == dense_dot(signed, p)
 
     @given(st.integers(1, 4), st.integers(0, 2**32), st.sampled_from([11, 101, 32003, 2**31 - 1]))
     @settings(max_examples=60, deadline=None)
