@@ -34,6 +34,15 @@ A curve through the scheme is the determinant F of the presentation
 matrix with a row r of random forms inserted at position pos; it lies
 in the minor ideal by the Laplace expansion F = (-1)^pos * sum_j r_j g_j
 over the signed maximal minors g_j, and the witness compares both sides.
+A zero F, or a level of the Hilbert function whose rank falls short, can
+be bad luck at a small prime, so it fails only if every trial fails it.
+
+A sampled matrix draws all its coefficients at once, entry by entry in
+row order: one `getrandbits` call of 32 bits per coefficient, whose
+words each keep their top p.bit_length() bits unless those are >= p,
+plus a round for the shortfall.  That is the stream of one `randrange(p)`
+per coefficient, so the forms and the generator's final state are those
+of one `random_form` per entry.
 
 One elimination kernel, `_rank`, serves every graded rank: forward
 elimination mod p on an int64 array.  Only it uses numpy, imported on
@@ -50,13 +59,13 @@ degree.  Serialized coefficient vectors follow this order exactly.
 from __future__ import annotations
 
 import random
-import struct
 import sys
 from array import array
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations, dropwhile
 from math import comb
-from operator import mul, not_, sub
+from operator import add, mul, neg, not_, sub
 
 from .decide import REASON_DIAGONAL, REASON_SUBDIAGONAL, Decision, contains_subscheme, representable
 from .degree_matrix import DegreeMatrix, DHBMatrix, _Record
@@ -68,8 +77,8 @@ DEFAULT_PRIME = 32003
 _PRIME_BOUND = 2**31
 #: Past this many residues drawn and monomial values tabulated over all
 #: trials (`_check_work`), a witness is refused before it samples.  Measured
-#: on one core (Python 3.11): 0.23-0.26 us per drawn coefficient, 0.11-0.15 us
-#: and 40 bytes per tabulated value, so 12-25 s at the budget.  The estimate
+#: on one core (Python 3.11): 0.06-0.11 us per drawn coefficient, 0.09-0.15 us
+#: and 40 bytes per tabulated value, so 6-15 s at the budget.  The estimate
 #: counts a square trial's full path, whose tables are up to 4 GB at the
 #: budget; a trial settled by a proof tabulates at one point.
 WITNESS_BUDGET = 10**8
@@ -143,7 +152,9 @@ class Form(_Record):
     """A homogeneous trivariate polynomial over F_p (dense coefficients).
 
     The zero form is represented with degree -1 and no coefficients; an
-    all-zero coefficient vector of non-negative degree is also zero.
+    all-zero coefficient vector of non-negative degree is also zero.  Sums,
+    differences, negations and products reduce their coefficients mod p and
+    return the zero form when they vanish.
     """
 
     _fields = ("degree", "coeffs", "prime")
@@ -161,24 +172,29 @@ class Form(_Record):
         return self.degree < 0 or not any(self.coeffs)
 
     def __add__(self, other: "Form") -> "Form":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
+        if self.is_zero or other.is_zero:
+            f = other if self.is_zero else self
+            return _reduced(f.degree, f.coeffs, f.prime)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
-        p = self.prime
-        return Form(self.degree, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)), p)
+        return _reduced(self.degree, map(add, self.coeffs, other.coeffs), self.prime)
 
     def __neg__(self) -> "Form":
-        p = self.prime
-        return Form(self.degree, tuple((-c) % p for c in self.coeffs), p)
+        return _reduced(self.degree, map(neg, self.coeffs), self.prime)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def __mul__(self, other: "Form") -> "Form":
-        return _form_dot(((self, other, False),), self.prime)
+        p = self.prime
+        f, g = (_reduced(h.degree, h.coeffs, p) for h in (self, other))
+        return _form_dot(((f, g, False),), p)
+
+
+def _reduced(degree: int, coeffs, p: int) -> Form:
+    """The degree-`degree` form with these coefficients mod p, or the zero form if they all vanish."""
+    coeffs = tuple([c % p for c in coeffs])
+    return Form(degree, coeffs, p) if any(coeffs) else zero_form(p)
 
 
 def _form_dot(terms, p: int) -> Form:
@@ -268,15 +284,21 @@ def _residues(rng: random.Random, count: int, p: int) -> list[int]:
     """The values of `count` calls of rng.randrange(p), leaving rng where they
     would: each keeps the top p.bit_length() bits of the next 32-bit word
     unless they are >= p, getrandbits(32 c) returns c words, least
-    significant first, and a round draws only the shortfall."""
-    if not 0 < p < 2**32:  # randrange then takes other words or fails
+    significant first, and a round draws only the shortfall.  One mask and
+    one shift of that integer keep every word's top bits at once."""
+    # randrange takes other words or fails outside (0, 2^32); array("I") items may not be 32-bit
+    if not (0 < p < 2**32 and array("I").itemsize == 4):
         return [rng.randrange(p) for _ in range(count)]
-    shift = 32 - p.bit_length()
+    bits = p.bit_length()
+    word_mask = (2**bits - 1 << 32 - bits).to_bytes(4, "little")
     out: list[int] = []
     while len(out) < count:
         need = count - len(out)
-        words = struct.unpack(f"<{need}I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
-        out += [v for v in (word >> shift for word in words) if v < p]
+        kept = rng.getrandbits(32 * need) & int.from_bytes(word_mask * need, "little")
+        words = array("I", (kept >> 32 - bits).to_bytes(4 * need, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        out += [v for v in words if v < p]
     return out
 
 
@@ -313,17 +335,20 @@ class FormMatrix(_Record):
 
 
 def sample_matrix(M, rng: random.Random, prime: int = DEFAULT_PRIME) -> FormMatrix:
-    """Random forms of the prescribed degrees; zero where the degree is negative."""
+    """Random forms of the prescribed degrees; zero where the degree is negative.
+
+    All coefficients are one `_residues` draw in row order, so the forms and
+    rng's state are those of one `random_form` per non-negative entry."""
     if not isinstance(M, DegreeMatrix):
         M = DegreeMatrix.from_grid(M)
-    entries = tuple(
-        tuple(
-            random_form(m, rng, prime) if m >= 0 else zero_form(prime)
-            for m in row
-        )
-        for row in M.entries
-    )
-    return FormMatrix(entries, M, prime)
+    degrees = [m for row in M.entries for m in row]
+    ends = list(accumulate(map(plane_dim, degrees), initial=0))
+    coeffs, zero = tuple(_residues(rng, ends[-1], prime)), zero_form(prime)
+    forms = [Form(m, coeffs[a:b], prime) if m >= 0 else zero for m, a, b in zip(degrees, ends, ends[1:])]
+    n = len(M.entries[0])
+    N = object.__new__(FormMatrix)  # each entry has its degree by construction: no checks
+    N._set(tuple(tuple(forms[i : i + n]) for i in range(0, len(forms), n)), M, prime)
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +503,9 @@ def _extend_by_differences(values: list[int], count: int, p: int) -> list[int]:
 
 
 def random_line(rng: random.Random, prime: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    return (
-        tuple(rng.randrange(prime) for _ in range(3)),
-        tuple(rng.randrange(prime) for _ in range(3)),
-    )
+    """A point and a direction: the values of six rng.randrange(prime) calls."""
+    values = _residues(rng, 6, prime)
+    return tuple(values[:3]), tuple(values[3:])
 
 
 class LineDegreeReport(_Record):
@@ -776,6 +800,11 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     up to b_1.  The trial has F itself, so the curve degree is read from
     it: d when F is nonzero, none when it vanishes.  Two minors shown
     coprime prove the Hilbert function; only otherwise are levels ranked.
+
+    The minor degrees and the Laplace identity hold for every sample, so
+    each failure is a mismatch.  A zero F, or a level whose rank falls
+    short, can be bad luck at a small prime: it is a mismatch only if it
+    fails in every trial that checks it.
     """
     _check_witness_parameters(trials, prime)
     decision = contains_subscheme(Q, d)
@@ -795,13 +824,15 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     pos = decision.inserted_row_position
     row_degrees = square.entries[pos - 1]
 
+    failures = []  # (message, check) in trial order; check is None for an identity
+    reached = 0  # trials whose curve is nonzero, which go on to the Hilbert function
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         A = sample_matrix(Q, rng, prime)
         minors = maximal_minors(A)
         for g, aj in zip(minors, a):
             if not g.is_zero and g.degree != aj:
-                report.mismatches.append(f"trial {trial}: minor degree {g.degree} != {aj}")
+                failures.append((f"trial {trial}: minor degree {g.degree} != {aj}", None))
 
         new_row = sample_matrix(DegreeMatrix((row_degrees,)), rng, prime).entries[0]
         entries = A.entries[: pos - 1] + (new_row,) + A.entries[pos - 1 :]
@@ -810,10 +841,11 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
         deg = None if F.is_zero else F.degree
         report.observed_degrees.append(deg)
         if deg != d:
-            report.mismatches.append(f"trial {trial}: curve degree {deg} != {d}")
+            failures.append((f"trial {trial}: curve degree {deg} != {d}", "curve" if deg is None else None))
             continue
+        reached += 1
         if F != _form_dot([(r, g, pos % 2 == 1) for r, g in zip(new_row, minors)], prime):
-            report.mismatches.append(f"trial {trial}: determinant is not in the minor ideal")
+            failures.append((f"trial {trial}: determinant is not in the minor ideal", None))
 
         proved = _coprime_minors(minors, random.Random(f"coprime {seed} {trial}"), prime)
         profile = []
@@ -822,9 +854,11 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
             observed = predicted if proved else plane_dim(t) - ideal_dim(minors, t)
             profile.append({"t": t, "predicted": predicted, "observed": observed})
             if predicted != observed:
-                report.mismatches.append(
-                    f"trial {trial}: Hilbert function at level {t} is {observed}, predicted {predicted}"
-                )
+                failures.append((f"trial {trial}: Hilbert function at level {t} is {observed}, "
+                                 f"predicted {predicted}", t))
         if trial == 0:
             report.hf_profile.extend(profile)
+    made = {"curve": trials, **dict.fromkeys(range(b1 + 1), reached)}
+    failed = Counter(check for _, check in failures)
+    report.mismatches.extend(message for message, check in failures if check is None or failed[check] == made[check])
     return report

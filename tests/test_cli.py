@@ -578,6 +578,23 @@ class TestMismatchExitCode:
         assert body["verdictChecked"]["answer"] == "yes"
         assert body["mismatches"] == ["trial 0: curve degree None != 4"]
 
+    def test_zero_curve_in_one_trial_is_no_contradiction(self, capsys):
+        # the inserted row is (c, 0) for a constant c, and trial 1 draws c = 0 at p = 7
+        code, body = invoke(capsys, "witness", "--matrix", "[[3,4]]", "--degree", "3", "--prime", "7",
+                            "--trials", "5")
+        assert code == 0
+        assert body["observedDegrees"] == [3, None, 3, 3, 3]
+        assert body["mismatches"] == []
+
+    def test_a_hilbert_function_off_at_one_level_exits_2(self, capsys, monkeypatch):
+        # the levels are ranked, not proved by coprime minors, so every trial sees it
+        true_hf = witness.hilbert_function
+        monkeypatch.setattr(witness, "hilbert_function", lambda B, t: true_hf(B, t) + (t == 5))
+        monkeypatch.setattr(witness, "_coprime_minors", lambda minors, rng, p: False)
+        code, body = invoke(capsys, "witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "4", "--trials", "3")
+        assert code == 2
+        assert body["mismatches"] == [f"trial {i}: Hilbert function at level 5 is 18, predicted 19" for i in range(3)]
+
     def test_curve_on_the_line_direction_is_no_contradiction(self, capsys):
         # d = 8 is above the stable threshold 7; at p = 101 trial 2 samples a
         # curve through the direction of the line that trial would draw
