@@ -15,8 +15,10 @@ sampled N, which forces det(N) = 0 (Frobenius-Koenig); a no by a
 negative subdiagonal entry by the zero corner that makes N block upper
 triangular, together with block values at Q whose product is nonzero and
 equals det(N(Q)).  Two maximal minors shown coprime prove the Hilbert
-function at every level.  Products of forms and their signed sums are one
-Kronecker-substitution dot product, `_form_dot`, unpacked once per sum.
+function at every level, which the Hilbert-Burch twists of the sampled
+minors and the syzygies then give.  Products of forms and their signed
+sums are one Kronecker-substitution dot product, `_form_dot`, unpacked
+once per sum.
 
 A polynomial on the line is kept as its values at s = 0..D, which fix it
 when its degree is at most D < p; its degree is read from their forward
@@ -41,8 +43,10 @@ A sampled matrix draws all its coefficients at once, entry by entry in
 row order: one `getrandbits` call of 32 bits per coefficient, whose
 words each keep their top p.bit_length() bits unless those are >= p,
 plus a round for the shortfall.  That is the stream of one `randrange(p)`
-per coefficient, so the forms and the generator's final state are those
-of one `random_form` per entry.
+per coefficient, so the entries and the generator's final state are
+those of one `random_form` per entry.  A square trial evaluates that
+stream itself, one (degree, coefficients) slice per entry; only a
+subscheme trial builds `Form`s.
 
 One elimination kernel, `_rank`, serves every graded rank: forward
 elimination mod p on an int64 array.  Only it uses numpy, imported on
@@ -337,18 +341,25 @@ class FormMatrix(_Record):
 def sample_matrix(M, rng: random.Random, prime: int = DEFAULT_PRIME) -> FormMatrix:
     """Random forms of the prescribed degrees; zero where the degree is negative.
 
-    All coefficients are one `_residues` draw in row order, so the forms and
-    rng's state are those of one `random_form` per non-negative entry."""
+    The forms and rng's state are those of one `random_form` per
+    non-negative entry in row order (`_draw_entries`)."""
     if not isinstance(M, DegreeMatrix):
         M = DegreeMatrix.from_grid(M)
-    degrees = [m for row in M.entries for m in row]
-    ends = list(accumulate(map(plane_dim, degrees), initial=0))
-    coeffs, zero = tuple(_residues(rng, ends[-1], prime)), zero_form(prime)
-    forms = [Form(m, coeffs[a:b], prime) if m >= 0 else zero for m, a, b in zip(degrees, ends, ends[1:])]
+    zero = zero_form(prime)
+    forms = [Form(m, c, prime) if m >= 0 else zero for m, c in _draw_entries(M.entries, rng, prime)]
     n = len(M.entries[0])
     N = object.__new__(FormMatrix)  # each entry has its degree by construction: no checks
     N._set(tuple(tuple(forms[i : i + n]) for i in range(0, len(forms), n)), M, prime)
     return N
+
+
+def _draw_entries(grid, rng: random.Random, p: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(m, coefficients) for each entry m of the grid in row order, none
+    where m < 0: one `_residues` draw, sliced in order."""
+    degrees = [m for row in grid for m in row]
+    ends = list(accumulate(map(plane_dim, degrees), initial=0))
+    coeffs = tuple(_residues(rng, ends[-1], p))
+    return [(m, coeffs[a:b]) for m, a, b in zip(degrees, ends, ends[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -455,36 +466,31 @@ def restrict_det_to_line(N: FormMatrix, line, max_degree: int) -> list[int]:
     p = N.prime
     if p <= max_degree:
         raise FieldTooSmallError(f"prime {p} is too small for degree {max_degree} on a line")
-    return [_det_numeric(mat, p) for mat in _values_on_line(N, line, max_degree)]
+    entries = [(f.degree, f.coeffs) for row in N.entries for f in row]
+    return [_det_numeric(mat, p) for mat in _values_on_line(entries, N.cols, line, max_degree, p)]
 
 
-def _values_on_line(N: FormMatrix, line, max_degree: int) -> list[list[list[int]]]:
-    """The values mod p of N's entries at P + s Q, one matrix per s = 0..max_degree.
+def _values_on_line(entries, n: int, line, max_degree: int, p: int) -> list[list[list[int]]]:
+    """The values mod p at P + s Q of a square's entries, (degree,
+    coefficients) pairs in row order, n to a row and zero where the degree
+    is negative: one n x n matrix per s = 0..max_degree.
 
     An entry, of degree m in s on the line, is evaluated only at
     s = 0..min(m, max_degree), against monomial values shared by every
     entry there; its other values follow from its forward differences.
     """
-    p = N.prime
     (p0, p1, p2), (q0, q1, q2) = line
-    forms = [f for row in N.entries for f in row]
-    top = max(f.degree for f in forms)
-    tables = [
-        _monomial_values((p0 + s * q0, p1 + s * q1, p2 + s * q2), top, p)
-        for s in range(min(top, max_degree) + 1)
-    ]
-    columns = []  # values of each entry at s = 0..max_degree
-    for f in forms:
-        m = f.degree
-        if m < 0:
-            columns.append([0] * (max_degree + 1))
-            continue
-        values = [sum(map(mul, f.coeffs, table[m])) % p for table in tables[: m + 1]]
-        if m < max_degree:
-            values += _extend_by_differences(values, max_degree - m, p)
-        columns.append(values)
-    n = N.cols
-    return [[list(at_s[i : i + n]) for i in range(0, len(at_s), n)] for at_s in zip(*columns)]
+    top = max(m for m, _ in entries)
+    tables = (_monomial_values((p0 + s * q0, p1 + s * q1, p2 + s * q2), top, p)
+              for s in range(min(top, max_degree) + 1))
+    nodes = [[sum(map(mul, c, table[m])) % p if m >= s else 0 for m, c in entries] for s, table in enumerate(tables)]
+    nodes += [[0] * len(entries) for _ in range(len(nodes), max_degree + 1)]  # past top, all by differences
+    for i, (m, _) in enumerate(entries):
+        if 0 <= m < max_degree:
+            later = _extend_by_differences([at_s[i] for at_s in nodes[: m + 1]], max_degree - m, p)
+            for at_s, v in zip(nodes[m + 1 :], later):
+                at_s[i] = v
+    return [[at_s[i : i + n] for i in range(0, len(at_s), n)] for at_s in nodes]
 
 
 def _extend_by_differences(values: list[int], count: int, p: int) -> list[int]:
@@ -695,14 +701,13 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
 def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> WitnessReport:
     """The trials of `verify_representable` on the square `decision.normalized`."""
     report = WitnessReport(seed, prime, trials, decision.to_json())
-    M = DegreeMatrix(decision.normalized)
-    d = decision.degree
+    grid, d = decision.normalized, decision.degree
     if prime <= d:
         raise FieldTooSmallError(f"prime {prime} is too small for degree {d}")
     # a trial's full path tabulates at the min(top, d) + 1 nodes of its line;
     # the well-ordered square's largest entry is its top right one
-    top = max(M.entries[0][-1], 0)
-    _check_work(M.entries, trials, max(min(top, d), 0) + 1, top)
+    top = max(grid[0][-1], 0)
+    _check_work(grid, trials, max(min(top, d), 0) + 1, top)
     # name: (degree, its degree on each trial's line) of what the verdict fixes
     expected = {"full": (d, report.observed_degrees)} if decision.verdict else {}
     if decision.reason == REASON_SUBDIAGONAL:
@@ -711,15 +716,15 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
 
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
-        N = sample_matrix(M, rng, prime)
+        entries = _draw_entries(grid, rng, prime)
         line = random_line(rng, prime)
-        settled = _settled_trial(decision, N, line[1])
+        settled = _settled_trial(decision, entries, line[1], prime)
         if settled is not None:
             report.observed_degrees.append(settled[0])
             for (_, seen), g in zip(expected.values(), settled[1:]):
                 seen.append(g)
             continue
-        nodes = _values_on_line(N, line, d)
+        nodes = _values_on_line(entries, len(grid), line, d, prime)
         values = [_det_numeric(mat, prime) for mat in nodes]
         deg = _poly_degree(values, prime)
         report.observed_degrees.append(deg)
@@ -748,8 +753,9 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
     return report
 
 
-def _settled_trial(decision: Decision, N: FormMatrix, direction) -> tuple | None:
-    """What a trial of `decision` on N records when a proof settles it:
+def _settled_trial(decision: Decision, entries, direction, p: int) -> tuple | None:
+    """What a trial of `decision` on N, the square of drawn `entries` as
+    `_values_on_line` takes them, records when a proof settles it:
     the degree of det(N) on the line with this direction Q, then the
     block degrees.  None when the proof fails, and the trial runs in full.
 
@@ -764,14 +770,14 @@ def _settled_trial(decision: Decision, N: FormMatrix, direction) -> tuple | None
     node.  L T must also equal det(N(Q)), so that an evaluation at fault
     sends the trial to the full path.
     """
-    d, k, e, p = decision.degree, decision.k, decision.block_degree, N.prime
+    d, k, e, n = decision.degree, decision.k, decision.block_degree, len(decision.normalized)
     if not decision.verdict:
         width = k if decision.reason == REASON_DIAGONAL else k - 1
-        if not all(f.is_zero for row in N.entries[k - 1 :] for f in row[:width]):
+        if any(any(c) for i in range(k - 1, n) for _, c in entries[i * n : i * n + width]):
             return None
         if decision.reason == REASON_DIAGONAL:
             return (None,)
-    at_direction = _values_on_line(N, (direction, (0, 0, 0)), 0)[0]
+    at_direction = _values_on_line(entries, n, (direction, (0, 0, 0)), 0, p)[0]
     det = _det_numeric(at_direction, p)
     if decision.verdict:
         return (d,) if det else None
@@ -847,11 +853,14 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
         if F != _form_dot([(r, g, pos % 2 == 1) for r, g in zip(new_row, minors)], prime):
             failures.append((f"trial {trial}: determinant is not in the minor ideal", None))
 
+        # coprime minors fix the Hilbert function by the Hilbert-Burch twists
         proved = _coprime_minors(minors, random.Random(f"coprime {seed} {trial}"), prime)
+        twists = [(aj if g.is_zero else g.degree, 1) for g, aj in zip(minors, a)] + [(b, -1) for b in Q.shifts]
         profile = []
         for t in range(b1 + 1):
             predicted = hilbert_function(B, t)
-            observed = predicted if proved else plane_dim(t) - ideal_dim(minors, t)
+            observed = plane_dim(t) - (sum(sign * plane_dim(t - m) for m, sign in twists) if proved
+                                       else ideal_dim(minors, t))
             profile.append({"t": t, "predicted": predicted, "observed": observed})
             if predicted != observed:
                 failures.append((f"trial {trial}: Hilbert function at level {t} is {observed}, "

@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvedet import (
@@ -29,11 +29,12 @@ from curvedet import (
     maximal_minors,
     plane_dim,
     random_form,
+    representable,
     sample_matrix,
     verify_representable,
     verify_subscheme,
 )
-from curvedet import witness
+from curvedet import degree_matrix, witness
 from curvedet.decide import REASON_DIAGONAL, REASON_SUBDIAGONAL, Decision
 from curvedet.degree_matrix import DegreeMatrix
 from curvedet.witness import (
@@ -330,6 +331,21 @@ class TestSampling:
             assert _residues(batched, count, p) == [single.randrange(p) for _ in range(count)]
             assert batched.getstate() == single.getstate()
 
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_square_trial_draws_the_coefficients_of_sample_matrix(self, n, data):
+        # a square trial evaluates its drawn stream and builds no Form
+        u = data.draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n))
+        v = data.draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n))
+        p = data.draw(st.sampled_from(STREAM_PRIMES))
+        seed = data.draw(st.integers(0, 2**32))
+        grid = [[ui + vj for vj in v] for ui in u]
+        drawn, sampled = random.Random(seed), random.Random(seed)
+        entries = witness._draw_entries(grid, drawn, p)
+        N = sample_matrix(grid, sampled, p)
+        assert [(max(m, -1), c) for m, c in entries] == [(f.degree, f.coeffs) for row in N.entries for f in row]
+        assert drawn.getstate() == sampled.getstate()
+
 
 class TestDeterminantRestriction:
     def test_restriction_commutes_with_determinant(self):
@@ -576,7 +592,7 @@ class TestVerifyRepresentable:
                 return (value + 1) % p if len(reads) == 5 else value
             return value
 
-        monkeypatch.setattr(witness, "_settled_trial", lambda decision, N, direction: None)
+        monkeypatch.setattr(witness, "_settled_trial", lambda *args: None)
         monkeypatch.setattr(witness, "_det_numeric", det)
         report = verify_representable([[1, 3], [-1, 1]], trials=1, seed=2)
         assert "trial 0: block determinants do not multiply to the determinant" in report.mismatches
@@ -633,13 +649,14 @@ class TestVerifyRepresentable:
         wrong = Decision(False, REASON_SUBDIAGONAL, 2, ((1, 1), (1, 1)), k=2, block_degree=1)
         monkeypatch.setattr(witness, "representable", lambda grid: wrong)
         monkeypatch.setattr(witness, "random_line", lambda rng, p: ((1, 2, 3), (0, 0, 1)))
-        true_sample = witness.sample_matrix
+        true_draw = witness._draw_entries
 
-        def sample(M, rng, p):
-            (n11, n12), (_, n22) = true_sample(M, rng, p).entries
-            return FormMatrix(((n11, n12), (Form(1, (1, 0, 0), p), n22)), M, p)
+        def draw(grid, rng, p):
+            entries = true_draw(grid, rng, p)
+            entries[2] = (1, (1, 0, 0))  # N[2][1] = x, in row order
+            return entries
 
-        monkeypatch.setattr(witness, "sample_matrix", sample)
+        monkeypatch.setattr(witness, "_draw_entries", draw)
         report = verify_representable([[1, 1], [1, 1]], trials=2, seed=2)
         assert report.mismatches == [
             f"trial {i}: block determinants do not multiply to the determinant" for i in range(2)
@@ -658,14 +675,37 @@ class TestVerifyRepresentable:
         true_values = witness._values_on_line
         calls = []
 
-        def values_on_line(N, line, max_degree):
+        def values_on_line(entries, n, line, max_degree, p):
             calls.append(max_degree)
-            return true_values(N, line, max_degree)
+            return true_values(entries, n, line, max_degree, p)
 
         monkeypatch.setattr(witness, "_values_on_line", values_on_line)
         report = verify_representable(grid, trials=4, seed=seed, prime=prime)
         assert report.ok
         assert calls == evaluations
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["settled", "full"])
+    @pytest.mark.parametrize("grid, prime", [
+        (DEGREE8_GRID, DEFAULT_PRIME),
+        ([[2, 3, 8], [-3, -2, 3], [-4, -3, 2]], DEFAULT_PRIME),
+        ([[1, 3], [-1, 1]], DEFAULT_PRIME),
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], 7),  # trials 1 and 3 run in full unforced
+        ([[2, 2, 4], [-1, -1, 1], [0, 0, 2]], 7),  # trials 1 and 2 run in full unforced
+    ])
+    def test_a_square_trial_builds_no_form(self, monkeypatch, grid, prime, forced):
+        if forced:
+            monkeypatch.setattr(witness, "_settled_trial", lambda *args: None)
+        expected = verify_representable(grid, trials=4, seed=0, prime=prime).to_json()
+        monkeypatch.setattr(Form, "__init__", lambda *args: pytest.fail("built a Form"))
+        assert verify_representable(grid, trials=4, seed=0, prime=prime).to_json() == expected
+        assert expected["mismatches"] == []
+
+    def test_a_square_report_checks_homogeneity_once(self, monkeypatch):
+        true_check = degree_matrix._check_homogeneous
+        calls = []
+        monkeypatch.setattr(degree_matrix, "_check_homogeneous", lambda rows: calls.append(rows) or true_check(rows))
+        assert verify_representable(DEGREE8_GRID, trials=2, seed=2).ok
+        assert len(calls) == 1
 
     def test_degree_zero(self):
         report = verify_representable([[0, 0], [0, 0]], trials=4, seed=2)
@@ -795,12 +835,44 @@ class TestVerifySubscheme:
                 report = verify_subscheme(Q, d, trials=5, seed=0, prime=p)
                 assert report.ok, (Q.entries, d, report.mismatches)
 
+    def test_a_proved_trial_checks_the_hilbert_function(self, monkeypatch):
+        # coprime minors settle all three trials, so nothing is ranked; their
+        # Hilbert-Burch twists must still disagree with a wrong prediction
+        Q = dhb([[2, 3, 5], [1, 2, 4]])
+        h = hilbert_function(BettiData(Q.minor_degrees, Q.shifts), 5)
+        true_hf = witness.hilbert_function
+        monkeypatch.setattr(witness, "hilbert_function", lambda B, t: true_hf(B, t) + (t == 5))
+        monkeypatch.setattr(witness, "ideal_dim", lambda *args: pytest.fail("ranked"))
+        report = verify_subscheme(Q, 4, trials=3, seed=0)
+        assert report.mismatches == [
+            f"trial {i}: Hilbert function at level 5 is {h}, predicted {h + 1}" for i in range(3)
+        ]
+
     def test_hilbert_profile_matches_formula(self):
         Q = dhb([[2, 3, 5], [1, 2, 4]])
         B = BettiData(Q.minor_degrees, Q.shifts)
         report = verify_subscheme(Q, 4, trials=1, seed=8)
         for entry in report.hf_profile:
             assert entry["predicted"] == hilbert_function(B, entry["t"])
+
+
+class TestTransposeSymmetry:
+    """det(M^T) = det M, so a square and its transpose must get one verdict;
+    the criterion reads the subdiagonal of the well-ordered square, so the
+    symmetry is a theorem here, not a construction."""
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_square_and_its_transpose_agree(self, n, data):
+        u = data.draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n))
+        v = data.draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n))
+        assume(sum(u) + sum(v) >= 0)
+        grid = [[ui + vj for vj in v] for ui in u]
+        transpose = [list(column) for column in zip(*grid)]
+        decision, flipped = representable(grid), representable(transpose)
+        assert (flipped.verdict, flipped.degree) == (decision.verdict, decision.degree)
+        report = verify_representable(transpose, trials=2, seed=data.draw(st.integers(0, 2**31)))
+        assert report.ok, (transpose, report.mismatches)
 
 
 class TestWitnessBudget:
@@ -831,7 +903,7 @@ class TestWitnessBudget:
         monkeypatch.setattr(witness, "WITNESS_BUDGET", estimate)
         assert call().to_json() == expected
         monkeypatch.setattr(witness, "WITNESS_BUDGET", estimate - 1)
-        monkeypatch.setattr(witness, "sample_matrix", lambda *args: pytest.fail("sampled"))
+        monkeypatch.setattr(witness, "_draw_entries", lambda *args: pytest.fail("drew"))
         with pytest.raises(WitnessBudgetError) as info:
             call()
         assert (info.value.estimate, info.value.budget) == (estimate, estimate - 1)
@@ -840,7 +912,7 @@ class TestWitnessBudget:
     def test_the_estimate_grows_with_the_trials(self, monkeypatch):
         _, estimate = self.CASES[0]
         monkeypatch.setattr(witness, "WITNESS_BUDGET", 0)
-        monkeypatch.setattr(witness, "sample_matrix", lambda *args: pytest.fail("sampled"))
+        monkeypatch.setattr(witness, "_draw_entries", lambda *args: pytest.fail("drew"))
         with pytest.raises(WitnessBudgetError) as info:
             verify_representable([[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]],
                                  trials=3 * 10**9)
