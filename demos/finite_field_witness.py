@@ -12,7 +12,6 @@ import random
 
 from curvedet import (
     canonicalize,
-    det_degree_on_lines,
     ideal_dim,
     maximal_minors,
     plane_dim,
@@ -26,14 +25,11 @@ rng = random.Random(20240810)
 print("=" * 72)
 print("Degree measurement by line restriction")
 print("=" * 72)
-M, _, _ = canonicalize([[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]])
-N = sample_matrix(M, rng)
-report = det_degree_on_lines(N, trials=5, rng=rng)
-print("sampled the 4x4 degree-8 matrix; observed per-line degrees:", report.per_trial)
+report = verify_representable([[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]], trials=5, seed=1)
+print("sampled the 4x4 degree-8 matrix; observed per-line degrees:", report.observed_degrees)
 
-M, _, _ = canonicalize([[2, 3, 8], [-3, -2, 3], [-4, -3, 2]])
-report = det_degree_on_lines(sample_matrix(M, rng), trials=5, rng=rng)
-print("negative-diagonal matrix: identically zero?", report.identically_zero)
+report = verify_representable([[2, 3, 8], [-3, -2, 3], [-4, -3, 2]], trials=5, seed=2)
+print("negative-diagonal matrix: identically zero?", all(deg is None for deg in report.observed_degrees))
 print()
 
 print("=" * 72)

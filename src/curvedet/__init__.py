@@ -12,9 +12,9 @@ package.  The rest load on first use, so that a decision never imports
 them: `series` and its names `SeriesAnswer`, `SeriesQuery`,
 `SeriesRow`, `ShiftedProperty`, `analyze`, `enumerate_hvectors`,
 `genus` and `hf_constraints`; `witness` and its names `DEFAULT_PRIME`,
-`Form`, `FormMatrix`, `WitnessReport`, `det_degree_on_lines`,
-`det_form`, `ideal_dim`, `maximal_minors`, `random_form`,
-`sample_matrix`, `verify_representable` and `verify_subscheme`.
+`Form`, `FormMatrix`, `WitnessReport`, `det_form`, `ideal_dim`,
+`maximal_minors`, `random_form`, `sample_matrix`,
+`verify_representable` and `verify_subscheme`.
 """
 
 from .decide import (
@@ -86,9 +86,8 @@ _LAZY = {
     ), "series"),
     "witness": "witness",
     **dict.fromkeys((
-        "DEFAULT_PRIME", "Form", "FormMatrix", "WitnessReport", "det_degree_on_lines", "det_form",
-        "ideal_dim", "maximal_minors", "random_form", "sample_matrix", "verify_representable",
-        "verify_subscheme",
+        "DEFAULT_PRIME", "Form", "FormMatrix", "WitnessReport", "det_form", "ideal_dim",
+        "maximal_minors", "random_form", "sample_matrix", "verify_representable", "verify_subscheme",
     ), "witness"),
 }
 

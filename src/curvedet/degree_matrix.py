@@ -115,13 +115,23 @@ class _Record:
     order; the repr lists them; assigning or deleting an attribute raises
     AttributeError.  `__init__` checks its arguments, then stores them
     with `_set`.  A `cached_property` still caches, since it writes the
-    instance dict directly, and copy and pickle restore that dict.  Every
-    value class of the package is a `_Record` except `Decision` and
-    `CorollaryResult`: the decision loops build those by the million, and
-    a NamedTuple costs half as much to build.
+    instance dict directly, and copy and pickle restore that dict.
+    `_trusted` stores values already known to be valid without calling
+    `__init__`, so without its checks.  Every value class of the package
+    is a `_Record` except `Decision` and `CorollaryResult`: the decision
+    loops build those by the million, and a NamedTuple costs half as much
+    to build.
     """
 
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance holding `values` as its fields, unchecked."""
+        record = object.__new__(cls)
+        # `_set` inlined: every `canonicalize` call builds one
+        record.__dict__.update(zip(cls._fields, values))
+        return record
 
     def _set(self, *values) -> None:
         """Store `values` as the fields, in `_fields` order."""
@@ -164,14 +174,6 @@ class DegreeMatrix(_Record):
     @classmethod
     def from_grid(cls, grid) -> "DegreeMatrix":
         return cls(tuple(tuple(row) for row in grid))
-
-    @classmethod
-    def _trusted(cls, entries: Grid) -> "DegreeMatrix":
-        """Wrap entries that are already known to be a valid grid of this
-        shape, skipping `_check`."""
-        matrix = object.__new__(cls)
-        matrix._set(entries)
-        return matrix
 
     @property
     def rows(self) -> int:

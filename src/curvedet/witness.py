@@ -46,7 +46,9 @@ plus a round for the shortfall.  That is the stream of one `randrange(p)`
 per coefficient, so the entries and the generator's final state are
 those of one `random_form` per entry.  A square trial evaluates that
 stream itself, one (degree, coefficients) slice per entry; only a
-subscheme trial builds `Form`s.
+subscheme trial builds `Form`s.  It draws Q and the inserted row in one
+draw, as the rows of one homogeneous grid, Q's first, and splices that
+row into the square; neither matrix is checked again.
 
 One elimination kernel, `_rank`, serves every graded rank: forward
 elimination mod p on an int64 array.  Only it uses numpy, imported on
@@ -176,6 +178,8 @@ class Form(_Record):
         return self.degree < 0 or not any(self.coeffs)
 
     def __add__(self, other: "Form") -> "Form":
+        if self.prime != other.prime:
+            raise ValueError(f"cannot add forms over F_{self.prime} and F_{other.prime}")
         if self.is_zero or other.is_zero:
             f = other if self.is_zero else self
             return _reduced(f.degree, f.coeffs, f.prime)
@@ -191,6 +195,8 @@ class Form(_Record):
 
     def __mul__(self, other: "Form") -> "Form":
         p = self.prime
+        if other.prime != p:
+            raise ValueError(f"cannot multiply forms over F_{p} and F_{other.prime}")
         f, g = (_reduced(h.degree, h.coeffs, p) for h in (self, other))
         return _form_dot(((f, g, False),), p)
 
@@ -309,6 +315,7 @@ def _residues(rng: random.Random, count: int, p: int) -> list[int]:
 class FormMatrix(_Record):
     """A matrix of forms realizing an integer degree matrix.
 
+    The entries have the degree matrix's shape and are forms over F_prime.
     Entries at negative-degree slots are identically zero; every other
     entry has exactly the prescribed degree.
     """
@@ -317,9 +324,13 @@ class FormMatrix(_Record):
 
     def __init__(self, entries: tuple[tuple[Form, ...], ...], degree_matrix: DegreeMatrix, prime: int):
         grid = degree_matrix.entries
+        if len(entries) != len(grid) or any(len(row) != len(grid[0]) for row in entries):
+            raise ValueError(f"entries must have the {len(grid)} x {len(grid[0])} shape of the degree matrix")
         for i, row in enumerate(entries):
             for j, f in enumerate(row):
                 m = grid[i][j]
+                if f.prime != prime:
+                    raise ValueError(f"entry ({i + 1},{j + 1}) is over F_{f.prime}, expected F_{prime}")
                 if m < 0:
                     if not f.is_zero:
                         raise ValueError(f"entry ({i + 1},{j + 1}) must vanish (degree {m})")
@@ -348,9 +359,8 @@ def sample_matrix(M, rng: random.Random, prime: int = DEFAULT_PRIME) -> FormMatr
     zero = zero_form(prime)
     forms = [Form(m, c, prime) if m >= 0 else zero for m, c in _draw_entries(M.entries, rng, prime)]
     n = len(M.entries[0])
-    N = object.__new__(FormMatrix)  # each entry has its degree by construction: no checks
-    N._set(tuple(tuple(forms[i : i + n]) for i in range(0, len(forms), n)), M, prime)
-    return N
+    # each entry has its degree by construction: no checks
+    return FormMatrix._trusted(tuple(tuple(forms[i : i + n]) for i in range(0, len(forms), n)), M, prime)
 
 
 def _draw_entries(grid, rng: random.Random, p: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -514,32 +524,6 @@ def random_line(rng: random.Random, prime: int) -> tuple[tuple[int, int, int], t
     return tuple(values[:3]), tuple(values[3:])
 
 
-class LineDegreeReport(_Record):
-    _fields = ("identically_zero", "observed_degree", "per_trial")
-
-    def __init__(self, identically_zero: bool, observed_degree: int | None, per_trial: list[int | None]):
-        self._set(identically_zero, observed_degree, per_trial)
-
-
-def det_degree_on_lines(N: FormMatrix, trials: int, rng: random.Random) -> LineDegreeReport:
-    """Measure the determinant degree by restriction to random lines.
-
-    Reports the maximum degree over the trials, or identically zero
-    when every restriction vanishes.
-    """
-    if N.rows != N.cols:
-        raise ValueError("determinant degree needs a square matrix")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    d = sum(N.degree_matrix.diagonal)
-    per_trial: list[int | None] = []
-    for _ in range(trials):
-        values = restrict_det_to_line(N, random_line(rng, N.prime), max(d, 0))
-        per_trial.append(_poly_degree(values, N.prime))
-    observed = max((deg for deg in per_trial if deg is not None), default=None)
-    return LineDegreeReport(observed is None, observed, per_trial)
-
-
 # ---------------------------------------------------------------------------
 # graded pieces of the minor ideal
 # ---------------------------------------------------------------------------
@@ -603,6 +587,8 @@ def ideal_dim(gens, t: int) -> int:
     if not gens:
         return 0
     p = gens[0].prime
+    if any(g.prime != p for g in gens):
+        raise ValueError("the forms of an ideal must be over one field")
     return _rank(_graded_piece_rows(gens, t, p), p)
 
 
@@ -826,24 +812,21 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     B = betti_of_matrix(Q)
     b1 = B.syz[0]
     a = Q.minor_degrees
-    square = DegreeMatrix(decision.normalized)
     pos = decision.inserted_row_position
-    row_degrees = square.entries[pos - 1]
+    # Q's rows and then the inserted row d - a_j, homogeneous as q_ij = b_i - a_j
+    stacked = DegreeMatrix._trusted(Q.entries + (decision.normalized[pos - 1],))
+    square = DegreeMatrix._trusted(decision.normalized)
 
     failures = []  # (message, check) in trial order; check is None for an identity
     reached = 0  # trials whose curve is nonzero, which go on to the Hilbert function
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        A = sample_matrix(Q, rng, prime)
-        minors = maximal_minors(A)
+        *rows, new_row = sample_matrix(stacked, _trial_rng(seed, trial), prime).entries
+        minors = maximal_minors(FormMatrix._trusted(tuple(rows), Q, prime))
         for g, aj in zip(minors, a):
             if not g.is_zero and g.degree != aj:
                 failures.append((f"trial {trial}: minor degree {g.degree} != {aj}", None))
 
-        new_row = sample_matrix(DegreeMatrix((row_degrees,)), rng, prime).entries[0]
-        entries = A.entries[: pos - 1] + (new_row,) + A.entries[pos - 1 :]
-        N = FormMatrix(entries, square, prime)
-        F = det_form(N)
+        F = det_form(FormMatrix._trusted((*rows[: pos - 1], new_row, *rows[pos - 1 :]), square, prime))
         deg = None if F.is_zero else F.degree
         report.observed_degrees.append(deg)
         if deg != d:

@@ -33,7 +33,7 @@ from curvedet import (
     transversal_degree,
 )
 from curvedet.series import HFConstraint, SeriesAnswer, SeriesQuery, SeriesRow, ShiftedProperty
-from curvedet.witness import Form, FormMatrix, LineDegreeReport, WitnessReport
+from curvedet.witness import Form, FormMatrix, WitnessReport
 
 DEGREE8_GRID = [[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]]
 
@@ -501,8 +501,6 @@ class TestRecords:
             (x, (1, (1, 0, 0), 7), "Form(degree=1, coeffs=(1, 0, 0), prime=7)"),
             (FormMatrix(((x, y),), DegreeMatrix(((1, 1),)), 7), (((x, y),), DegreeMatrix(((1, 1),)), 7),
              f"FormMatrix(entries=(({x!r}, {y!r}),), degree_matrix=DegreeMatrix(entries=((1, 1),)), prime=7)"),
-            (LineDegreeReport(False, 3, [3, None]), (False, 3, [3, None]),
-             "LineDegreeReport(identically_zero=False, observed_degree=3, per_trial=[3, None])"),
             (WitnessReport(1, 7, 2, {"answer": "yes"}, [3, 3], profile, []),
              (1, 7, 2, {"answer": "yes"}, [3, 3], profile, []),
              "WitnessReport(seed=1, prime=7, trials=2, verdict_checked={'answer': 'yes'}, observed_degrees=[3, 3], "
@@ -512,8 +510,8 @@ class TestRecords:
             assert repr(record) == text
             again = type(record)(*values)
             assert again == record and again is not record and record != values
-            if isinstance(record, (LineDegreeReport, WitnessReport)):
-                with pytest.raises(TypeError):  # their lists are unhashable
+            if isinstance(record, WitnessReport):
+                with pytest.raises(TypeError):  # its lists are unhashable
                     hash(record)
             else:
                 assert hash(again) == hash(record) == hash(values)

@@ -42,9 +42,8 @@ PUBLIC = {
         "enumerate_hvectors", "genus", "hf_constraints",
     ],
     "witness": [
-        "DEFAULT_PRIME", "Form", "FormMatrix", "WitnessReport", "det_degree_on_lines", "det_form",
-        "ideal_dim", "maximal_minors", "random_form", "sample_matrix", "verify_representable",
-        "verify_subscheme",
+        "DEFAULT_PRIME", "Form", "FormMatrix", "WitnessReport", "det_form", "ideal_dim",
+        "maximal_minors", "random_form", "sample_matrix", "verify_representable", "verify_subscheme",
     ],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in [module, *names]]

@@ -21,7 +21,6 @@ from curvedet import (
     WitnessBudgetError,
     canonicalize,
     contains_subscheme,
-    det_degree_on_lines,
     det_form,
     hilbert_function,
     ideal_dim,
@@ -62,6 +61,22 @@ BLOCK_LOST_ON_A_LINE = [[2, 2, 5, 6, 5], [-3, -3, 0, 1, 0], [-3, -3, 0, 1, 0], [
 P = DEFAULT_PRIME
 KERNEL_PRIMES = (2, 3, 32003, 2**31 - 1)
 STREAM_PRIMES = (2, 3, 7, 32003, 2**31 - 1)
+
+
+def yes_verdicts_by_position() -> dict:
+    """(n, inserted row position): the (Q, d) of every yes containment
+    verdict there, Q with n = 2..4 and potentials within 2, d up to b_1 + 1."""
+    cases: dict = {}
+    for n in (2, 3, 4):
+        for Q in iter_dhb_matrices(n, 2):
+            for d in range(1, Q.shifts[0] + 2):
+                decision = contains_subscheme(Q, d)
+                if decision.verdict:
+                    cases.setdefault((n, decision.inserted_row_position), []).append((Q, d))
+    return cases
+
+
+YES_BY_POSITION = yes_verdicts_by_position()
 
 
 def reference_rank(rows: list[list[int]], p: int) -> int:
@@ -133,6 +148,12 @@ def form_matrix(grid, rng: random.Random, p: int, zero_share: float = 0.0) -> Fo
 
     entries = tuple(tuple(entry(m) for m in row) for row in grid)
     return FormMatrix(entries, DegreeMatrix.from_grid(grid), p)
+
+
+def line_degrees(N, max_degree: int, trials: int, rng: random.Random) -> list:
+    """The degree of det(N) on each of `trials` random lines, None where it vanishes."""
+    p = N.prime
+    return [_poly_degree(restrict_det_to_line(N, random_line(rng, p), max_degree), p) for _ in range(trials)]
 
 
 def patch_det_off_the_ideal(monkeypatch):
@@ -346,6 +367,21 @@ class TestSampling:
         assert [(max(m, -1), c) for m, c in entries] == [(f.degree, f.coeffs) for row in N.entries for f in row]
         assert drawn.getstate() == sampled.getstate()
 
+    @pytest.mark.parametrize("n, pos", sorted(YES_BY_POSITION))
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_subscheme_trial_draws_q_and_its_row_at_once(self, n, pos, data):
+        # one draw of Q's rows stacked over the inserted row is Q's draw and then the row's
+        Q, d = data.draw(st.sampled_from(YES_BY_POSITION[n, pos]))
+        p = data.draw(st.sampled_from(STREAM_PRIMES))
+        seed = data.draw(st.integers(0, 2**32))
+        row = contains_subscheme(Q, d).normalized[pos - 1]
+        once, twice = random.Random(seed), random.Random(seed)
+        stacked = sample_matrix(DegreeMatrix(Q.entries + (row,)), once, p)
+        first = sample_matrix(Q, twice, p)
+        assert stacked.entries == first.entries + sample_matrix(DegreeMatrix((row,)), twice, p).entries
+        assert once.getstate() == twice.getstate()
+
 
 class TestDeterminantRestriction:
     def test_restriction_commutes_with_determinant(self):
@@ -405,16 +441,14 @@ class TestDeterminantRestriction:
         rng = random.Random(10)
         M, _, _ = canonicalize(DEGREE8_GRID)
         N = sample_matrix(M, rng)
-        report = det_degree_on_lines(N, 5, rng)
-        assert not report.identically_zero
-        assert report.observed_degree == 8
+        # not identically zero, and the highest degree seen is the full 8
+        assert max((deg for deg in line_degrees(N, 8, 5, rng) if deg is not None), default=None) == 8
 
     def test_structurally_zero_determinant(self):
         rng = random.Random(11)
         M, _, _ = canonicalize([[2, 3, 8], [-3, -2, 3], [-4, -3, 2]])
         N = sample_matrix(M, rng)
-        report = det_degree_on_lines(N, 5, rng)
-        assert report.identically_zero
+        assert line_degrees(N, 2, 5, rng) == [None] * 5
 
     def test_observed_degree_never_exceeds_total(self):
         rng = random.Random(12)
@@ -426,14 +460,49 @@ class TestDeterminantRestriction:
             if d < 0:
                 continue
             N = sample_matrix(grid, rng)
-            report = det_degree_on_lines(N, 3, rng)
-            assert report.identically_zero or report.observed_degree <= d
+            assert all(deg is None or deg <= d for deg in line_degrees(N, d, 3, rng))
 
     def test_small_field_rejected(self):
         rng = random.Random(13)
         N = sample_matrix([[5]], rng, prime=5)
         with pytest.raises(FieldTooSmallError):
-            det_degree_on_lines(N, 1, rng)
+            line_degrees(N, 5, 1, rng)
+
+
+class TestInputsOverMixedFields:
+    """Inputs that do not fit together are refused, not silently accepted."""
+
+    x = Form(1, (1, 0, 0), 7)
+
+    @pytest.mark.parametrize("entries", [
+        ((x,),),  # fewer entries than the 1 x 2 degree matrix
+        ((x, x, x),),  # more
+        ((x, x), (x, x)),  # more rows
+    ])
+    def test_form_matrix_of_another_shape(self, entries):
+        with pytest.raises(ValueError, match=r"1 x 2 shape"):
+            FormMatrix(entries, DegreeMatrix(((1, 1),)), 7)
+
+    def test_form_matrix_entry_over_another_field(self):
+        with pytest.raises(ValueError, match=r"entry \(1,2\) is over F_11, expected F_7"):
+            FormMatrix(((self.x, Form(1, (1, 2, 3), 11)),), DegreeMatrix(((1, 1),)), 7)
+        with pytest.raises(ValueError, match="over F_11"):
+            FormMatrix(((zero_form(11),),), DegreeMatrix(((-1,),)), 7)
+
+    @pytest.mark.parametrize("f, g", [
+        (Form(1, (1, 2, 3), 7), Form(1, (1, 2, 3), 11)),
+        (Form(1, (1, 2, 3), 11), Form(1, (1, 2, 3), 7)),
+        (zero_form(7), Form(1, (1, 2, 3), 11)),
+        (Form(2, (1,) * 6, 7), zero_form(11)),
+    ])
+    def test_arithmetic_across_fields(self, f, g):
+        for combine in (lambda: f + g, lambda: f - g, lambda: f * g):
+            with pytest.raises(ValueError, match="F_7 and F_11|F_11 and F_7"):
+                combine()
+
+    def test_ideal_of_forms_over_two_fields(self):
+        with pytest.raises(ValueError, match="one field"):
+            ideal_dim([Form(1, (1, 0, 0), 7), Form(1, (0, 1, 0), 11)], 2)
 
 
 class TestMaximalMinors:
@@ -848,6 +917,26 @@ class TestVerifySubscheme:
             f"trial {i}: Hilbert function at level 5 is {h}, predicted {h + 1}" for i in range(3)
         ]
 
+    def test_a_trial_checks_nothing_it_built(self, monkeypatch):
+        # [[3, 4]] at d = 4, p = 7, seed 0: trial 3's minors are not shown
+        # coprime, so that trial ranks every level
+        cases = [(dhb([[3, 4]]), 4, 7, 0, 4), (dhb([[2, 3, 5], [1, 2, 4]]), 4, P, 4, 3)]
+        expected = [verify_subscheme(Q, d, trials, seed, p).to_json() for Q, d, p, seed, trials in cases]
+
+        def checked(*args):
+            pytest.fail("a trial checked what it built")
+
+        monkeypatch.setattr(DegreeMatrix, "__init__", checked)
+        monkeypatch.setattr(FormMatrix, "__init__", checked)
+        monkeypatch.setattr(degree_matrix, "_check_homogeneous", checked)
+        ranked = []
+        true_ideal_dim = witness.ideal_dim
+        monkeypatch.setattr(witness, "ideal_dim", lambda gens, t: ranked.append(t) or true_ideal_dim(gens, t))
+        for (Q, d, p, seed, trials), report in zip(cases, expected):
+            assert verify_subscheme(Q, d, trials, seed, p).to_json() == report
+            assert report["mismatches"] == []
+        assert ranked == list(range(8))
+
     def test_hilbert_profile_matches_formula(self):
         Q = dhb([[2, 3, 5], [1, 2, 4]])
         B = BettiData(Q.minor_degrees, Q.shifts)
@@ -1186,6 +1275,20 @@ class TestPinnedReports:
             '{"seed": 5, "prime": 32003, "trials": 3, "verdictChecked": {"answer": "no", "degree": 5, '
             '"reason": "SubdiagonalBlockDegree", "k": 3, "blockDegree": 1, "insertedRowPosition": 3}, '
             '"observedDegrees": [5, 5, 5], "hfProfile": [], "mismatches": []}'
+        )
+
+    def test_subscheme_row_inside(self):
+        # the inserted row lands at position 2; trial 3's minors are not
+        # shown coprime at p = 13, so that trial ranks every level
+        report = verify_subscheme(dhb([[2, 3, 4], [1, 2, 3]]), 8, trials=4, seed=0, prime=13)
+        profile = ", ".join(
+            f'{{"t": {t}, "predicted": {h}, "observed": {h}}}'
+            for t, h in enumerate([1, 3, 6, 10, 14, 17, 18, 18, 18])
+        )
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 0, "prime": 13, "trials": 4, "verdictChecked": {"answer": "yes", "degree": 8, '
+            '"insertedRowPosition": 2}, "observedDegrees": [8, 8, 8, 8], '
+            f'"hfProfile": [{profile}], "mismatches": []}}'
         )
 
     def test_subscheme_settled_by_the_ranks(self):
