@@ -26,11 +26,12 @@ differences.  A square trial evaluates N once per point, at Q for its
 proof and at the d + 1 nodes in full, and reads det(N) and both blocks'
 determinants from those values, so a factorization is checked value by
 value.  An entry of degree m is evaluated at only m + 1 of the nodes, as
-one dot product with monomial values that all entries share, and its
-other values follow from its forward differences.  Where a verdict fixes
-the degree of a determinant or of a block, a line may lower that degree
-but not raise it: a higher one fails its trial, a lower one fails only
-if no trial shows the degree.
+x^m times its dot product with a prefix of the (y/x)^j (z/x)^k of degree
+top that all entries share (where x = 0, with one run of them built from
+y and z), and its other values follow from its forward differences.
+Where a verdict fixes the degree of a determinant or of a block, a line
+may lower that degree but not raise it: a higher one fails its trial, a
+lower one fails only if no trial shows the degree.
 
 A curve through the scheme is the determinant F of the presentation
 matrix with a row r of random forms inserted at position pos; it lies
@@ -45,7 +46,7 @@ words each keep their top p.bit_length() bits unless those are >= p,
 plus a round for the shortfall.  That is the stream of one `randrange(p)`
 per coefficient, so the entries and the generator's final state are
 those of one `random_form` per entry.  A square trial evaluates that
-stream itself, one (degree, coefficients) slice per entry; only a
+stream itself, through one (degree, start, end) layout per report; only a
 subscheme trial builds `Form`s.  It draws Q and the inserted row in one
 draw, as the rows of one homogeneous grid, Q's first, and splices that
 row into the square; neither matrix is checked again.
@@ -81,12 +82,12 @@ from .resolution import betti_of_matrix, hilbert_function, plane_dim
 DEFAULT_PRIME = 32003
 # primes stay below this so that a product of two residues fits in int64
 _PRIME_BOUND = 2**31
-#: Past this many residues drawn and monomial values tabulated over all
+#: Past this many residues drawn and monomial values charged over all
 #: trials (`_check_work`), a witness is refused before it samples.  Measured
 #: on one core (Python 3.11): 0.06-0.11 us per drawn coefficient, 0.09-0.15 us
 #: and 40 bytes per tabulated value, so 6-15 s at the budget.  The estimate
-#: counts a square trial's full path, whose tables are up to 4 GB at the
-#: budget; a trial settled by a proof tabulates at one point.
+#: charges a square trial's full path, at (top + 3)/3 times the values it
+#: tabulates; a trial settled by a proof tabulates at one point.
 WITNESS_BUDGET = 10**8
 
 
@@ -124,8 +125,9 @@ def _check_prime(p: int) -> None:
 def _check_work(grid, trials: int, points: int, top: int) -> None:
     """Raise WitnessBudgetError when `trials` trials would draw and tabulate
     more than WITNESS_BUDGET residues.  A trial draws plane_dim(m)
-    coefficients for each entry of `grid` of degree m >= 0 and tabulates
-    the C(top + 3, 3) monomials of degree <= top at `points` points."""
+    coefficients for each entry of `grid` of degree m >= 0 and is charged the
+    C(top + 3, 3) monomials of degree <= top at `points` points.  A square
+    point tabulates plane_dim(top), so its charge is (top + 3)/3 times that."""
     estimate = trials * (sum(plane_dim(m) for row in grid for m in row) + points * comb(top + 3, 3))
     if estimate > WITNESS_BUDGET:
         raise WitnessBudgetError(f"a witness of trials = {trials} would draw and tabulate {estimate:,} residues, "
@@ -353,23 +355,24 @@ def sample_matrix(M, rng: random.Random, prime: int = DEFAULT_PRIME) -> FormMatr
     """Random forms of the prescribed degrees; zero where the degree is negative.
 
     The forms and rng's state are those of one `random_form` per
-    non-negative entry in row order (`_draw_entries`)."""
+    non-negative entry in row order: one draw, sliced by `_layout`."""
     if not isinstance(M, DegreeMatrix):
         M = DegreeMatrix.from_grid(M)
+    layout = _layout(M.entries)
+    coeffs = tuple(_residues(rng, layout[-1][2], prime))
     zero = zero_form(prime)
-    forms = [Form(m, c, prime) if m >= 0 else zero for m, c in _draw_entries(M.entries, rng, prime)]
+    forms = [Form(m, coeffs[a:b], prime) if m >= 0 else zero for m, a, b in layout]
     n = len(M.entries[0])
     # each entry has its degree by construction: no checks
     return FormMatrix._trusted(tuple(tuple(forms[i : i + n]) for i in range(0, len(forms), n)), M, prime)
 
 
-def _draw_entries(grid, rng: random.Random, p: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(m, coefficients) for each entry m of the grid in row order, none
-    where m < 0: one `_residues` draw, sliced in order."""
+def _layout(grid) -> list[tuple[int, int, int]]:
+    """(m, start, end) for each entry m of the grid in row order: where its
+    plane_dim(m) coefficients sit in one flat draw, whose length is the last end."""
     degrees = [m for row in grid for m in row]
     ends = list(accumulate(map(plane_dim, degrees), initial=0))
-    coeffs = tuple(_residues(rng, ends[-1], p))
-    return [(m, coeffs[a:b]) for m, a, b in zip(degrees, ends, ends[1:])]
+    return list(zip(degrees, ends, ends[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,26 +479,42 @@ def restrict_det_to_line(N: FormMatrix, line, max_degree: int) -> list[int]:
     p = N.prime
     if p <= max_degree:
         raise FieldTooSmallError(f"prime {p} is too small for degree {max_degree} on a line")
-    entries = [(f.degree, f.coeffs) for row in N.entries for f in row]
-    return [_det_numeric(mat, p) for mat in _values_on_line(entries, N.cols, line, max_degree, p)]
+    layout = _layout([[f.degree for f in row] for row in N.entries])
+    coeffs = [c for row in N.entries for f in row for c in f.coeffs]
+    return [_det_numeric(mat, p) for mat in _values_on_line(coeffs, layout, N.cols, line, max_degree, p)]
 
 
-def _values_on_line(entries, n: int, line, max_degree: int, p: int) -> list[list[list[int]]]:
-    """The values mod p at P + s Q of a square's entries, (degree,
-    coefficients) pairs in row order, n to a row and zero where the degree
-    is negative: one n x n matrix per s = 0..max_degree.
+def _values_on_line(coeffs, layout, n: int, line, max_degree: int, p: int) -> list[list[list[int]]]:
+    """The values mod p at P + s Q of a square's entries, whose coefficients
+    `layout` (`_layout`) places in the flat `coeffs`, n to a row and zero
+    where the degree is negative: one n x n matrix per s = 0..max_degree.
 
     An entry, of degree m in s on the line, is evaluated only at
-    s = 0..min(m, max_degree), against monomial values shared by every
-    entry there; its other values follow from its forward differences.
+    s = 0..min(m, max_degree); its other values follow from its forward
+    differences.  Coefficient a(a + 1)/2 + (a - j) of degree m belongs to
+    x^(m - a) y^j z^(a - j), which at a point with x nonzero is x^m u^j
+    v^(a - j) with u = y/x, v = z/x: so the u^j v^(a - j) of degree top
+    serve every degree as a prefix.  Where x = 0 only the run a = m
+    survives, and the same list built from u = y, v = z gives its values.
     """
     (p0, p1, p2), (q0, q1, q2) = line
-    top = max(m for m, _ in entries)
-    tables = (_monomial_values((p0 + s * q0, p1 + s * q1, p2 + s * q2), top, p)
-              for s in range(min(top, max_degree) + 1))
-    nodes = [[sum(map(mul, c, table[m])) % p if m >= s else 0 for m, c in entries] for s, table in enumerate(tables)]
-    nodes += [[0] * len(entries) for _ in range(len(nodes), max_degree + 1)]  # past top, all by differences
-    for i, (m, _) in enumerate(entries):
+    top = max(m for m, _, _ in layout)
+    nodes = []
+    for s in range(min(top, max_degree) + 1):
+        x, y, z = (p0 + s * q0) % p, (p1 + s * q1) % p, (p2 + s * q2) % p
+        inv = pow(x, -1, p) if x else 1
+        u, v = y * inv % p, z * inv % p
+        run, flat, powers = [1], [1], [1]
+        for _ in range(top):
+            run = [u * c % p for c in run] + [v * run[-1] % p]
+            flat += run
+            powers.append(powers[-1] * x % p)
+        if x:
+            nodes.append([powers[m] * sum(map(mul, coeffs[a:b], flat)) % p if m >= s else 0 for m, a, b in layout])
+        else:  # run m sits at m(m + 1)/2 = plane_dim(m) - m - 1; values past m are replaced below
+            nodes.append([sum(map(mul, coeffs[b - m - 1 : b], flat[b - a - m - 1 :])) % p for m, a, b in layout])
+    nodes += [[0] * len(layout) for _ in range(len(nodes), max_degree + 1)]  # past top, all by differences
+    for i, (m, _, _) in enumerate(layout):
         if 0 <= m < max_degree:
             later = _extend_by_differences([at_s[i] for at_s in nodes[: m + 1]], max_degree - m, p)
             for at_s, v in zip(nodes[m + 1 :], later):
@@ -694,6 +713,7 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
     # the well-ordered square's largest entry is its top right one
     top = max(grid[0][-1], 0)
     _check_work(grid, trials, max(min(top, d), 0) + 1, top)
+    layout = _layout(grid)  # where each entry's coefficients sit in a trial's draw
     # name: (degree, its degree on each trial's line) of what the verdict fixes
     expected = {"full": (d, report.observed_degrees)} if decision.verdict else {}
     if decision.reason == REASON_SUBDIAGONAL:
@@ -702,15 +722,15 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
 
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
-        entries = _draw_entries(grid, rng, prime)
+        coeffs = _residues(rng, layout[-1][2], prime)
         line = random_line(rng, prime)
-        settled = _settled_trial(decision, entries, line[1], prime)
+        settled = _settled_trial(decision, coeffs, layout, line[1], prime)
         if settled is not None:
             report.observed_degrees.append(settled[0])
             for (_, seen), g in zip(expected.values(), settled[1:]):
                 seen.append(g)
             continue
-        nodes = _values_on_line(entries, len(grid), line, d, prime)
+        nodes = _values_on_line(coeffs, layout, len(grid), line, d, prime)
         values = [_det_numeric(mat, prime) for mat in nodes]
         deg = _poly_degree(values, prime)
         report.observed_degrees.append(deg)
@@ -739,9 +759,9 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
     return report
 
 
-def _settled_trial(decision: Decision, entries, direction, p: int) -> tuple | None:
-    """What a trial of `decision` on N, the square of drawn `entries` as
-    `_values_on_line` takes them, records when a proof settles it:
+def _settled_trial(decision: Decision, coeffs, layout, direction, p: int) -> tuple | None:
+    """What a trial of `decision` on N, the square whose drawn `coeffs`
+    `layout` places as `_values_on_line` takes them, records when a proof settles it:
     the degree of det(N) on the line with this direction Q, then the
     block degrees.  None when the proof fails, and the trial runs in full.
 
@@ -759,11 +779,11 @@ def _settled_trial(decision: Decision, entries, direction, p: int) -> tuple | No
     d, k, e, n = decision.degree, decision.k, decision.block_degree, len(decision.normalized)
     if not decision.verdict:
         width = k if decision.reason == REASON_DIAGONAL else k - 1
-        if any(any(c) for i in range(k - 1, n) for _, c in entries[i * n : i * n + width]):
+        if any(any(coeffs[a:b]) for i in range(k - 1, n) for _, a, b in layout[i * n : i * n + width]):
             return None
         if decision.reason == REASON_DIAGONAL:
             return (None,)
-    at_direction = _values_on_line(entries, n, (direction, (0, 0, 0)), 0, p)[0]
+    at_direction = _values_on_line(coeffs, layout, n, (direction, (0, 0, 0)), 0, p)[0]
     det = _det_numeric(at_direction, p)
     if decision.verdict:
         return (d,) if det else None

@@ -336,7 +336,7 @@ class TestWitnessCommand:
         "[[3000,3000,3000],[3000,3000,3000]]",
     ])
     def test_a_witness_over_its_budget_is_refused(self, capsys, monkeypatch, matrix):
-        monkeypatch.setattr(witness, "_draw_entries", lambda *args: pytest.fail("drew"))
+        monkeypatch.setattr(witness, "_residues", lambda *args: pytest.fail("drew"))
         code, body = invoke(
             capsys, "witness", "--matrix", matrix, "--degree", "9000", "--prime", "2147483629",
             "--trials", "1",

@@ -1,6 +1,7 @@
 """Finite-field witness engine: forms, determinants, ranks, verification."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -118,6 +119,19 @@ def reference_evaluate(f: Form, point, p: int) -> int:
         if c:
             total += c * powers[0][i] % p * powers[1][j] % p * powers[2][k]
     return total % p
+
+
+def power_sum(coeffs, m: int, point, p: int) -> int:
+    """The degree-m form with these coefficients at the point mod p, one pow per variable and term."""
+    x, y, z = point
+    if m < 0:
+        return 0
+    return sum(c * pow(x, i, p) * pow(y, j, p) * pow(z, k, p) for c, (i, j, k) in zip(coeffs, monomials(m))) % p
+
+
+def permutation_sign(perm) -> int:
+    """+1 or -1 by the parity of the inversions of the permutation."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def reference_restrict(N, line, max_degree: int) -> list[int]:
@@ -362,7 +376,9 @@ class TestSampling:
         seed = data.draw(st.integers(0, 2**32))
         grid = [[ui + vj for vj in v] for ui in u]
         drawn, sampled = random.Random(seed), random.Random(seed)
-        entries = witness._draw_entries(grid, drawn, p)
+        layout = witness._layout(grid)
+        coeffs = witness._residues(drawn, layout[-1][2], p)
+        entries = [(m, tuple(coeffs[a:b])) for m, a, b in layout]
         N = sample_matrix(grid, sampled, p)
         assert [(max(m, -1), c) for m, c in entries] == [(f.degree, f.coeffs) for row in N.entries for f in row]
         assert drawn.getstate() == sampled.getstate()
@@ -420,6 +436,52 @@ class TestDeterminantRestriction:
         N = form_matrix(grid, rng, p, zero_share=data.draw(st.sampled_from([0.0, 0.2])))
         line = tuple(tuple(rng.randrange(-2 * p, 2 * p) for _ in range(3)) for _ in range(2))
         assert restrict_det_to_line(N, line, max_degree) == reference_restrict(N, line, max_degree)
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_evaluator_matches_powers_along_the_line(self, n, data):
+        # x = 0 at the direction, at a node or everywhere, y or z = 0, and the zero point
+        p = data.draw(st.sampled_from(STREAM_PRIMES))
+        u, v = (data.draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n)) for _ in range(2))
+        grid = [[ui + vj for vj in v] for ui in u]
+        coordinate = st.one_of(st.sampled_from([0, p, 1, p - 1]), st.integers(-2 * p, 2 * p))
+        start, direction = (list(data.draw(st.tuples(coordinate, coordinate, coordinate))) for _ in range(2))
+        max_degree = data.draw(st.integers(0, 6))
+        x_vanishes_at = data.draw(st.none() | st.integers(0, max_degree))
+        if x_vanishes_at is not None:
+            start[0] = -x_vanishes_at * direction[0]
+        layout = witness._layout(grid)
+        coeffs = data.draw(st.lists(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1),
+                                    min_size=layout[-1][2], max_size=layout[-1][2]))
+        nodes = witness._values_on_line(coeffs, layout, n, (start, direction), max_degree, p)
+        for s, mat in enumerate(nodes):
+            point = [a + s * b for a, b in zip(start, direction)]
+            expected = [power_sum(coeffs[a:b], m, point, p) for m, a, b in layout]
+            assert [v for row in mat for v in row] == expected
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_restriction_is_the_determinant_along_the_line(self, n, data):
+        p = data.draw(st.sampled_from(STREAM_PRIMES))
+        u = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        v = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        grid = [[ui + vj for vj in v] for ui in u]
+        max_degree = data.draw(st.integers(0, min(p - 1, 8)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        N = form_matrix(grid, rng, p, zero_share=data.draw(st.sampled_from([0.0, 0.3])))
+        start, direction = (list(data.draw(st.tuples(*[st.integers(0, p - 1)] * 3))) for _ in range(2))
+        kind = data.draw(st.sampled_from(["any", "direction", "node"]))
+        if kind == "direction":
+            direction[0] = 0
+        elif kind == "node":
+            start[0] = -data.draw(st.integers(0, max_degree)) * direction[0]
+        expected = []
+        for s in range(max_degree + 1):
+            point = [a + s * b for a, b in zip(start, direction)]
+            values = [[power_sum(f.coeffs, f.degree, point, p) for f in row] for row in N.entries]
+            expected.append(sum(math.prod(values[i][j] for i, j in enumerate(perm)) * permutation_sign(perm)
+                                for perm in itertools.permutations(range(n))) % p)
+        assert restrict_det_to_line(N, (start, direction), max_degree) == expected
 
     @pytest.mark.parametrize("grid, max_degree", [
         ([[0, 5], [-5, 0]], 0),  # both entries of degree 5 sit above d = 0
@@ -718,14 +780,14 @@ class TestVerifyRepresentable:
         wrong = Decision(False, REASON_SUBDIAGONAL, 2, ((1, 1), (1, 1)), k=2, block_degree=1)
         monkeypatch.setattr(witness, "representable", lambda grid: wrong)
         monkeypatch.setattr(witness, "random_line", lambda rng, p: ((1, 2, 3), (0, 0, 1)))
-        true_draw = witness._draw_entries
+        true_draw = witness._residues
 
-        def draw(grid, rng, p):
-            entries = true_draw(grid, rng, p)
-            entries[2] = (1, (1, 0, 0))  # N[2][1] = x, in row order
-            return entries
+        def draw(rng, count, p):
+            coeffs = true_draw(rng, count, p)
+            coeffs[6:9] = (1, 0, 0)  # N[2][1] = x: the third entry's coefficients, in row order
+            return coeffs
 
-        monkeypatch.setattr(witness, "_draw_entries", draw)
+        monkeypatch.setattr(witness, "_residues", draw)
         report = verify_representable([[1, 1], [1, 1]], trials=2, seed=2)
         assert report.mismatches == [
             f"trial {i}: block determinants do not multiply to the determinant" for i in range(2)
@@ -744,9 +806,9 @@ class TestVerifyRepresentable:
         true_values = witness._values_on_line
         calls = []
 
-        def values_on_line(entries, n, line, max_degree, p):
+        def values_on_line(coeffs, layout, n, line, max_degree, p):
             calls.append(max_degree)
-            return true_values(entries, n, line, max_degree, p)
+            return true_values(coeffs, layout, n, line, max_degree, p)
 
         monkeypatch.setattr(witness, "_values_on_line", values_on_line)
         report = verify_representable(grid, trials=4, seed=seed, prime=prime)
@@ -774,6 +836,19 @@ class TestVerifyRepresentable:
         calls = []
         monkeypatch.setattr(degree_matrix, "_check_homogeneous", lambda rows: calls.append(rows) or true_check(rows))
         assert verify_representable(DEGREE8_GRID, trials=2, seed=2).ok
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["settled", "full"])
+    @pytest.mark.parametrize("grid", [
+        DEGREE8_GRID, [[2, 3, 8], [-3, -2, 3], [-4, -3, 2]], [[5, 6, 8, 9], [2, 3, 5, 6], [-2, -1, 1, 2], [-3, -2, 0, 1]],
+    ], ids=["yes", "diagonal", "subdiagonal"])
+    def test_a_square_report_lays_out_its_draw_once(self, monkeypatch, grid, forced):
+        if forced:
+            monkeypatch.setattr(witness, "_settled_trial", lambda *args: None)
+        true_layout = witness._layout
+        calls = []
+        monkeypatch.setattr(witness, "_layout", lambda rows: calls.append(rows) or true_layout(rows))
+        assert verify_representable(grid, trials=5, seed=2).ok
         assert len(calls) == 1
 
     def test_degree_zero(self):
@@ -992,7 +1067,7 @@ class TestWitnessBudget:
         monkeypatch.setattr(witness, "WITNESS_BUDGET", estimate)
         assert call().to_json() == expected
         monkeypatch.setattr(witness, "WITNESS_BUDGET", estimate - 1)
-        monkeypatch.setattr(witness, "_draw_entries", lambda *args: pytest.fail("drew"))
+        monkeypatch.setattr(witness, "_residues", lambda *args: pytest.fail("drew"))
         with pytest.raises(WitnessBudgetError) as info:
             call()
         assert (info.value.estimate, info.value.budget) == (estimate, estimate - 1)
@@ -1001,7 +1076,7 @@ class TestWitnessBudget:
     def test_the_estimate_grows_with_the_trials(self, monkeypatch):
         _, estimate = self.CASES[0]
         monkeypatch.setattr(witness, "WITNESS_BUDGET", 0)
-        monkeypatch.setattr(witness, "_draw_entries", lambda *args: pytest.fail("drew"))
+        monkeypatch.setattr(witness, "_residues", lambda *args: pytest.fail("drew"))
         with pytest.raises(WitnessBudgetError) as info:
             verify_representable([[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]],
                                  trials=3 * 10**9)
@@ -1240,6 +1315,33 @@ class TestPinnedReports:
             '"reason": "SubdiagonalBlockDegree", "k": 3, "blockDegree": 1}, "observedDegrees": [3, null, 2], '
             '"hfProfile": [], "mismatches": []}'
         )
+
+    @pytest.mark.parametrize("grid, pin", [
+        # trial 1 proves nothing and runs in full on a line inside x = 0
+        ([[2, 2, 4], [-1, -1, 1], [0, 0, 2]],
+         '{"seed": 1, "prime": 7, "trials": 4, "verdictChecked": {"answer": "no", "degree": 3, '
+         '"reason": "SubdiagonalBlockDegree", "k": 3, "blockDegree": 1}, "observedDegrees": [3, 2, 2, 3], '
+         '"hfProfile": [], "mismatches": []}'),
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+         '{"seed": 1, "prime": 7, "trials": 4, "verdictChecked": {"answer": "yes", "degree": 3}, '
+         '"observedDegrees": [3, 3, 3, 2], "hfProfile": [], "mismatches": []}'),
+    ])
+    def test_squares_evaluated_where_x_vanishes(self, monkeypatch, grid, pin):
+        # at p = 7 a proof at Q and a node of a trial in full both have x = 0
+        true_values = witness._values_on_line
+        seen = set()
+
+        def values_on_line(coeffs, layout, n, line, max_degree, p):
+            (x, _, _), (dx, _, _) = line
+            top = max(m for m, _, _ in layout)
+            seen.update("full" if max_degree else "proof"
+                        for s in range(min(top, max_degree) + 1) if (x + s * dx) % p == 0)
+            return true_values(coeffs, layout, n, line, max_degree, p)
+
+        monkeypatch.setattr(witness, "_values_on_line", values_on_line)
+        report = verify_representable(grid, trials=4, seed=1, prime=7)
+        assert json.dumps(report.to_json()) == pin
+        assert seen == {"proof", "full"}
 
     def test_leading_block_degree_lost_on_every_line(self):
         report = verify_representable([[1, 3], [-1, 1]], trials=2, seed=10, prime=11)
