@@ -55,8 +55,8 @@ REASON_DIAGONAL = "DiagonalNegative"
 REASON_SUBDIAGONAL = "SubdiagonalBlockDegree"
 
 #: The most (u, v) candidates `census` takes on, by `_census_candidates`.
-#: A census costs 1.0-1.5 us per candidate on one 2.1 GHz Xeon core under
-#: Python 3.11, so a census at the budget runs for 10-15 s.
+#: A census costs 0.5-0.9 us per candidate on one 2.1 GHz Xeon core under
+#: Python 3.11, so a census at the budget runs for 4-9 s.
 CENSUS_BUDGET = 10**7
 
 #: The most cells (degrees times n) `scan` and the CLI `hf` fill.  A scan costs
@@ -395,38 +395,53 @@ def _check_enumeration(n: int, bound: int) -> None:
 
 
 def _iter_potentials(n: int, bound: int, minimal_only: bool):
-    """The (u, v) potential pairs of `iter_dhb_matrices`, in its order, built
-    one at a time and only where valid: v runs like an odometer in which
-    v_k starts at max(v_{k-1}, -u_k), so that Q's diagonal u_k + v_k stays
-    >= 0, and an all-zero diagonal is dropped.  `minimal_only` leaves the
-    values -u_i out of the range; v_1 = 0 then rules out u with a zero.
+    """The (u, v) potential pairs of `iter_dhb_matrices`, in its order and
+    only where valid, as groups (u, run), the run yielding (v, sum(v)) for
+    each v: v runs like an odometer in which v_k starts at max(v_{k-1}, -u_k),
+    so that Q's diagonal u_k + v_k stays >= 0, and an all-zero diagonal is
+    dropped.  `minimal_only` leaves the values -u_i out of the range; v_1 = 0
+    then rules out u with a zero, and the range is the one its floors -u_k
+    leave.  So the floors and the zero diagonal are a run's key: a run is
+    built only while read, from a copy of the range, and once read to its
+    end is stored and replayed for every later u with that key.
     """
     beyond = bound + 1
     up = [*range(bound + 1), beyond, beyond]  # up[x]: the least value >= x in the range
-    for u in combinations_with_replacement(range(bound, -bound - 1, -1), n - 1):
-        if u[0] < 0:
-            break  # so is every later u[0]
-        if minimal_only:
-            for x in range(bound, -1, -1):
-                up[x] = up[x + 1] if -x in u else x
-        floor = [0, *[max(-x, 0) for x in u[1:]], 0]
-        if up[0] or any(up[x] == beyond for x in floor):
-            continue  # v_1 = 0 is out of the range, or some v_k has no value
-        zero = [-x for x in u] if u[0] == 0 else None
+    runs: dict[tuple, list] = {}  # key -> the (v, sum(v)) of its run
+
+    def odometer(up, key):
+        floor, zero = key
+        record = []
         v = [0] * n
         k = 0
         while True:
             for j in range(k + 1, n):
                 x = v[j - 1]
                 v[j] = up[x if x > floor[j] else floor[j]]
-            if zero is None or v[:-1] != zero:
-                yield u, tuple(v)
+            t = tuple(v)
+            if zero is None or t[:-1] != zero:
+                record.append(pair := (t, sum(t)))
+                yield pair
             k = n - 1
             while k and up[v[k] + 1] == beyond:
                 k -= 1
             if not k:
                 break
             v[k] = up[v[k] + 1]
+        runs[key] = record
+
+    for u in combinations_with_replacement(range(bound, -bound - 1, -1), n - 1):
+        if u[0] < 0:
+            break  # so is every later u[0]
+        if minimal_only:
+            for x in range(bound, -1, -1):
+                up[x] = up[x + 1] if -x in u else x
+        floor = (0, *[max(-x, 0) for x in u[1:]], 0)
+        if up[0] or any(up[x] == beyond for x in floor):
+            continue  # v_1 = 0 is out of the range, or some v_k has no value
+        key = (floor, tuple([-x for x in u]) if u[0] == 0 else None)
+        run = runs.get(key)
+        yield u, odometer(tuple(up), key) if run is None else run
 
 
 def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterator[DHBMatrix]:
@@ -439,8 +454,10 @@ def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterato
     With `minimal_only`, skip matrices with any zero entry.
     """
     _check_enumeration(n, bound)
-    for u, v in _iter_potentials(n, bound, minimal_only):
-        yield DHBMatrix(grid_from_potentials(u, v))
+    for u, run in _iter_potentials(n, bound, minimal_only):
+        for v, _ in run:
+            # valid and well-ordered by construction
+            yield DHBMatrix._trusted(grid_from_potentials(u, v))
 
 
 def _census_candidates(n: int, bound: int) -> int:
@@ -459,8 +476,10 @@ def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:
     `_splice_row` lands r in u below every u_i >= r, its rule on the shifts
     b_i = a_1 + u_i >= d, and `_decide_potentials` decides the square on
     its potentials (w, v); every enumerated Q is valid, so nothing else of
-    `contains_subscheme` applies.  Past CENSUS_BUDGET candidates
-    (`_census_candidates`) it raises CensusBudgetError, enumerating nothing.
+    `contains_subscheme` applies.  The v come in one run per u with their
+    sums, so d - sum(u) is taken once per u and w once per u and r.  Past
+    CENSUS_BUDGET candidates (`_census_candidates`) it raises
+    CensusBudgetError, enumerating nothing.
     """
     _check_enumeration(n, bound)
     if d < 1:
@@ -471,10 +490,16 @@ def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:
                                 f"presentations, over the budget of {CENSUS_BUDGET:,}",
                                 candidates=candidates, budget=CENSUS_BUDGET)
     by_reason: dict[str, int] = {}
-    for u, v in _iter_potentials(n, bound, minimal_only):
-        r = d - sum(u) - sum(v)
-        reason = _decide_potentials(_splice_row(u, u, r, r)[0], v, d)[0]
-        by_reason[reason] = by_reason.get(reason, 0) + 1
+    for u, run in _iter_potentials(n, bound, minimal_only):
+        rest = d - sum(u)
+        spliced: dict[int, tuple] = {}  # r -> u with r landed in it
+        for v, vsum in run:
+            r = rest - vsum
+            w = spliced.get(r)
+            if w is None:
+                w = spliced[r] = _splice_row(u, u, r, r)[0]
+            reason = _decide_potentials(w, v, d)[0]
+            by_reason[reason] = by_reason.get(reason, 0) + 1
     total = sum(by_reason.values())
     yes = by_reason.get(REASON_OK, 0)  # d >= 1, so no DegreeZeroTrivial
     return {

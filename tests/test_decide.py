@@ -21,6 +21,7 @@ from curvedet import (
     corollary_case,
     grid_from_potentials,
     iter_dhb_matrices,
+    potentials,
     representable,
     representable_2x2,
     scan,
@@ -387,6 +388,16 @@ def reference_iter_dhb_matrices(n, bound, minimal_only=False):
             yield DHBMatrix(grid_from_potentials(u, v))
 
 
+def reference_runs(n, bound, minimal_only=False):
+    """Each row potential u of `reference_iter_dhb_matrices` with the list
+    of (v, sum(v)) for its column potentials v, in order."""
+    runs = {}
+    for Q in reference_iter_dhb_matrices(n, bound, minimal_only):
+        u, v = potentials(Q.entries)
+        runs.setdefault(u, []).append((v, sum(v)))
+    return runs
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("minimal_only", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -407,6 +418,34 @@ class TestEnumeration:
     def test_stays_lazy_for_a_large_bound(self):
         Q = next(iter_dhb_matrices(3, 10**5))
         assert Q.entries == ((10**5,) * 3,) * 2
+
+    def test_stays_lazy_for_a_large_bound_with_minimal_only(self):
+        Q = next(iter_dhb_matrices(3, 10**5, minimal_only=True))
+        assert Q.entries == ((10**5,) * 3,) * 2
+
+    @pytest.mark.parametrize("minimal_only", [False, True])
+    @pytest.mark.parametrize("n, bound", [(3, 6), (4, 4), (5, 3)])
+    def test_a_run_left_unread_or_unfinished_is_not_replayed(self, n, bound, minimal_only):
+        # a run is skipped unread, left after its first v, or read in full,
+        # in turn; a later u with the same run must still yield all of it
+        expected = reference_runs(n, bound, minimal_only)
+        read = 0
+        for i, (u, run) in enumerate(_iter_potentials(n, bound, minimal_only)):
+            if i % 3 == 1:
+                next(iter(run), None)
+            elif i % 3 == 2:
+                assert list(run) == expected.get(u, []), u
+                read += 1
+        assert read
+
+    @pytest.mark.parametrize("minimal_only", [False, True])
+    @pytest.mark.parametrize("n, bound", [(3, 4), (4, 3)])
+    def test_runs_read_after_the_enumeration_ends(self, n, bound, minimal_only):
+        # with minimal_only the value range changes with u, and a run read
+        # late must still read the range of its own u
+        groups = list(_iter_potentials(n, bound, minimal_only))
+        expected = reference_runs(n, bound, minimal_only)
+        assert [(u, list(run)) for u, run in groups] == [(u, expected.get(u, [])) for u, _ in groups]
 
     def test_census_shape(self):
         result = census(2, 3, 3)

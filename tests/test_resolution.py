@@ -16,6 +16,7 @@ from curvedet import (
     incidence_dimension,
     is_admissible_hvector,
     is_numerically_minimal,
+    iter_dhb_matrices,
     minimalize,
     plane_dim,
     scheme_degree,
@@ -258,3 +259,50 @@ class TestIncidenceDimension:
 
 def test_plane_dim_truncation():
     assert [plane_dim(x) for x in (-2, -1, 0, 1, 2, 3)] == [0, 0, 1, 3, 6, 10]
+
+
+def delta_h(B, top):
+    """First differences of the Hilbert function of B at levels 0..top."""
+    h = [hilbert_function(B, k) for k in range(top + 1)]
+    return [h[0], *[y - x for x, y in zip(h, h[1:])]]
+
+
+def complete_intersection_delta_h(s, t, k):
+    """First difference of the Hilbert function of a complete intersection
+    of type (s, t) at level k: the number of monomials x^i y^j of degree k
+    with i < s and j < t."""
+    return max(0, min(k + 1, s, t, s + t - 1 - k))
+
+
+class TestLiaison:
+    """Linkage as an oracle (Peskine-Szpiro; Davis-Geramita-Orecchia).
+
+    A scheme Z with generator degrees a and syzygy degrees b lies on a
+    complete intersection X of type (s, t) whenever s, t >= a_1.  The
+    mapping cone resolves the linked scheme Z' by the generators
+    {s + t - b_i} and {s, t} and the syzygies {s + t - a_j}, possibly with
+    cancellable pairs.  Then deg Z + deg Z' = st and, with c = s + t - 2,
+    dh_Z'(k) = dh_X(c - k) - dh_Z(c - k) for every k.
+    """
+
+    def test_degrees_and_hilbert_functions_of_linked_schemes(self):
+        linkages = 0
+        for n in range(2, 6):
+            for Q in iter_dhb_matrices(n, 3, minimal_only=True):
+                B = betti_of_matrix(Q)
+                a1 = B.gens[0]
+                dh = delta_h(B, 2 * a1 + 4)  # c is at most 2 a_1 + 4
+                for s in range(a1, a1 + 3):
+                    for t in range(s, s + 3):
+                        if sorted(B.gens) == [s, t]:
+                            continue  # Z = X links to the empty scheme
+                        linked = BettiData.of([s + t - b for b in B.syz] + [s, t], [s + t - a for a in B.gens])
+                        assert scheme_degree(B) + scheme_degree(linked) == s * t, (B, s, t)
+                        c = s + t - 2
+                        # dh_Z'(k) for k = 0..c + 1; dh_Z' and dh_X vanish from c + 1 on
+                        assert delta_h(linked, c + 1) == [
+                            complete_intersection_delta_h(s, t, c - k) - (dh[c - k] if k <= c else 0)
+                            for k in range(c + 2)
+                        ], (B, s, t)
+                        linkages += 1
+        assert linkages == 10572
