@@ -25,10 +25,8 @@ when its degree is at most D < p; its degree is read from their forward
 differences.  A square trial evaluates N once per point, at Q for its
 proof and at the d + 1 nodes in full, and reads det(N) and both blocks'
 determinants from those values, so a factorization is checked value by
-value.  An entry of degree m is evaluated at only m + 1 of the nodes, as
-x^m times its dot product with a prefix of the (y/x)^j (z/x)^k of degree
-top that all entries share (where x = 0, with one run of them built from
-y and z), and its other values follow from its forward differences.
+value.  An entry of degree m is evaluated at only m + 1 of the nodes,
+and its other values follow from its forward differences.
 Where a verdict fixes the degree of a determinant or of a block, a line
 may lower that degree but not raise it: a higher one fails its trial, a
 lower one fails only if no trial shows the degree.
@@ -52,7 +50,8 @@ draw, as the rows of one homogeneous grid, Q's first, and splices that
 row into the square; neither matrix is checked again.
 
 One elimination kernel, `_rank`, serves every graded rank: forward
-elimination mod p on an int64 array.  Only it uses numpy, imported on
+elimination mod p on an int64 array, whose rows place each run of a
+minor's coefficients by one slice.  Only it uses numpy, imported on
 first use, so decisions, square witnesses and the subscheme trials that
 coprime minors settle never load it.  A witness prime must be a prime
 below 2^31, so that a product of two residues fits in int64; primality
@@ -60,7 +59,13 @@ is checked by a deterministic Miller-Rabin test.
 
 Forms are dense coefficient vectors over F_p indexed by the graded
 lexicographic order on monomials x^i y^j z^k (x > y > z) within each
-degree.  Serialized coefficient vectors follow this order exactly.
+degree.  Serialized coefficient vectors follow this order exactly.  In
+degree m, coefficient a(a + 1)/2 + i belongs to x^(m - a) y^(a - i) z^i:
+run a is x^(m - a) times a form of degree a in y, z.  At a point with x
+nonzero that monomial is x^m (y/x)^(a - i) (z/x)^i, so one list of these
+ratios per point, `_ratios`, serves every degree as a prefix: square
+entries and coprime minors both read it.  Where x = 0 only run m
+survives, and the list built from y and z gives its values.
 """
 
 from __future__ import annotations
@@ -86,8 +91,9 @@ _PRIME_BOUND = 2**31
 #: trials (`_check_work`), a witness is refused before it samples.  Measured
 #: on one core (Python 3.11): 0.06-0.11 us per drawn coefficient, 0.09-0.15 us
 #: and 40 bytes per tabulated value, so 6-15 s at the budget.  The estimate
-#: charges a square trial's full path, at (top + 3)/3 times the values it
-#: tabulates; a trial settled by a proof tabulates at one point.
+#: charges a square trial's full path, and a point at (top + 3)/3 times the
+#: plane_dim(top) ratios it tabulates: that excess is all that refuses a
+#: subscheme trial's large cofactor products.
 WITNESS_BUDGET = 10**8
 
 
@@ -126,8 +132,8 @@ def _check_work(grid, trials: int, points: int, top: int) -> None:
     """Raise WitnessBudgetError when `trials` trials would draw and tabulate
     more than WITNESS_BUDGET residues.  A trial draws plane_dim(m)
     coefficients for each entry of `grid` of degree m >= 0 and is charged the
-    C(top + 3, 3) monomials of degree <= top at `points` points.  A square
-    point tabulates plane_dim(top), so its charge is (top + 3)/3 times that."""
+    C(top + 3, 3) monomials of degree <= top at `points` points, (top + 3)/3
+    times the plane_dim(top) ratios that any point tabulates."""
     estimate = trials * (sum(plane_dim(m) for row in grid for m in row) + points * comb(top + 3, 3))
     if estimate > WITNESS_BUDGET:
         raise WitnessBudgetError(f"a witness of trials = {trials} would draw and tabulate {estimate:,} residues, "
@@ -148,12 +154,6 @@ def monomials(m: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(
         (i, j, m - i - j) for i in range(m, -1, -1) for j in range(m - i, -1, -1)
     )
-
-
-@lru_cache(maxsize=None)
-def monomial_index(m: int) -> dict[tuple[int, int], int]:
-    """Index of (x-exponent, y-exponent) within the degree-m order."""
-    return {(i, j): idx for idx, (i, j, _) in enumerate(monomials(m))}
 
 
 class Form(_Record):
@@ -263,22 +263,6 @@ def _reslot(data: bytes, old: int, new: int) -> bytearray:
     for b in range(1, min(old, new) + 1):
         out[new - b :: new] = data[old - b :: old]
     return out
-
-
-def _monomial_values(point: tuple[int, int, int], top: int, p: int) -> list[list[int]]:
-    """Values mod p at the point of `monomials(m)`, one list for each m = 0..top.
-
-    In graded-lex order the degree-m monomials are x times those of
-    degree m - 1, in the same order, followed by y^j z^(m-j) for
-    j = m..0: y times the last m of degree m - 1 (the ones free of x),
-    then z^m.  So each list is built from the one before.
-    """
-    x, y, z = (c % p for c in point)
-    tables = [[1]]
-    for m in range(1, top + 1):
-        prev = tables[-1]
-        tables.append([x * v % p for v in prev] + [y * v % p for v in prev[-m:]] + [z * prev[-1] % p])
-    return tables
 
 
 def zero_form(prime: int) -> Form:
@@ -491,11 +475,8 @@ def _values_on_line(coeffs, layout, n: int, line, max_degree: int, p: int) -> li
 
     An entry, of degree m in s on the line, is evaluated only at
     s = 0..min(m, max_degree); its other values follow from its forward
-    differences.  Coefficient a(a + 1)/2 + (a - j) of degree m belongs to
-    x^(m - a) y^j z^(a - j), which at a point with x nonzero is x^m u^j
-    v^(a - j) with u = y/x, v = z/x: so the u^j v^(a - j) of degree top
-    serve every degree as a prefix.  Where x = 0 only the run a = m
-    survives, and the same list built from u = y, v = z gives its values.
+    differences.  An entry of degree m is x^m times its dot product with
+    `_ratios(y/x, z/x)`; where x = 0, only its run m with `_ratios(y, z)`.
     """
     (p0, p1, p2), (q0, q1, q2) = line
     top = max(m for m, _, _ in layout)
@@ -503,11 +484,9 @@ def _values_on_line(coeffs, layout, n: int, line, max_degree: int, p: int) -> li
     for s in range(min(top, max_degree) + 1):
         x, y, z = (p0 + s * q0) % p, (p1 + s * q1) % p, (p2 + s * q2) % p
         inv = pow(x, -1, p) if x else 1
-        u, v = y * inv % p, z * inv % p
-        run, flat, powers = [1], [1], [1]
+        flat = _ratios(y * inv % p, z * inv % p, top, p)
+        powers = [1]
         for _ in range(top):
-            run = [u * c % p for c in run] + [v * run[-1] % p]
-            flat += run
             powers.append(powers[-1] * x % p)
         if x:
             nodes.append([powers[m] * sum(map(mul, coeffs[a:b], flat)) % p if m >= s else 0 for m, a, b in layout])
@@ -520,6 +499,16 @@ def _values_on_line(coeffs, layout, n: int, line, max_degree: int, p: int) -> li
             for at_s, v in zip(nodes[m + 1 :], later):
                 at_s[i] = v
     return [[at_s[i : i + n] for i in range(0, len(at_s), n)] for at_s in nodes]
+
+
+def _ratios(u: int, v: int, top: int, p: int) -> list[int]:
+    """u^(a - i) v^i mod p at position a(a + 1)/2 + i, i = 0..a, for the runs
+    a = 0..top; a form of degree m reads the prefix of length plane_dim(m)."""
+    run, flat = [1], [1]
+    for _ in range(top):
+        run = [u * c % p for c in run] + [v * run[-1] % p]
+        flat += run
+    return flat
 
 
 def _extend_by_differences(values: list[int], count: int, p: int) -> list[int]:
@@ -581,20 +570,22 @@ def _rank(rows: list[list[int]], p: int) -> int:
 
 
 def _graded_piece_rows(gens, t: int, p: int) -> list[list[int]]:
-    """Coefficient vectors of all monomial multiples of the gens in degree t."""
+    """Coefficient vectors of all monomial multiples of the gens in degree t,
+    multipliers in graded-lex order: run a of g times position i of the
+    multipliers' run b is one slice of the row, from (a + b)(a + b + 1)/2 + i."""
     rows = []
-    index = monomial_index(t)
     width = plane_dim(t)
     for g in gens:
         if g.is_zero or g.degree > t:
             continue
-        g_mono = monomials(g.degree)
-        for (a, b, _c) in monomials(t - g.degree):
-            row = [0] * width
-            for coeff, (i, j, _k) in zip(g.coeffs, g_mono):
-                if coeff:
-                    row[index[(i + a, j + b)]] = coeff
-            rows.append(row)
+        runs = [g.coeffs[a * (a + 1) // 2 : (a + 1) * (a + 2) // 2] for a in range(g.degree + 1)]
+        for b in range(t - g.degree + 1):
+            for i in range(b + 1):
+                row = [0] * width
+                for a, run in enumerate(runs):
+                    start = (a + b) * (a + b + 1) // 2 + i
+                    row[start : start + a + 1] = run
+                rows.append(row)
     return rows
 
 
@@ -614,23 +605,30 @@ def ideal_dim(gens, t: int) -> int:
 def _coprime_minors(minors, rng: random.Random, p: int) -> bool:
     """Whether two minors are shown coprime at one of a few random (x0, y0).
 
-    A minor of degree a with a nonzero z^a coefficient keeps degree a in
+    A minor of degree e with a nonzero z^e coefficient keeps degree e in
     z at every (x0, y0), and so do its factors; so two such minors whose
     g(x0, y0, z) have gcd 1 are coprime.  Then the minor ideal has grade
     2, the presentation resolves it (Hilbert-Burch, Buchsbaum-Eisenbud),
     and its Hilbert function is the alternating sum of the twists.  A
     gcd of positive degree may be bad luck and proves nothing.
+
+    The gcd is taken of x0^(-e) g(x0, y0, z), whose z^i coefficient sums
+    position i of g's runs a >= i times `_ratios(y0/x0, 1/x0)`; where
+    x0 = 0, only of run e times `_ratios(y0, 1)`.
     """
     gens = [g for g in minors if not g.is_zero and g.coeffs[-1]]
     top = max((g.degree for g in gens), default=0)
     for _ in range(3):
-        tables = _monomial_values((rng.randrange(p), rng.randrange(p), 1), top, p)
-        in_z = []  # each g(x0, y0, z), highest power of z first
+        x0, y0 = rng.randrange(p), rng.randrange(p)
+        inv = pow(x0, -1, p) if x0 else 1
+        flat = _ratios(y0 * inv % p, inv, top, p)
+        in_z = []  # each x0^(-e) g(x0, y0, z), highest power of z first
         for g in gens:
             coeffs = [0] * (g.degree + 1)
-            for c, v, (i, j, _) in zip(g.coeffs, tables[g.degree], monomials(g.degree)):
-                coeffs[i + j] += c * v
-            in_z.append([c % p for c in coeffs])
+            for a in range(g.degree + 1) if x0 else (g.degree,):
+                start = a * (a + 1) // 2
+                coeffs[: a + 1] = map(add, coeffs, map(mul, g.coeffs[start : start + a + 1], flat[start:]))
+            in_z.append([c % p for c in reversed(coeffs)])
         if any(_coprime(f, g, p) for f, g in combinations(in_z, 2)):
             return True
     return False

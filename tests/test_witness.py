@@ -44,12 +44,12 @@ from curvedet.witness import (
     _coprime_minors,
     _det_numeric,
     _form_dot,
+    _graded_piece_rows,
     _is_prime,
-    _monomial_values,
     _poly_degree,
     _rank,
+    _ratios,
     _residues,
-    monomial_index,
     monomials,
     random_line,
     restrict_det_to_line,
@@ -209,20 +209,16 @@ class TestMonomialOrder:
         for m in range(8):
             assert len(monomials(m)) == plane_dim(m)
 
-    def test_index_inverse(self):
-        for m in range(6):
-            for idx, (i, j, _) in enumerate(monomials(m)):
-                assert monomial_index(m)[(i, j)] == idx
-
     @pytest.mark.parametrize("p", KERNEL_PRIMES)
-    def test_monomial_values_match_powers(self, p):
+    def test_ratio_prefixes_are_the_monomials_at_one_u_v(self, p):
+        # the degree-m prefix holds x^i y^j z^k of `monomials(m)` at (1, u, v)
         rng = random.Random(p)
-        for point in ((0, 0, 0), (1, 0, -1), tuple(rng.randrange(-p, 3 * p) for _ in range(3))):
-            tables = _monomial_values(point, 12, p)
-            assert len(tables) == 13
-            x, y, z = point
-            for m, table in enumerate(tables):
-                assert table == [pow(x, i, p) * pow(y, j, p) * pow(z, k, p) % p for i, j, k in monomials(m)]
+        for u, v in ((0, 0), (0, 1), (1, 0), (0, rng.randrange(p)), (rng.randrange(p), 0),
+                     (rng.randrange(p), rng.randrange(p))):
+            flat = _ratios(u, v, 12, p)
+            assert len(flat) == plane_dim(12)
+            for m in range(13):
+                assert flat[: plane_dim(m)] == [pow(u, j, p) * pow(v, k, p) % p for _, j, k in monomials(m)]
 
 
 class TestForms:
@@ -652,6 +648,37 @@ class TestIdealDim:
     def test_generators_above_the_level(self):
         rng = random.Random(20)
         assert ideal_dim([random_form(3, rng)], 2) == 0
+
+    @staticmethod
+    def rows_by_monomial_index(gens, t):
+        """Each multiple's row, one coefficient at a time through a dict from
+        (x-exponent, y-exponent) to its position in degree t."""
+        index = {(i, j): idx for idx, (i, j, _) in enumerate(monomials(t))}
+        rows = []
+        for g in gens:
+            if g.is_zero or g.degree > t:
+                continue
+            for a, b, _ in monomials(t - g.degree):
+                row = [0] * plane_dim(t)
+                for coeff, (i, j, _) in zip(g.coeffs, monomials(g.degree)):
+                    if coeff:
+                        row[index[(i + a, j + b)]] = coeff
+                rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("p", (7, 32003))
+    def test_rows_place_the_runs_where_the_monomials_go(self, p):
+        rng = random.Random(p)
+        gens = []
+        for e in range(7):
+            # about half the coefficients vanish
+            g = Form(e, tuple(rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(plane_dim(e))), p)
+            gens.append(g)
+            for t in range(e, e + 6):
+                assert _graded_piece_rows([g], t, p) == self.rows_by_monomial_index([g], t)
+        gens.append(Form(3, (1,) * 6 + (0,) * 4, p))  # its last run, free of x, vanishes
+        for t in range(12):
+            assert _graded_piece_rows(gens, t, p) == self.rows_by_monomial_index(gens, t)
 
 
 class TestEchelonKernel:
@@ -1228,6 +1255,57 @@ class TestFastPaths:
                         assert plane_dim(t) - ideal_dim(minors, t) == hilbert_function(B, t), (p, Q.entries, t)
         assert passed > 900 and failed > 20
 
+    @staticmethod
+    def restrictions_by_z_tables(minors, rng, p):
+        """Each round's g(x0, y0, z) of `_coprime_minors` from the values of
+        `monomials(e)` at (x0, y0, 1), scaled by x0^(-e) where x0 != 0, and
+        whether a pair in some round has gcd 1."""
+        gens = [g for g in minors if not g.is_zero and g.coeffs[-1]]
+        rounds = []
+        for _ in range(3):
+            x0, y0 = rng.randrange(p), rng.randrange(p)
+            in_z = []
+            for g in gens:
+                coeffs = [0] * (g.degree + 1)
+                for c, (i, j, _) in zip(g.coeffs, monomials(g.degree)):
+                    coeffs[i + j] += c * pow(x0, i, p) * pow(y0, j, p)
+                unit = pow(x0, -g.degree, p) if x0 else 1
+                in_z.append([c * unit % p for c in coeffs])
+            rounds.append(in_z)
+            if any(_coprime(f, g, p) for f, g in itertools.combinations(in_z, 2)):
+                return True, rounds
+        return False, rounds
+
+    class ZeroX:
+        """Draws 0 for every x0 and a seeded residue for every y0."""
+
+        def __init__(self, seed):
+            self.rng, self.draws = random.Random(seed), 0
+
+        def randrange(self, p):
+            self.draws += 1
+            return self.rng.randrange(p) if self.draws % 2 == 0 else 0
+
+    def test_coprime_minors_match_the_z_tables(self, monkeypatch):
+        # the same draws give the same polynomials to Euclid, round by round,
+        # so every outcome is the one the per-degree tables gave
+        seen = []
+        monkeypatch.setattr(witness, "_coprime", lambda f, g, p: seen.append((f, g)) or _coprime(f, g, p))
+        outcomes = Counter()
+        for n, bound in ((2, 3), (3, 3), (4, 2)):
+            for Q in iter_dhb_matrices(n, bound):
+                for p in (7, 11, 101, 32003):
+                    minors = maximal_minors(sample_matrix(Q, random.Random(f"{p} {Q.entries}"), p))
+                    for make in (random.Random, self.ZeroX):
+                        expected, rounds = self.restrictions_by_z_tables(minors, make(f"coprime {p}"), p)
+                        seen.clear()
+                        assert _coprime_minors(minors, make(f"coprime {p}"), p) is expected, (p, Q.entries)
+                        drawn = [pair for in_z in rounds for pair in itertools.combinations(in_z, 2)]
+                        assert seen == drawn[: len(seen)] and (expected or len(seen) == len(drawn))
+                        outcomes[make, expected] += 1
+        assert sum(outcomes.values()) == 4 * 2 * (12 + 130 + 171)
+        assert min(outcomes.values()) > 20  # both rngs both prove and fail
+
     @pytest.mark.parametrize("grid, d, prime, seed", [
         ([[2, 3, 5], [1, 2, 4]], 4, P, 4),
         ([[1, 1, 1], [0, 0, 0]], 3, 7, 54),
@@ -1402,6 +1480,20 @@ class TestPinnedReports:
             '"insertedRowPosition": 1}, "observedDegrees": [3, 3, 3], "hfProfile": ['
             '{"t": 0, "predicted": 1, "observed": 1}, {"t": 1, "predicted": 1, "observed": 2}, '
             '{"t": 2, "predicted": 1, "observed": 3}], "mismatches": []}'
+        )
+
+    def test_subscheme_whose_only_trial_ranks_every_level(self, monkeypatch):
+        # the coprime minors fail at all three points, so the profile is the ranks'
+        ranked = []
+        monkeypatch.setattr(witness, "ideal_dim", lambda gens, t: ranked.append(t) or ideal_dim(gens, t))
+        report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=1, seed=4, prime=7)
+        assert ranked == list(range(10))
+        observed = [1, 3, 6, 10, 14, 18, 21, 22, 22, 22]
+        profile = ", ".join(f'{{"t": {t}, "predicted": {h}, "observed": {h}}}' for t, h in enumerate(observed))
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 4, "prime": 7, "trials": 1, "verdictChecked": {"answer": "yes", "degree": 4, '
+            '"insertedRowPosition": 3}, "observedDegrees": [4], '
+            f'"hfProfile": [{profile}], "mismatches": []}}'
         )
 
     @pytest.mark.parametrize("k, digest", [
