@@ -20,7 +20,6 @@ from .resolution import (
     BettiData,
     generic_betti,
     hilbert_function,
-    is_admissible_hvector,
     plane_dim,
     stabilization_bound,
 )
@@ -136,14 +135,16 @@ def enumerate_hvectors(delta: int, constraints, curve_degree: int) -> list[tuple
     """All admissible h-vectors of total delta meeting the mandatory constraints.
 
     Admissibility is Macaulay growth with the curve bound
-    h[t] <= min(t+1, curve_degree); a constraint at level t is checked
-    against the partial sum through t.  Rows come out lexicographically
-    decreasing, unsorted: the stack pops the largest next entry first.  Two
-    h-vectors of total delta first differ at an index inside both, so their
-    Hilbert functions (partial sums) come out lexicographically decreasing too.
+    h[t] <= min(t+1, curve_degree), which the cap on each next entry
+    enforces, so no row is checked again; a constraint at level t is
+    checked against the partial sum through t.  Rows come out
+    lexicographically decreasing, unsorted: the stack pops the largest next
+    entry first.  Two h-vectors of total delta first differ at an index
+    inside both, so their Hilbert functions (partial sums) come out
+    lexicographically decreasing too.
     Past SERIES_BUDGET popped prefixes it raises SeriesBudgetError.
     """
-    if delta < 1:
+    if delta < 1 or curve_degree < 1:
         return []
     mandatory = [c for c in constraints if c.mandatory]
     results: list[tuple[int, ...]] = []
@@ -172,7 +173,7 @@ def enumerate_hvectors(delta: int, constraints, curve_degree: int) -> list[tuple
         h.append(value)
         t, total = t + 1, total + value
         if total == delta:
-            if final_ok(t) and is_admissible_hvector(h, curve_degree):
+            if final_ok(t):
                 results.append(tuple(h))
             continue
         cap = min(value + 1, t + 1, curve_degree, delta - total)

@@ -22,14 +22,14 @@ once per sum.
 
 A polynomial on the line is kept as its values at s = 0..D, which fix it
 when its degree is at most D < p; its degree is read from their forward
-differences.  A square trial evaluates N once per point, at Q for its
-proof and at the d + 1 nodes in full, and reads det(N) and both blocks'
-determinants from those values, so a factorization is checked value by
-value.  An entry of degree m is evaluated at only m + 1 of the nodes,
-and its other values follow from its forward differences.
+differences.  A square trial evaluates every entry of N once per point,
+at Q for its proof and at each of the d + 1 nodes in full, and reads
+det(N) and both blocks' determinants from those values, so a
+factorization is checked value by value.
 Where a verdict fixes the degree of a determinant or of a block, a line
-may lower that degree but not raise it: a higher one fails its trial, a
-lower one fails only if no trial shows the degree.
+may lower that degree but not raise it: a block of higher degree fails
+its trial (det(N), read from d + 1 values, cannot exceed d), and a
+lower degree fails only if no trial shows the degree.
 
 A curve through the scheme is the determinant F of the presentation
 matrix with a row r of random forms inserted at position pos; it lies
@@ -91,9 +91,10 @@ _PRIME_BOUND = 2**31
 #: trials (`_check_work`), a witness is refused before it samples.  Measured
 #: on one core (Python 3.11): 0.06-0.11 us per drawn coefficient, 0.09-0.15 us
 #: and 40 bytes per tabulated value, so 6-15 s at the budget.  The estimate
-#: charges a square trial's full path, and a point at (top + 3)/3 times the
-#: plane_dim(top) ratios it tabulates: that excess is all that refuses a
-#: subscheme trial's large cofactor products.
+#: charges a square trial's full path, which evaluates every entry at each of
+#: the d + 1 nodes, and a point at (top + 3)/3 times the plane_dim(top) ratios
+#: it tabulates: that excess is all that refuses a subscheme trial's large
+#: cofactor products.
 WITNESS_BUDGET = 10**8
 
 
@@ -433,16 +434,6 @@ def maximal_minors(A: FormMatrix) -> tuple[Form, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _difference_rows(values: list[int]):
-    """The rows of the forward-difference table of `values`, exact: the
-    values, their first differences, ..., down to one entry."""
-    row = values
-    yield row
-    while len(row) > 1:
-        row = list(map(sub, row[1:], row))
-        yield row
-
-
 def _poly_degree(values: list[int], p: int) -> int | None:
     """Degree mod p of the polynomial of degree < len(values) <= p that
     takes `values` at s = 0, 1, ..., or None if it vanishes.
@@ -450,9 +441,12 @@ def _poly_degree(values: list[int], p: int) -> int | None:
     In the Newton forward basis f = sum_k (Delta^k f)(0) * C(s, k), and
     C(s, k) has degree k with leading coefficient 1/k!, a unit mod p
     because k < p; so the degree is the highest k with
-    (Delta^k f)(0) nonzero mod p.
+    (Delta^k f)(0) nonzero mod p.  The differences stay exact.
     """
-    firsts = [row[0] % p for row in _difference_rows(values)]
+    firsts, row = [], values
+    while row:
+        firsts.append(row[0] % p)
+        row = list(map(sub, row[1:], row))
     return max((k for k, v in enumerate(firsts) if v), default=None)
 
 
@@ -473,15 +467,14 @@ def _values_on_line(coeffs, layout, n: int, line, max_degree: int, p: int) -> li
     `layout` (`_layout`) places in the flat `coeffs`, n to a row and zero
     where the degree is negative: one n x n matrix per s = 0..max_degree.
 
-    An entry, of degree m in s on the line, is evaluated only at
-    s = 0..min(m, max_degree); its other values follow from its forward
-    differences.  An entry of degree m is x^m times its dot product with
-    `_ratios(y/x, z/x)`; where x = 0, only its run m with `_ratios(y, z)`.
+    Every entry is evaluated at every node: an entry of degree m is x^m
+    times its dot product with `_ratios(y/x, z/x)`; where x = 0, only its
+    run m with `_ratios(y, z)`.
     """
     (p0, p1, p2), (q0, q1, q2) = line
     top = max(m for m, _, _ in layout)
     nodes = []
-    for s in range(min(top, max_degree) + 1):
+    for s in range(max_degree + 1):
         x, y, z = (p0 + s * q0) % p, (p1 + s * q1) % p, (p2 + s * q2) % p
         inv = pow(x, -1, p) if x else 1
         flat = _ratios(y * inv % p, z * inv % p, top, p)
@@ -489,16 +482,11 @@ def _values_on_line(coeffs, layout, n: int, line, max_degree: int, p: int) -> li
         for _ in range(top):
             powers.append(powers[-1] * x % p)
         if x:
-            nodes.append([powers[m] * sum(map(mul, coeffs[a:b], flat)) % p if m >= s else 0 for m, a, b in layout])
-        else:  # run m sits at m(m + 1)/2 = plane_dim(m) - m - 1; values past m are replaced below
-            nodes.append([sum(map(mul, coeffs[b - m - 1 : b], flat[b - a - m - 1 :])) % p for m, a, b in layout])
-    nodes += [[0] * len(layout) for _ in range(len(nodes), max_degree + 1)]  # past top, all by differences
-    for i, (m, _, _) in enumerate(layout):
-        if 0 <= m < max_degree:
-            later = _extend_by_differences([at_s[i] for at_s in nodes[: m + 1]], max_degree - m, p)
-            for at_s, v in zip(nodes[m + 1 :], later):
-                at_s[i] = v
-    return [[at_s[i : i + n] for i in range(0, len(at_s), n)] for at_s in nodes]
+            at_s = [powers[m] * sum(map(mul, coeffs[a:b], flat)) % p if m >= 0 else 0 for m, a, b in layout]
+        else:  # run m sits at m(m + 1)/2 = plane_dim(m) - m - 1
+            at_s = [sum(map(mul, coeffs[b - m - 1 : b], flat[b - a - m - 1 :])) % p for m, a, b in layout]
+        nodes.append([at_s[i : i + n] for i in range(0, len(at_s), n)])
+    return nodes
 
 
 def _ratios(u: int, v: int, top: int, p: int) -> list[int]:
@@ -509,21 +497,6 @@ def _ratios(u: int, v: int, top: int, p: int) -> list[int]:
         run = [u * c % p for c in run] + [v * run[-1] % p]
         flat += run
     return flat
-
-
-def _extend_by_differences(values: list[int], count: int, p: int) -> list[int]:
-    """The next `count` values mod p of the polynomial of degree < len(values)
-    that takes `values` at s = 0, 1, ..., len(values) - 1."""
-    # edge holds the differences of orders m, m - 1, ..., 0 (m = len - 1),
-    # each at the last node it reaches.  The order-m difference is constant,
-    # so a step forward replaces edge by its prefix sums; the sums stay
-    # exact, and only the values are reduced.
-    edge = [row[-1] % p for row in _difference_rows(values)][::-1]
-    out = []
-    for _ in range(count):
-        edge = list(accumulate(edge))
-        out.append(edge[-1] % p)
-    return out
 
 
 def random_line(rng: random.Random, prime: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -689,13 +662,15 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
     negative diagonal entry: every restriction must vanish identically.
     no by a bad subdiagonal block: the determinant must factor as the
     product of the two block determinants, of degrees d - e' and e',
-    which some trial must show.  No restriction may exceed its degree.
+    which some trial must show, and neither block may exceed its degree.
+    The determinant's degree is read from its values at d + 1 nodes, so it
+    never exceeds d.
 
     A trial is settled without restricting to its line when a proof
     holds on the sampled N (see `_settled_trial`), and otherwise runs in
-    full at the d + 1 nodes.  N is evaluated once per point, at the line's
-    direction Q for a proof and at each node in full, and det(N) and both
-    blocks are read from those values.
+    full at the d + 1 nodes.  N is evaluated once per point, every entry
+    at the line's direction Q for a proof and at each node in full, and
+    det(N) and both blocks are read from those values.
     """
     _check_witness_parameters(trials, prime)
     return _verify_square(representable(grid), trials, seed, prime)
@@ -707,10 +682,10 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
     grid, d = decision.normalized, decision.degree
     if prime <= d:
         raise FieldTooSmallError(f"prime {prime} is too small for degree {d}")
-    # a trial's full path tabulates at the min(top, d) + 1 nodes of its line;
+    # a trial's full path tabulates at the d + 1 nodes of its line;
     # the well-ordered square's largest entry is its top right one
     top = max(grid[0][-1], 0)
-    _check_work(grid, trials, max(min(top, d), 0) + 1, top)
+    _check_work(grid, trials, d + 1, top)
     layout = _layout(grid)  # where each entry's coefficients sit in a trial's draw
     # name: (degree, its degree on each trial's line) of what the verdict fixes
     expected = {"full": (d, report.observed_degrees)} if decision.verdict else {}
@@ -733,10 +708,7 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
         deg = _poly_degree(values, prime)
         report.observed_degrees.append(deg)
 
-        if decision.verdict:
-            if deg is not None and deg > d:
-                report.mismatches.append(f"trial {trial}: degree {deg} exceeds {d}")
-        elif decision.reason == REASON_DIAGONAL:
+        if decision.reason == REASON_DIAGONAL:
             if deg is not None:
                 report.mismatches.append(f"trial {trial}: expected zero determinant, saw degree {deg}")
         elif decision.reason == REASON_SUBDIAGONAL:

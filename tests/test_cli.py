@@ -551,6 +551,22 @@ class TestInputValidation:
         assert code == 1
         assert body["error"] == "InputError"
 
+    SERIES = ["series", "--curve-degree", "8", "--divisor-degree", "20", "--series-dim", "2", "--properties"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check-subscheme", "--matrix", "[[1,1],[1,1]]", "--degree", "2"], "/matrix: expected an (n-1) x n matrix"),
+        (["witness", "--matrix", "[[1,2,3]]"], "/matrix: expected n x n or (n-1) x n, got 1 x 3"),
+        ([*SERIES, '{"z": 1}'], "/properties: expected an array of {z, kind} objects"),
+        ([*SERIES, "[1]"], "/properties/0: expected an object"),
+        ([*SERIES, '[{"z": "1", "kind": "nonspecial"}]'], "/properties/0/z: expected an integer"),
+        ([*SERIES, '[{"z": 1, "kind": "ample"}]'], "/properties/0/kind: expected 'nonspecial' or 'effective'"),
+    ], ids=["subscheme-on-a-square", "witness-on-1x3", "properties-not-an-array", "property-not-an-object",
+            "property-z-not-an-integer", "property-unknown-kind"])
+    def test_input_errors(self, capsys, argv, message):
+        code, body = invoke(capsys, *argv)
+        assert code == 1
+        assert body == {"error": "InputError", "message": message}
+
 
 class TestMismatchExitCode:
     def test_contradicting_witness_exits_2(self, capsys, monkeypatch):

@@ -654,3 +654,13 @@ class TestDecisionInvariance:
         assert lhs.reason == rhs.reason
         assert lhs.normalized == rhs.normalized
         assert (lhs.k, lhs.block_degree) == (rhs.k, rhs.block_degree)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: representable([[2, 3, 5], [1, 2, 4]]), "representability is a question about square matrices"),
+    (lambda: corollary_case(Q_61, 0), "curve degree must be >= 1, got 0"),
+], ids=["representable-on-a-non-square", "corollary-at-degree-zero"])
+def test_input_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -74,6 +74,7 @@ class TestPotentials:
         uu, vv = potentials(grid)
         assert grid_from_potentials(uu, vv) == grid
         assert vv[0] == 0
+        assert is_homogeneous(grid)
 
     @given(
         st.lists(st.integers(-20, 20), min_size=2, max_size=5),
@@ -674,3 +675,12 @@ class TestPotentialsConvention:
         Q = generic_betti([1, 2, 3, 3, 2]).to_dhb()
         assert Q.entries == ((1, 2, 3), (1, 2, 3))
         assert potentials(Q.entries) == ((1, 1), (0, 1, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: transversal_degree([[2, 3, 5], [1, 2, 4]]), "transversal degree requires a square grid"),
+], ids=["transversal-degree-of-a-non-square"])
+def test_input_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -306,3 +306,13 @@ class TestLiaison:
                         ], (B, s, t)
                         linkages += 1
         assert linkages == 10572
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BettiData((2, 3), (4,)), InvalidResolutionError, "degrees must be sorted non-increasing"),
+    (lambda: incidence_dimension(-1, B_22, 4), ValueError, "stratum dimension must be non-negative"),
+], ids=["unsorted-betti-data", "negative-stratum"])
+def test_input_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -150,6 +150,7 @@ class TestEnumerateHVectors:
 
     def test_single_point(self):
         assert enumerate_hvectors(1, [], 4) == [(1,)]
+        assert enumerate_hvectors(1, [], 0) == []  # no point lies on a curve of degree 0
 
     def test_h_vector_longer_than_the_recursion_limit(self):
         # HF(1) = 2 puts all 3000 points on a line: h = (1, 1, ..., 1)
@@ -233,3 +234,12 @@ class TestSeriesBudget:
             for delta in range(2 * d, 3 * d + 1):
                 for r in (1, 2):
                     analyze(SeriesQuery(d, delta, r))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SeriesQuery(8, 20, -1), "series dimension must be >= 0"),
+], ids=["negative-series-dimension"])
+def test_input_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -1411,9 +1411,7 @@ class TestPinnedReports:
 
         def values_on_line(coeffs, layout, n, line, max_degree, p):
             (x, _, _), (dx, _, _) = line
-            top = max(m for m, _, _ in layout)
-            seen.update("full" if max_degree else "proof"
-                        for s in range(min(top, max_degree) + 1) if (x + s * dx) % p == 0)
+            seen.update("full" if max_degree else "proof" for s in range(max_degree + 1) if (x + s * dx) % p == 0)
             return true_values(coeffs, layout, n, line, max_degree, p)
 
         monkeypatch.setattr(witness, "_values_on_line", values_on_line)
@@ -1506,3 +1504,29 @@ class TestPinnedReports:
         report = verify_subscheme(Q, 3 * k, trials=1, seed=0)
         assert report.ok and report.observed_degrees == [3 * k]
         assert hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest() == digest
+
+
+def nonzero_at_a_negative_slot():
+    M = DegreeMatrix.from_grid([[1, 3], [-1, 1]])
+    N = sample_matrix(M, random.Random(0))
+    (f, g), (_, h) = N.entries
+    return FormMatrix(((f, g), (random_form(0, random.Random(1)), h)), M, P)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: random_form(-1, random.Random(0)), ValueError,
+     "random_form needs m >= 0; negative degrees force the zero form"),
+    (nonzero_at_a_negative_slot, ValueError, "entry (2,1) must vanish (degree -1)"),
+    (lambda: det_form(sample_matrix([[2, 3, 5], [1, 2, 4]], random.Random(0))), ValueError,
+     "determinant needs a square matrix"),
+    (lambda: maximal_minors(sample_matrix([[1, 1], [1, 1]], random.Random(0))), ValueError,
+     "maximal minors expect an (n-1) x n matrix"),
+    (lambda: ideal_dim([random_form(1, random.Random(0))], -1), ValueError, "need t >= 0"),
+    (lambda: verify_representable([[1, 1], [1, 1]], prime=2), FieldTooSmallError,
+     "prime 2 is too small for degree 2"),
+], ids=["random-form-of-negative-degree", "form-at-a-negative-slot", "det-of-a-non-square",
+        "minors-of-a-square", "ideal-dim-below-zero", "square-prime-at-most-d"])
+def test_input_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
