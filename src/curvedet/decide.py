@@ -202,6 +202,14 @@ def _require_valid(Q: DHBMatrix):
         raise EmptySchemeDegenerateError("all diagonal entries are zero: empty scheme")
 
 
+def _check_curve_degree(d) -> None:
+    """Raise ValueError unless d is an int of at least 1 (not a bool, as for a grid entry)."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"curve degree must be an integer, got {d!r}")
+    if d < 1:
+        raise ValueError(f"curve degree must be >= 1, got {d}")
+
+
 def _check_cells(what: str, cells: int) -> None:
     """Raise ScanBudgetError when `what` would fill more than SCAN_BUDGET cells."""
     if cells > SCAN_BUDGET:
@@ -216,8 +224,7 @@ def contains_subscheme(Q: DHBMatrix, d: int) -> Decision:
     Appends the complementary row (d - a_1, ..., d - a_n), reorders, and
     applies the determinantal-representation test to the square matrix.
     """
-    if d < 1:
-        raise ValueError(f"curve degree must be >= 1, got {d}")
+    _check_curve_degree(d)
     _require_valid(Q)
     entries, pos = _inserted_entries(Q, d)
     return _decide_entries(entries, d, inserted=pos)
@@ -247,8 +254,7 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
     Must agree with `contains_subscheme` on every minimal input; the
     two are implemented independently and cross-checked in the tests.
     """
-    if d < 1:
-        raise ValueError(f"curve degree must be >= 1, got {d}")
+    _check_curve_degree(d)
     _require_valid(Q)
     if not Q.is_numerically_minimal:
         raise NotMinimalError("a generator degree equals a syzygy degree")
@@ -482,8 +488,7 @@ def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:
     CensusBudgetError, enumerating nothing.
     """
     _check_enumeration(n, bound)
-    if d < 1:
-        raise ValueError(f"curve degree must be >= 1, got {d}")
+    _check_curve_degree(d)
     candidates = _census_candidates(n, bound)
     if candidates > CENSUS_BUDGET:
         raise CensusBudgetError(f"census over n = {n}, bound = {bound} would examine {candidates:,} candidate "

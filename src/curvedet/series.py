@@ -13,6 +13,8 @@ divisor.
 
 from __future__ import annotations
 
+from operator import eq, ge, le
+
 from .decide import contains_subscheme
 from .degree_matrix import _Record
 from .errors import InfeasibleQueryError, SeriesBudgetError
@@ -80,16 +82,15 @@ class HFConstraint(_Record):
     """
 
     _fields = ("level", "relation", "value", "mandatory", "label")
+    _tests = {"==": eq, "<=": le, ">=": ge}  # relation: its test of (hf_value, value)
 
     def __init__(self, level: int, relation: str, value: int, mandatory: bool, label: str):
+        if relation not in self._tests:
+            raise ValueError(f"relation must be '==', '<=' or '>=', got {relation!r}")
         self._set(level, relation, value, mandatory, label)
 
     def satisfied_by(self, hf_value: int) -> bool:
-        if self.relation == "==":
-            return hf_value == self.value
-        if self.relation == "<=":
-            return hf_value <= self.value
-        return hf_value >= self.value
+        return self._tests[self.relation](hf_value, self.value)
 
 
 def hf_constraints(query: SeriesQuery) -> list[HFConstraint]:

@@ -10,15 +10,16 @@ inserted square like a representability verdict.
 A trial first tries a cheap check that proves its fact and computes in
 full only when that fails, so a report is the same either way.  A yes
 square's det(N(Q)) is the s^d coefficient of det(N) on the line P + sQ.
-A no by a negative diagonal entry is proved by a zero corner of the
-sampled N, which forces det(N) = 0 (Frobenius-Koenig); a no by a
-negative subdiagonal entry by the zero corner that makes N block upper
-triangular, together with block values at Q whose product is nonzero and
-equals det(N(Q)).  Two maximal minors shown coprime prove the Hilbert
-function at every level, which the Hilbert-Burch twists of the sampled
-minors and the syzygies then give.  Products of forms and their signed
-sums are one Kronecker-substitution dot product, `_form_dot`, unpacked
-once per sum.
+A no rests on a zero corner, read once per report from the degree grid
+(f_ij = 0 where m_ij < 0).  A negative diagonal entry's forces det(N) = 0
+(Frobenius-Koenig), so that report samples nothing; a negative
+subdiagonal entry's makes N block upper triangular, and block values at Q
+whose product is nonzero and equals det(N(Q)) prove a trial.  A grid
+without the corner runs every trial in full.  Two maximal minors shown
+coprime prove the Hilbert function at every level, which the
+Hilbert-Burch twists, the minor and syzygy degrees, then give.  Products
+of forms and their signed sums are one Kronecker-substitution dot
+product, `_form_dot`, unpacked once per sum.
 
 A polynomial on the line is kept as its values at s = 0..D, which fix it
 when its degree is at most D < p; its degree is read from their forward
@@ -92,9 +93,9 @@ _PRIME_BOUND = 2**31
 #: on one core (Python 3.11): 0.06-0.11 us per drawn coefficient, 0.09-0.15 us
 #: and 40 bytes per tabulated value, so 6-15 s at the budget.  The estimate
 #: charges a square trial's full path, which evaluates every entry at each of
-#: the d + 1 nodes, and a point at (top + 3)/3 times the plane_dim(top) ratios
-#: it tabulates: that excess is all that refuses a subscheme trial's large
-#: cofactor products.
+#: the d + 1 nodes, even on a diagonal no whose grid proves it with no draw,
+#: and a point at (top + 3)/3 times the plane_dim(top) ratios it tabulates:
+#: that excess is all that refuses a subscheme trial's large cofactor products.
 WITNESS_BUDGET = 10**8
 
 
@@ -134,7 +135,8 @@ def _check_work(grid, trials: int, points: int, top: int) -> None:
     more than WITNESS_BUDGET residues.  A trial draws plane_dim(m)
     coefficients for each entry of `grid` of degree m >= 0 and is charged the
     C(top + 3, 3) monomials of degree <= top at `points` points, (top + 3)/3
-    times the plane_dim(top) ratios that any point tabulates."""
+    times the plane_dim(top) ratios that any point tabulates.  A square
+    report that its grid proves, drawing nothing, is charged the same."""
     estimate = trials * (sum(plane_dim(m) for row in grid for m in row) + points * comb(top + 3, 3))
     if estimate > WITNESS_BUDGET:
         raise WitnessBudgetError(f"a witness of trials = {trials} would draw and tabulate {estimate:,} residues, "
@@ -666,11 +668,12 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
     The determinant's degree is read from its values at d + 1 nodes, so it
     never exceeds d.
 
-    A trial is settled without restricting to its line when a proof
-    holds on the sampled N (see `_settled_trial`), and otherwise runs in
-    full at the d + 1 nodes.  N is evaluated once per point, every entry
-    at the line's direction Q for a proof and at each node in full, and
-    det(N) and both blocks are read from those values.
+    The zero corner of a no is read from the degree grid; a diagonal
+    verdict's forces det(N) = 0, so no trial samples.  Otherwise a trial
+    is settled by a proof at the line's direction Q (see `_square_trial`)
+    or runs in full at the d + 1 nodes.  N is evaluated once per point,
+    every entry at Q for a proof and at each node in full, and det(N) and
+    both blocks are read from those values.
     """
     _check_witness_parameters(trials, prime)
     return _verify_square(representable(grid), trials, seed, prime)
@@ -679,86 +682,77 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
 def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> WitnessReport:
     """The trials of `verify_representable` on the square `decision.normalized`."""
     report = WitnessReport(seed, prime, trials, decision.to_json())
-    grid, d = decision.normalized, decision.degree
+    grid, d, k, e = decision.normalized, decision.degree, decision.k, decision.block_degree
     if prime <= d:
         raise FieldTooSmallError(f"prime {prime} is too small for degree {d}")
     # a trial's full path tabulates at the d + 1 nodes of its line;
     # the well-ordered square's largest entry is its top right one
-    top = max(grid[0][-1], 0)
-    _check_work(grid, trials, d + 1, top)
+    _check_work(grid, trials, d + 1, max(grid[0][-1], 0))
+    subdiagonal = decision.reason == REASON_SUBDIAGONAL
+    # a no's zero corner, rows k..n by columns 1..k (1..k - 1 for a block), read from the grid; a yes needs none
+    corner = decision.verdict or all(m < 0 for row in grid[k - 1 :] for m in row[: k - 1 if subdiagonal else k])
+    if corner and decision.reason == REASON_DIAGONAL:
+        report.observed_degrees.extend([None] * trials)  # det(N) = 0 for every N: nothing to sample
+        return report
     layout = _layout(grid)  # where each entry's coefficients sit in a trial's draw
-    # name: (degree, its degree on each trial's line) of what the verdict fixes
-    expected = {"full": (d, report.observed_degrees)} if decision.verdict else {}
-    if decision.reason == REASON_SUBDIAGONAL:
-        k, e = decision.k, decision.block_degree
-        expected = {"leading block": (d - e, []), "trailing block": (e, [])}
-
+    seen = []  # each trial's degrees
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         coeffs = _residues(rng, layout[-1][2], prime)
-        line = random_line(rng, prime)
-        settled = _settled_trial(decision, coeffs, layout, line[1], prime)
-        if settled is not None:
-            report.observed_degrees.append(settled[0])
-            for (_, seen), g in zip(expected.values(), settled[1:]):
-                seen.append(g)
-            continue
-        nodes = _values_on_line(coeffs, layout, len(grid), line, d, prime)
-        values = [_det_numeric(mat, prime) for mat in nodes]
-        deg = _poly_degree(values, prime)
-        report.observed_degrees.append(deg)
-
-        if decision.reason == REASON_DIAGONAL:
-            if deg is not None:
-                report.mismatches.append(f"trial {trial}: expected zero determinant, saw degree {deg}")
-        elif decision.reason == REASON_SUBDIAGONAL:
-            # the blocks have degrees d - e and e, so their product, like
-            # det(N), is fixed by its values at the d + 1 nodes
-            lead, trail = zip(*(_block_dets(mat, k, prime) for mat in nodes))
-            for (name, (w, seen)), block in zip(expected.items(), (lead, trail)):
-                g = _poly_degree(block, prime)
-                seen.append(g)
-                if g is not None and g > w:
-                    report.mismatches.append(f"trial {trial}: {name} degree {g} exceeds {w}")
-            if any(a * b % prime != v for a, b, v in zip(lead, trail, values)):
-                report.mismatches.append(f"trial {trial}: block determinants do not multiply to the determinant")
-
+        degrees, texts = _square_trial(decision, corner, coeffs, layout, random_line(rng, prime), prime)
+        report.observed_degrees.append(degrees[0])
+        report.mismatches.extend(f"trial {trial}: {text}" for text in texts)
+        seen.append(degrees)
     if not report.mismatches:
+        # name: (degree, its place in a trial's degrees) of what the verdict fixes
+        fixed = {"full": (d, 0)} if decision.verdict else {}
+        if subdiagonal:
+            fixed = {"leading block": (d - e, 1), "trailing block": (e, 2)}
         report.mismatches.extend(f"no trial realized the {name} degree {w}"
-                                 for name, (w, seen) in expected.items() if w not in seen)
+                                 for name, (w, i) in fixed.items() if all(degrees[i] != w for degrees in seen))
     return report
 
 
-def _settled_trial(decision: Decision, coeffs, layout, direction, p: int) -> tuple | None:
-    """What a trial of `decision` on N, the square whose drawn `coeffs`
-    `layout` places as `_values_on_line` takes them, records when a proof settles it:
-    the degree of det(N) on the line with this direction Q, then the
-    block degrees.  None when the proof fails, and the trial runs in full.
+def _square_trial(decision: Decision, corner: bool, coeffs, layout, line, p: int) -> tuple[tuple, list[str]]:
+    """One trial of `decision` on N, the square whose drawn `coeffs` `layout`
+    places as `_values_on_line` takes them, on the line (P, Q): the degrees on
+    the line of det(N) and, for a subdiagonal no, of its leading and trailing
+    blocks, and the texts of the trial's mismatches.
 
-    A block on the diagonal of N has a form of its diagonal sum's degree
-    as its determinant, so the value at Q is its s^top coefficient on the
-    line P + sQ.  yes: det(N(Q)) nonzero proves degree d.  No at k by a
-    negative diagonal entry: rows k..n of N zero in columns 1..k are an
-    (n - k + 1) x k zero corner, so det(N) = 0 (Frobenius-Koenig).  No at k
-    by a subdiagonal block: rows k..n zero in columns 1..k - 1 make
+    Where `corner` holds, the grid having the zero corner of a no (a yes
+    needs none), a proof at Q is tried first, and the trial is evaluated at
+    the d + 1 nodes only when it fails.  A block on the diagonal of N has a form of its diagonal sum's
+    degree as its determinant, so the value at Q is its s^top coefficient on
+    the line P + sQ.  yes: det(N(Q)) nonzero proves degree d.  No at k by a
+    subdiagonal block: rows k..n zero in columns 1..k - 1 make
     det(N) = det(lead) det(trail) as forms, so block values L, T at Q with
-    L T nonzero prove degrees d, d - e and e and the product at every
-    node.  L T must also equal det(N(Q)), so that an evaluation at fault
-    sends the trial to the full path.
+    L T nonzero prove degrees d, d - e and e and the product at every node.
+    L T must also equal det(N(Q)), so that an evaluation at fault sends the
+    trial to the full path.
     """
     d, k, e, n = decision.degree, decision.k, decision.block_degree, len(decision.normalized)
-    if not decision.verdict:
-        width = k if decision.reason == REASON_DIAGONAL else k - 1
-        if any(any(coeffs[a:b]) for i in range(k - 1, n) for _, a, b in layout[i * n : i * n + width]):
-            return None
-        if decision.reason == REASON_DIAGONAL:
-            return (None,)
-    at_direction = _values_on_line(coeffs, layout, n, (direction, (0, 0, 0)), 0, p)[0]
-    det = _det_numeric(at_direction, p)
-    if decision.verdict:
-        return (d,) if det else None
-    lead, trail = _block_dets(at_direction, k, p)
-    return (d, d - e, e) if det and lead * trail % p == det else None
+    subdiagonal = decision.reason == REASON_SUBDIAGONAL
+    if corner:
+        at_direction = _values_on_line(coeffs, layout, n, (line[1], (0, 0, 0)), 0, p)[0]
+        det = _det_numeric(at_direction, p)
+        if det and decision.verdict:
+            return (d,), []
+        if det and subdiagonal and mul(*_block_dets(at_direction, k, p)) % p == det:
+            return (d, d - e, e), []
+    nodes = _values_on_line(coeffs, layout, n, line, d, p)
+    values = [_det_numeric(mat, p) for mat in nodes]
+    deg = _poly_degree(values, p)
+    if not subdiagonal:
+        return (deg,), [] if decision.verdict or deg is None else [f"expected zero determinant, saw degree {deg}"]
+    # the blocks have degrees d - e and e, so their product, like
+    # det(N), is fixed by its values at the d + 1 nodes
+    lead, trail = zip(*(_block_dets(mat, k, p) for mat in nodes))
+    degrees = (deg, _poly_degree(lead, p), _poly_degree(trail, p))
+    texts = [f"{name} degree {g} exceeds {w}" for name, g, w
+             in zip(("leading block", "trailing block"), degrees[1:], (d - e, e)) if g is not None and g > w]
+    if any(a * b % p != v for a, b, v in zip(lead, trail, values)):
+        texts.append("block determinants do not multiply to the determinant")
+    return degrees, texts
 
 
 def _block_dets(mat: list[list[int]], k: int, p: int) -> tuple[int, int]:
@@ -800,8 +794,10 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     _check_work(decision.normalized, trials, 3, Q.minor_degrees[0])
 
     B = betti_of_matrix(Q)
-    b1 = B.syz[0]
     a = Q.minor_degrees
+    predicted = [hilbert_function(B, t) for t in range(B.syz[0] + 1)]  # up to b_1
+    # the Hilbert-Burch twists: a nonzero minor g_j has degree a_j
+    twists = [(aj, 1) for aj in a] + [(b, -1) for b in Q.shifts]
     pos = decision.inserted_row_position
     # Q's rows and then the inserted row d - a_j, homogeneous as q_ij = b_i - a_j
     stacked = DegreeMatrix._trusted(Q.entries + (decision.normalized[pos - 1],))
@@ -828,19 +824,16 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
 
         # coprime minors fix the Hilbert function by the Hilbert-Burch twists
         proved = _coprime_minors(minors, random.Random(f"coprime {seed} {trial}"), prime)
-        twists = [(aj if g.is_zero else g.degree, 1) for g, aj in zip(minors, a)] + [(b, -1) for b in Q.shifts]
         profile = []
-        for t in range(b1 + 1):
-            predicted = hilbert_function(B, t)
+        for t, h in enumerate(predicted):
             observed = plane_dim(t) - (sum(sign * plane_dim(t - m) for m, sign in twists) if proved
                                        else ideal_dim(minors, t))
-            profile.append({"t": t, "predicted": predicted, "observed": observed})
-            if predicted != observed:
-                failures.append((f"trial {trial}: Hilbert function at level {t} is {observed}, "
-                                 f"predicted {predicted}", t))
+            profile.append({"t": t, "predicted": h, "observed": observed})
+            if h != observed:
+                failures.append((f"trial {trial}: Hilbert function at level {t} is {observed}, predicted {h}", t))
         if trial == 0:
             report.hf_profile.extend(profile)
-    made = {"curve": trials, **dict.fromkeys(range(b1 + 1), reached)}
+    made = {"curve": trials, **dict.fromkeys(range(len(predicted)), reached)}
     failed = Counter(check for _, check in failures)
     report.mismatches.extend(message for message, check in failures if check is None or failed[check] == made[check])
     return report

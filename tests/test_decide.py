@@ -659,7 +659,14 @@ class TestDecisionInvariance:
 @pytest.mark.parametrize("call, message", [
     (lambda: representable([[2, 3, 5], [1, 2, 4]]), "representability is a question about square matrices"),
     (lambda: corollary_case(Q_61, 0), "curve degree must be >= 1, got 0"),
-], ids=["representable-on-a-non-square", "corollary-at-degree-zero"])
+    (lambda: contains_subscheme(Q_61, 4.5), "curve degree must be an integer, got 4.5"),
+    (lambda: corollary_case(Q_61, 5.0), "curve degree must be an integer, got 5.0"),
+    (lambda: census(3, 4.5, 3), "curve degree must be an integer, got 4.5"),
+    (lambda: contains_subscheme(Q_61, True), "curve degree must be an integer, got True"),
+    (lambda: corollary_case(Q_61, False), "curve degree must be an integer, got False"),
+    (lambda: census(3, True, 3), "curve degree must be an integer, got True"),
+], ids=["representable-on-a-non-square", "corollary-at-degree-zero", "containment-at-a-float", "corollary-at-a-float",
+        "census-at-a-float", "containment-at-a-bool", "corollary-at-a-bool", "census-at-a-bool"])
 def test_input_errors(call, message):
     with pytest.raises(ValueError) as info:
         call()

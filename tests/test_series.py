@@ -71,6 +71,19 @@ class TestConstraints:
         with pytest.raises(InfeasibleQueryError):
             hf_constraints(SeriesQuery(8, 20, plane_dim(5) + 20 - genus(8) + 1))
 
+    @pytest.mark.parametrize("relation, holds", [
+        ("==", (False, True, False)), ("<=", (True, True, False)), (">=", (False, True, True)),
+    ])
+    def test_each_relation_tests_the_value_against_its_bound(self, relation, holds):
+        c = series.HFConstraint(5, relation, 18, True, "")
+        assert tuple(c.satisfied_by(v) for v in (17, 18, 19)) == holds
+
+    @pytest.mark.parametrize("relation", ["!=", "<", ">", "=", ""])
+    def test_an_unknown_relation_is_rejected(self, relation):
+        with pytest.raises(ValueError) as info:
+            series.HFConstraint(5, relation, 18, True, "")
+        assert str(info.value) == f"relation must be '==', '<=' or '>=', got {relation!r}"
+
     def test_query_validation(self):
         with pytest.raises(ValueError):
             SeriesQuery(3, 20, 2)

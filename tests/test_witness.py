@@ -189,6 +189,19 @@ def patch_blocks_off_the_product(monkeypatch, full: int):
     monkeypatch.setattr(witness, "_det_numeric", det)
 
 
+def force_full_path(monkeypatch):
+    # N read as zero at the line's direction Q fails every one-point proof,
+    # so each square trial evaluates N at its d + 1 nodes
+    true_values = witness._values_on_line
+
+    def values_on_line(coeffs, layout, n, line, max_degree, p):
+        if max_degree == 0:
+            return [[[0] * n for _ in range(n)]]
+        return true_values(coeffs, layout, n, line, max_degree, p)
+
+    monkeypatch.setattr(witness, "_values_on_line", values_on_line)
+
+
 def dhb(grid):
     Q, _, _ = canonicalize(grid)
     return Q
@@ -750,7 +763,7 @@ class TestVerifyRepresentable:
                 return (value + 1) % p if len(reads) == 5 else value
             return value
 
-        monkeypatch.setattr(witness, "_settled_trial", lambda *args: None)
+        force_full_path(monkeypatch)
         monkeypatch.setattr(witness, "_det_numeric", det)
         report = verify_representable([[1, 3], [-1, 1]], trials=1, seed=2)
         assert "trial 0: block determinants do not multiply to the determinant" in report.mismatches
@@ -852,7 +865,7 @@ class TestVerifyRepresentable:
     ])
     def test_a_square_trial_builds_no_form(self, monkeypatch, grid, prime, forced):
         if forced:
-            monkeypatch.setattr(witness, "_settled_trial", lambda *args: None)
+            force_full_path(monkeypatch)
         expected = verify_representable(grid, trials=4, seed=0, prime=prime).to_json()
         monkeypatch.setattr(Form, "__init__", lambda *args: pytest.fail("built a Form"))
         assert verify_representable(grid, trials=4, seed=0, prime=prime).to_json() == expected
@@ -866,17 +879,33 @@ class TestVerifyRepresentable:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("forced", [False, True], ids=["settled", "full"])
-    @pytest.mark.parametrize("grid", [
-        DEGREE8_GRID, [[2, 3, 8], [-3, -2, 3], [-4, -3, 2]], [[5, 6, 8, 9], [2, 3, 5, 6], [-2, -1, 1, 2], [-3, -2, 0, 1]],
+    @pytest.mark.parametrize("grid, layouts", [
+        (DEGREE8_GRID, 1),
+        ([[2, 3, 8], [-3, -2, 3], [-4, -3, 2]], 0),  # a diagonal no whose grid has the corner draws nothing
+        ([[5, 6, 8, 9], [2, 3, 5, 6], [-2, -1, 1, 2], [-3, -2, 0, 1]], 1),
     ], ids=["yes", "diagonal", "subdiagonal"])
-    def test_a_square_report_lays_out_its_draw_once(self, monkeypatch, grid, forced):
+    def test_a_square_report_lays_out_its_draw_once(self, monkeypatch, grid, layouts, forced):
         if forced:
-            monkeypatch.setattr(witness, "_settled_trial", lambda *args: None)
+            force_full_path(monkeypatch)
         true_layout = witness._layout
         calls = []
         monkeypatch.setattr(witness, "_layout", lambda rows: calls.append(rows) or true_layout(rows))
         assert verify_representable(grid, trials=5, seed=2).ok
-        assert len(calls) == 1
+        assert len(calls) == layouts
+
+    @pytest.mark.parametrize("call", [
+        lambda: verify_representable([[2, 3, 8], [-3, -2, 3], [-4, -3, 2]], trials=5, seed=2),
+        lambda: verify_representable([[60, 80, 100], [0, 20, 40], [-45, -25, -5]], trials=5),
+        lambda: verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 3, trials=3, prime=7),
+    ], ids=["representable", "large-representable", "subscheme"])
+    def test_a_diagonal_no_whose_grid_has_the_corner_samples_nothing(self, monkeypatch, call):
+        # the degree grid's zero corner forces det(N) = 0 for every N of its degrees
+        for name in ("_trial_rng", "_residues"):
+            monkeypatch.setattr(witness, name, lambda *args: pytest.fail("sampled"))
+        report = call()
+        assert report.verdict_checked["reason"] == REASON_DIAGONAL
+        assert report.observed_degrees == [None] * report.trials
+        assert report.ok
 
     def test_degree_zero(self):
         report = verify_representable([[0, 0], [0, 0]], trials=4, seed=2)
