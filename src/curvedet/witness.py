@@ -15,11 +15,12 @@ A no rests on a zero corner, read once per report from the degree grid
 (Frobenius-Koenig), so that report samples nothing; a negative
 subdiagonal entry's makes N block upper triangular, and block values at Q
 whose product is nonzero and equals det(N(Q)) prove a trial.  A grid
-without the corner runs every trial in full.  Two maximal minors shown
-coprime prove the Hilbert function at every level, which the
-Hilbert-Burch twists, the minor and syzygy degrees, then give.  Products
-of forms and their signed sums are one Kronecker-substitution dot
-product, `_form_dot`, unpacked once per sum.
+without the corner runs every trial in full.  A yes subscheme trial is
+settled from values when the curve F is nonzero at a point and two
+maximal minors are shown coprime, which proves the Hilbert function at
+every level: the Hilbert-Burch twists, the minor and syzygy degrees,
+then give it.  Products of forms and their signed sums are one
+Kronecker-substitution dot product, `_form_dot`, unpacked once per sum.
 
 A polynomial on the line is kept as its values at s = 0..D, which fix it
 when its degree is at most D < p; its degree is read from their forward
@@ -33,22 +34,29 @@ its trial (det(N), read from d + 1 values, cannot exceed d), and a
 lower degree fails only if no trial shows the degree.
 
 A curve through the scheme is the determinant F of the presentation
-matrix with a row r of random forms inserted at position pos; it lies
-in the minor ideal by the Laplace expansion F = (-1)^pos * sum_j r_j g_j
-over the signed maximal minors g_j, and the witness compares both sides.
-A zero F, or a level of the Hilbert function whose rank falls short, can
-be bad luck at a small prime, so it fails only if every trial fails it.
+matrix with a row r of random forms inserted at position pos.  The
+Laplace expansion along that row is F = (-1)^pos * sum_j r_j g_j over
+the signed maximal minors g_j, so F lies in the minor ideal, and the
+witness computes F as that combination.  A trial first works from
+values: Q's rows on the lines x = x0, y = y0 at z = 0..max a_j give the
+minors' values there, hence each g_j(x0, y0, z) by forward differences
+while max a_j < p, and the inserted row at one node gives F's value
+there.  A nonzero value and two minors shown coprime settle the trial
+with no form built.  Otherwise, or where max a_j >= p, the minors and F
+are expanded as forms.  A zero F, or a level of the Hilbert function
+whose rank falls short, can be bad luck at a small prime, so it fails
+only if every trial fails it.
 
 A sampled matrix draws all its coefficients at once, entry by entry in
 row order: one `getrandbits` call of 32 bits per coefficient, whose
 words each keep their top p.bit_length() bits unless those are >= p,
 plus a round for the shortfall.  That is the stream of one `randrange(p)`
 per coefficient, so the entries and the generator's final state are
-those of one `random_form` per entry.  A square trial evaluates that
-stream itself, through one (degree, start, end) layout per report; only a
-subscheme trial builds `Form`s.  It draws Q and the inserted row in one
-draw, as the rows of one homogeneous grid, Q's first, and splices that
-row into the square; neither matrix is checked again.
+those of one `random_form` per entry.  A trial evaluates that stream
+itself, through one (degree, start, end) layout per report; only a
+subscheme trial that values do not settle builds `Form`s.  A subscheme
+trial draws Q and the inserted row in one draw, as the rows of one
+homogeneous grid, Q's first; no matrix is checked again.
 
 One elimination kernel, `_rank`, serves every graded rank: forward
 elimination mod p on an int64 array, whose rows place each run of a
@@ -77,7 +85,7 @@ from array import array
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations, dropwhile
-from math import comb
+from math import comb, factorial
 from operator import add, mul, neg, not_, sub
 
 from .decide import REASON_DIAGONAL, REASON_SUBDIAGONAL, Decision, contains_subscheme, representable
@@ -94,8 +102,12 @@ _PRIME_BOUND = 2**31
 #: and 40 bytes per tabulated value, so 6-15 s at the budget.  The estimate
 #: charges a square trial's full path, which evaluates every entry at each of
 #: the d + 1 nodes, even on a diagonal no whose grid proves it with no draw,
-#: and a point at (top + 3)/3 times the plane_dim(top) ratios it tabulates:
-#: that excess is all that refuses a subscheme trial's large cofactor products.
+#: and a point at (top + 3)/3 times the plane_dim(top) ratios it tabulates.
+#: A subscheme trial is charged three points at top = max a_j, one per line
+#: x = x0, y = y0 it tries; it evaluates Q there at the max a_j + 1 nodes (a
+#: minor's values fix its restriction only while max a_j < p) and the
+#: inserted row at one, and only a trial that values leave unsettled expands
+#: cofactor products, whose size that excess charge is all that refuses.
 WITNESS_BUDGET = 10**8
 
 
@@ -124,7 +136,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_prime(p: int) -> None:
-    if not (p < _PRIME_BOUND and _is_prime(p)):
+    if not (isinstance(p, int) and not isinstance(p, bool) and p < _PRIME_BOUND and _is_prime(p)):
         raise InvalidWitnessParameterError(
             f"prime must be a prime below 2^31, got {p}", parameter="prime", value=p
         )
@@ -144,6 +156,10 @@ def _check_work(grid, trials: int, points: int, top: int) -> None:
 
 
 def _check_witness_parameters(trials: int, prime: int) -> None:
+    if not isinstance(trials, int) or isinstance(trials, bool):
+        raise InvalidWitnessParameterError(
+            f"trials must be an integer, got {trials!r}", parameter="trials", value=trials
+        )
     if trials < 1:
         raise InvalidWitnessParameterError(
             f"trials must be at least 1, got {trials}", parameter="trials", value=trials
@@ -346,9 +362,7 @@ def sample_matrix(M, rng: random.Random, prime: int = DEFAULT_PRIME) -> FormMatr
     if not isinstance(M, DegreeMatrix):
         M = DegreeMatrix.from_grid(M)
     layout = _layout(M.entries)
-    coeffs = tuple(_residues(rng, layout[-1][2], prime))
-    zero = zero_form(prime)
-    forms = [Form(m, coeffs[a:b], prime) if m >= 0 else zero for m, a, b in layout]
+    forms = _forms(_residues(rng, layout[-1][2], prime), layout, prime)
     n = len(M.entries[0])
     # each entry has its degree by construction: no checks
     return FormMatrix._trusted(tuple(tuple(forms[i : i + n]) for i in range(0, len(forms), n)), M, prime)
@@ -360,6 +374,13 @@ def _layout(grid) -> list[tuple[int, int, int]]:
     degrees = [m for row in grid for m in row]
     ends = list(accumulate(map(plane_dim, degrees), initial=0))
     return list(zip(degrees, ends, ends[1:]))
+
+
+def _forms(coeffs, layout, p: int) -> list[Form]:
+    """The forms whose coefficients `layout` places in the flat draw `coeffs`, in
+    row order; the zero form where the degree is negative."""
+    coeffs, zero = tuple(coeffs), zero_form(p)
+    return [Form(m, coeffs[a:b], p) if m >= 0 else zero for m, a, b in layout]
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +441,7 @@ def maximal_minors(A: FormMatrix) -> tuple[Form, ...]:
     """
     if A.rows + 1 != A.cols:
         raise ValueError("maximal minors expect an (n-1) x n matrix")
-    if A.cols > 6:
-        raise CofactorBudgetError(f"cofactor expansion budget is n <= 6, got n = {A.cols}")
+    _check_cofactor_budget(A.cols)
     memo: dict = {}
     cols = tuple(range(A.cols))
     out = []
@@ -431,25 +451,52 @@ def maximal_minors(A: FormMatrix) -> tuple[Form, ...]:
     return tuple(out)
 
 
+def _check_cofactor_budget(n: int) -> None:
+    if n > 6:
+        raise CofactorBudgetError(f"cofactor expansion budget is n <= 6, got n = {n}")
+
+
 # ---------------------------------------------------------------------------
 # degree measurement on random lines
 # ---------------------------------------------------------------------------
+
+
+def _differences(values: list[int], p: int) -> list[int]:
+    """(Delta^k f)(0) mod p for k = 0..len(values) - 1, f taking `values` at
+    s = 0, 1, ...: f = sum_k (Delta^k f)(0) * C(s, k) in the Newton forward
+    basis.  The differences stay exact."""
+    firsts, row = [], values
+    while row:
+        firsts.append(row[0] % p)
+        row = list(map(sub, row[1:], row))
+    return firsts
 
 
 def _poly_degree(values: list[int], p: int) -> int | None:
     """Degree mod p of the polynomial of degree < len(values) <= p that
     takes `values` at s = 0, 1, ..., or None if it vanishes.
 
-    In the Newton forward basis f = sum_k (Delta^k f)(0) * C(s, k), and
     C(s, k) has degree k with leading coefficient 1/k!, a unit mod p
     because k < p; so the degree is the highest k with
-    (Delta^k f)(0) nonzero mod p.  The differences stay exact.
+    (Delta^k f)(0) nonzero mod p (`_differences`).
     """
-    firsts, row = [], values
-    while row:
-        firsts.append(row[0] % p)
-        row = list(map(sub, row[1:], row))
-    return max((k for k, v in enumerate(firsts) if v), default=None)
+    return max((k for k, v in enumerate(_differences(values, p)) if v), default=None)
+
+
+def _poly_coefficients(values: list[int], p: int) -> list[int]:
+    """Coefficients mod p, highest power of s first, of the polynomial of
+    degree < len(values) <= p that takes `values` at s = 0, 1, ....
+
+    With b_k = (Delta^k f)(0) / k!, f = b_0 + s (b_1 + (s - 1)(b_2 + ...)),
+    expanded by Horner's rule from b_D inward: one multiplication by
+    s - k per level.
+    """
+    poly: list[int] = []
+    firsts = _differences(values, p)
+    for k in reversed(range(len(firsts))):
+        poly = [(high - k * low) % p for high, low in zip(poly + [0], [0] + poly)]
+        poly[-1] = (poly[-1] + firsts[k] * pow(factorial(k), -1, p)) % p
+    return poly
 
 
 def restrict_det_to_line(N: FormMatrix, line, max_degree: int) -> list[int]:
@@ -587,26 +634,83 @@ def _coprime_minors(minors, rng: random.Random, p: int) -> bool:
     and its Hilbert function is the alternating sum of the twists.  A
     gcd of positive degree may be bad luck and proves nothing.
 
-    The gcd is taken of x0^(-e) g(x0, y0, z), whose z^i coefficient sums
-    position i of g's runs a >= i times `_ratios(y0/x0, 1/x0)`; where
-    x0 = 0, only of run e times `_ratios(y0, 1)`.
+    The gcd is taken of x0^(-e) g(x0, y0, z), a unit times g(x0, y0, z),
+    whose z^i coefficient sums position i of g's runs a >= i times
+    `_ratios(y0/x0, 1/x0)`; where x0 = 0, only of run e times
+    `_ratios(y0, 1)`.  `_subscheme_values` reads g(x0, y0, z) from values
+    on the same lines instead.
     """
     gens = [g for g in minors if not g.is_zero and g.coeffs[-1]]
     top = max((g.degree for g in gens), default=0)
-    for _ in range(3):
-        x0, y0 = rng.randrange(p), rng.randrange(p)
+
+    def in_z(x0: int, y0: int) -> list[list[int]]:  # each x0^(-e) g(x0, y0, z), highest power of z first
         inv = pow(x0, -1, p) if x0 else 1
         flat = _ratios(y0 * inv % p, inv, top, p)
-        in_z = []  # each x0^(-e) g(x0, y0, z), highest power of z first
+        out = []
         for g in gens:
             coeffs = [0] * (g.degree + 1)
             for a in range(g.degree + 1) if x0 else (g.degree,):
                 start = a * (a + 1) // 2
                 coeffs[: a + 1] = map(add, coeffs, map(mul, g.coeffs[start : start + a + 1], flat[start:]))
-            in_z.append([c % p for c in reversed(coeffs)])
-        if any(_coprime(f, g, p) for f, g in combinations(in_z, 2)):
+            out.append([c % p for c in reversed(coeffs)])
+        return out
+
+    return _coprime_on_lines(in_z, rng, p)
+
+
+def _coprime_on_lines(in_z, rng: random.Random, p: int) -> bool | None:
+    """Whether two of the polynomials in_z(x0, y0), nonzero leading
+    coefficient first, have gcd 1 at one of three (x0, y0), each two
+    rng.randrange(p) calls; None as soon as in_z returns None."""
+    for _ in range(3):
+        polys = in_z(rng.randrange(p), rng.randrange(p))
+        if polys is None:
+            return None
+        if any(_coprime(f, g, p) for f, g in combinations(polys, 2)):
             return True
     return False
+
+
+def _subscheme_values(coeffs, layout, a, rng: random.Random, p: int) -> tuple[bool, bool | None]:
+    """Whether a yes subscheme trial's curve F is nonzero at a point, and
+    whether two of its minors are shown coprime on the lines of
+    `_coprime_minors`, drawn from `rng`: read from values, with no form.
+    The flat draw `coeffs` holds Q's entries and then the inserted row, as
+    `layout` places them, and a holds Q's minor degrees, all below p.
+
+    On the line x = x0, y = y0, Q's rows are evaluated at z = 0..max a_j;
+    the signed minors' values there fix each g_j(x0, y0, z), whose
+    coefficients `_poly_coefficients` reads.  One with a coefficient above
+    z^(a_j) is an evaluation at fault, and (False, None) sends the trial to
+    its forms.  F = (-1)^pos * sum_j r_j g_j is read at the first line's
+    last node, z = max a_j, from the inserted row there; the sign does not
+    change whether it vanishes.
+    """
+    n, top = len(a), max(a)
+    at_node = []  # sum_j r_j g_j at the first line's last node
+
+    def in_z(x0: int, y0: int) -> list[list[int]] | None:
+        minors = _minors_on_line(coeffs, layout[: (n - 1) * n], n, x0, y0, top, p)
+        if not at_node:
+            row = _values_on_line(coeffs, layout[(n - 1) * n :], n, ((x0, y0, top), (0, 0, 0)), 0, p)[0][0]
+            at_node.append(sum(map(mul, row, minors[-1])) % p)
+        polys = [_poly_coefficients(list(values), p) for values in zip(*minors)]
+        if any(any(poly[: top - aj]) for poly, aj in zip(polys, a)):
+            return None
+        return [poly[top - aj :] for poly, aj in zip(polys, a) if poly[top - aj]]
+
+    proved = _coprime_on_lines(in_z, rng, p)
+    return (False, None) if proved is None else (any(at_node), proved)
+
+
+def _minors_on_line(coeffs, layout, n: int, x0: int, y0: int, top: int, p: int) -> list[list[int]]:
+    """The values mod p of the n signed maximal minors of the (n - 1) x n
+    matrix whose entries `layout` places in `coeffs`, at (x0, y0, z) for
+    z = 0..top: one list per node.  Minor j + 1 erases column j + 1 and
+    carries the sign (-1)^(j + 1), as in `maximal_minors`."""
+    nodes = _values_on_line(coeffs, layout, n, ((x0, y0, 0), (0, 0, 1)), top, p)
+    return [[(-1) ** (j + 1) * _det_numeric([row[:j] + row[j + 1 :] for row in mat], p) % p for j in range(n)]
+            for mat in nodes]
 
 
 def _coprime(f: list[int], g: list[int], p: int) -> bool:
@@ -767,20 +871,26 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
 
     A negative decision is witnessed on its square `decision.normalized`
     as `verify_representable` witnesses one.  For a positive decision,
-    per trial, sample a presentation matrix, insert a row r of random
-    forms of the complementary degrees at `decision.inserted_row_position`
-    pos, and confirm that the square determinant F is a curve of degree
-    d, that F = (-1)^pos * sum_j r_j g_j over the maximal minors g_j (so
-    F lies in their ideal by an explicit combination), and that the
-    ideal's graded-piece dimensions match the predicted Hilbert function
-    up to b_1.  The trial has F itself, so the curve degree is read from
-    it: d when F is nonzero, none when it vanishes.  Two minors shown
-    coprime prove the Hilbert function; only otherwise are levels ranked.
+    per trial, sample a presentation matrix and a row r of random forms
+    of the complementary degrees, inserted at
+    `decision.inserted_row_position` pos.  The square determinant F is
+    the Laplace combination F = (-1)^pos * sum_j r_j g_j over the signed
+    maximal minors g_j, so it lies in their ideal; the trial confirms
+    that F is a curve of degree d (nonzero: a homogeneous F has degree d)
+    and that the ideal's graded-piece dimensions match the predicted
+    Hilbert function up to b_1.  Two minors shown coprime prove the
+    Hilbert function; only otherwise are levels ranked.
 
-    The minor degrees and the Laplace identity hold for every sample, so
-    each failure is a mismatch.  A zero F, or a level whose rank falls
-    short, can be bad luck at a small prime: it is a mismatch only if it
-    fails in every trial that checks it.
+    A trial is first settled from values (`_subscheme_values`), when every
+    minor degree a_j is below p: F nonzero at a node and two minors shown
+    coprime on a line x = x0, y = y0 settle it with no form built.  Any
+    other trial expands the minors and F as forms, reusing the lines'
+    verdict on coprimality where values gave one.  The report is the same
+    either way.
+
+    A minor of the wrong degree fails its trial.  A zero F, or a level
+    whose rank falls short, can be bad luck at a small prime: it is a
+    mismatch only if it fails in every trial that checks it.
     """
     _check_witness_parameters(trials, prime)
     decision = contains_subscheme(Q, d)
@@ -790,40 +900,45 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     if prime <= d:
         raise FieldTooSmallError(f"prime {prime} is too small for degree {d}")
     # a trial samples Q and the inserted row, the square's entries, and
-    # tabulates minors at up to three points (`_coprime_minors`)
+    # tabulates minors on up to three lines (`_coprime_minors`)
     _check_work(decision.normalized, trials, 3, Q.minor_degrees[0])
+    _check_cofactor_budget(Q.n)
 
     B = betti_of_matrix(Q)
-    a = Q.minor_degrees
+    a, n = Q.minor_degrees, Q.n
     predicted = [hilbert_function(B, t) for t in range(B.syz[0] + 1)]  # up to b_1
     # the Hilbert-Burch twists: a nonzero minor g_j has degree a_j
     twists = [(aj, 1) for aj in a] + [(b, -1) for b in Q.shifts]
     pos = decision.inserted_row_position
     # Q's rows and then the inserted row d - a_j, homogeneous as q_ij = b_i - a_j
-    stacked = DegreeMatrix._trusted(Q.entries + (decision.normalized[pos - 1],))
-    square = DegreeMatrix._trusted(decision.normalized)
+    layout = _layout(Q.entries + (decision.normalized[pos - 1],))
 
-    failures = []  # (message, check) in trial order; check is None for an identity
+    failures = []  # (message, check) in trial order; check is None for a minor degree, which every trial must meet
     reached = 0  # trials whose curve is nonzero, which go on to the Hilbert function
     for trial in range(trials):
-        *rows, new_row = sample_matrix(stacked, _trial_rng(seed, trial), prime).entries
-        minors = maximal_minors(FormMatrix._trusted(tuple(rows), Q, prime))
-        for g, aj in zip(minors, a):
-            if not g.is_zero and g.degree != aj:
-                failures.append((f"trial {trial}: minor degree {g.degree} != {aj}", None))
-
-        F = det_form(FormMatrix._trusted((*rows[: pos - 1], new_row, *rows[pos - 1 :]), square, prime))
-        deg = None if F.is_zero else F.degree
-        report.observed_degrees.append(deg)
-        if deg != d:
-            failures.append((f"trial {trial}: curve degree {deg} != {d}", "curve" if deg is None else None))
+        coeffs = _residues(_trial_rng(seed, trial), layout[-1][2], prime)
+        lines = f"coprime {seed} {trial}"  # seeds the draws of the lines x = x0, y = y0
+        # the nodes z = 0..a_1 of a line are distinct only while a_1 < p
+        curve, proved = (_subscheme_values(coeffs, layout, a, random.Random(lines), prime) if a[0] < prime
+                         else (False, None))
+        if not (curve and proved):
+            forms = _forms(coeffs, layout, prime)
+            rows = tuple(tuple(forms[i : i + n]) for i in range(0, (n - 1) * n, n))
+            minors = maximal_minors(FormMatrix._trusted(rows, Q, prime))
+            failures.extend((f"trial {trial}: minor degree {g.degree} != {aj}", None)
+                            for g, aj in zip(minors, a) if not g.is_zero and g.degree != aj)
+            # F itself, by the Laplace expansion along the inserted row; nonzero, it has degree d
+            F = _form_dot([(r, g, pos % 2 == 1) for r, g in zip(forms[(n - 1) * n :], minors)], prime)
+            curve = not F.is_zero
+        report.observed_degrees.append(d if curve else None)
+        if not curve:
+            failures.append((f"trial {trial}: curve degree None != {d}", "curve"))
             continue
         reached += 1
-        if F != _form_dot([(r, g, pos % 2 == 1) for r, g in zip(new_row, minors)], prime):
-            failures.append((f"trial {trial}: determinant is not in the minor ideal", None))
 
         # coprime minors fix the Hilbert function by the Hilbert-Burch twists
-        proved = _coprime_minors(minors, random.Random(f"coprime {seed} {trial}"), prime)
+        if proved is None:
+            proved = _coprime_minors(minors, random.Random(lines), prime)
         profile = []
         for t, h in enumerate(predicted):
             observed = plane_dim(t) - (sum(sign * plane_dim(t - m) for m, sign in twists) if proved

@@ -578,17 +578,10 @@ class TestMismatchExitCode:
         assert body["verdictChecked"]["answer"] == "yes"
         assert body["mismatches"] == ["no trial realized the full degree 2"]
 
-    def test_determinant_outside_the_minor_ideal_exits_2(self, capsys, monkeypatch):
-        true_det = witness.det_form
-        z4 = witness.Form(4, (0,) * 14 + (1,), witness.DEFAULT_PRIME)
-        monkeypatch.setattr(witness, "det_form", lambda N: true_det(N) + z4)
-        code, body = invoke(capsys, "witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "4", "--trials", "1")
-        assert code == 2
-        assert body["verdictChecked"]["answer"] == "yes"
-        assert body["mismatches"] == ["trial 0: determinant is not in the minor ideal"]
-
     def test_zero_curve_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(witness, "det_form", lambda N: witness.zero_form(N.prime))
+        # the inserted row (-3, -2, 0) has one coefficient, the last of the draw: drawn as 0, F vanishes
+        true_residues = witness._residues
+        monkeypatch.setattr(witness, "_residues", lambda rng, count, p: true_residues(rng, count, p)[:-1] + [0])
         code, body = invoke(capsys, "witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "4", "--trials", "1")
         assert code == 2
         assert body["verdictChecked"]["answer"] == "yes"
@@ -606,7 +599,7 @@ class TestMismatchExitCode:
         # the levels are ranked, not proved by coprime minors, so every trial sees it
         true_hf = witness.hilbert_function
         monkeypatch.setattr(witness, "hilbert_function", lambda B, t: true_hf(B, t) + (t == 5))
-        monkeypatch.setattr(witness, "_coprime_minors", lambda minors, rng, p: False)
+        monkeypatch.setattr(witness, "_coprime_on_lines", lambda in_z, rng, p: False)
         code, body = invoke(capsys, "witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "4", "--trials", "3")
         assert code == 2
         assert body["mismatches"] == [f"trial {i}: Hilbert function at level 5 is 18, predicted 19" for i in range(3)]

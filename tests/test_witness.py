@@ -46,6 +46,7 @@ from curvedet.witness import (
     _form_dot,
     _graded_piece_rows,
     _is_prime,
+    _poly_coefficients,
     _poly_degree,
     _rank,
     _ratios,
@@ -170,12 +171,13 @@ def line_degrees(N, max_degree: int, trials: int, rng: random.Random) -> list:
     return [_poly_degree(restrict_det_to_line(N, random_line(rng, p), max_degree), p) for _ in range(trials)]
 
 
-def patch_det_off_the_ideal(monkeypatch):
-    # z^4 is not a multiple of the quartic minor of [[2,3,5],[1,2,4]], the
-    # only generator of the ideal in degree 4
-    true_det = witness.det_form
-    z4 = Form(4, (0,) * 14 + (1,), P)
-    monkeypatch.setattr(witness, "det_form", lambda N: true_det(N) + z4)
+def patch_zero_inserted_row(monkeypatch, Q, d: int):
+    # the inserted row's coefficients end each subscheme trial's draw; drawn
+    # as zeros, they make F vanish at every node and as a form
+    row = sum(plane_dim(d - aj) for aj in Q.minor_degrees if aj <= d)
+    true_residues = witness._residues
+    monkeypatch.setattr(witness, "_residues",
+                        lambda rng, count, p: true_residues(rng, count, p)[: count - row] + [0] * row)
 
 
 def patch_blocks_off_the_product(monkeypatch, full: int):
@@ -296,6 +298,16 @@ class TestPolyDegree:
         coeffs.append(data.draw(st.integers(1, p - 1)))
         values = [sum(c * pow(s, i, p) for i, c in enumerate(coeffs)) % p for s in range(n)]
         assert _poly_degree(values, p) == degree
+
+    @given(st.integers(0, 12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_coefficients_round_trip(self, degree, data):
+        # the values at s = 0..n - 1 give back every coefficient, highest power first
+        n = data.draw(st.integers(degree + 1, degree + 6))
+        p = data.draw(st.sampled_from(primes_above(n - 1, 2) + [2**31 - 1]))
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=degree + 1, max_size=degree + 1))
+        values = [sum(c * pow(s, i, p) for i, c in enumerate(coeffs)) % p for s in range(n)]
+        assert _poly_coefficients(values, p) == [0] * (n - degree - 1) + coeffs[::-1]
 
     @pytest.mark.parametrize("p", [5, 7, 32003])
     def test_zero(self, p):
@@ -993,12 +1005,6 @@ class TestVerifySubscheme:
         assert report.ok
         assert all(entry["predicted"] == entry["observed"] for entry in report.hf_profile)
 
-    def test_determinant_outside_the_ideal_is_reported(self, monkeypatch):
-        patch_det_off_the_ideal(monkeypatch)
-        report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=1, seed=4)
-        assert report.mismatches == ["trial 0: determinant is not in the minor ideal"]
-        assert report.observed_degrees == [4]
-
     def test_curve_degree_is_read_from_the_determinant(self):
         # d = 8 is above the stable threshold 7, so every trial must see
         # degree 8; at p = 101 trial 2 samples a curve through the
@@ -1008,7 +1014,7 @@ class TestVerifySubscheme:
         assert report.observed_degrees == [8] * 5
 
     def test_zero_curve_is_reported(self, monkeypatch):
-        monkeypatch.setattr(witness, "det_form", lambda N: zero_form(N.prime))
+        patch_zero_inserted_row(monkeypatch, dhb([[2, 3, 5], [1, 2, 4]]), 4)
         report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=1, seed=4)
         assert report.mismatches == ["trial 0: curve degree None != 4"]
         assert report.observed_degrees == [None]
@@ -1023,7 +1029,7 @@ class TestVerifySubscheme:
         ]
 
     def test_zero_curve_in_every_trial_is_reported(self, monkeypatch):
-        monkeypatch.setattr(witness, "det_form", lambda N: zero_form(N.prime))
+        patch_zero_inserted_row(monkeypatch, dhb([[2, 3, 5], [1, 2, 4]]), 4)
         report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=3, seed=4)
         assert report.mismatches == [f"trial {i}: curve degree None != 4" for i in range(3)]
 
@@ -1074,6 +1080,114 @@ class TestVerifySubscheme:
         report = verify_subscheme(Q, 4, trials=1, seed=8)
         for entry in report.hf_profile:
             assert entry["predicted"] == hilbert_function(B, entry["t"])
+
+
+# (Q, d) like witness-mix's subscheme reports: generic-Betti presentations
+# with three generators at d = 12..20
+MIX_LIKE = [
+    ([[1, 2, 2], [1, 2, 2]], 20), ([[1, 3, 4], [-1, 1, 2]], 18), ([[1, 1, 2], [1, 1, 2]], 12),
+    ([[1, 4, 4], [-2, 1, 1]], 16), ([[1, 5, 6], [-3, 1, 2]], 19), ([[1, 4, 5], [-2, 1, 2]], 17),
+    ([[2, 2, 2], [2, 2, 2]], 18), ([[2, 2, 2], [1, 1, 1]], 14), ([[1, 4, 6], [-2, 1, 3]], 19),
+]
+# [[3,3,4],[3,3,4]] has minor degrees (7, 7, 6), so at p = 7 every trial takes the form path
+MINOR_DEGREE_AT_P = (
+    '{"seed": 169, "prime": 7, "trials": 3, "verdictChecked": {"answer": "yes", "degree": 6, '
+    '"insertedRowPosition": 3}, "observedDegrees": [6, 6, 6], "hfProfile": ['
+    + ", ".join(f'{{"t": {t}, "predicted": {h}, "observed": {h}}}'
+                for t, h in enumerate([1, 3, 6, 10, 15, 21, 27, 31, 33, 33, 33]))
+    + '], "mismatches": []}'
+)
+
+
+class TestSubschemeValues:
+    """A yes subscheme trial is settled from values when it can, and its
+    forms are expanded only when values leave it unsettled; the report is
+    the same either way."""
+
+    @staticmethod
+    def count(monkeypatch, name: str) -> list:
+        """Record the results of each call of witness.`name`."""
+        true = getattr(witness, name)
+        seen = []
+        monkeypatch.setattr(witness, name, lambda *args: seen.append(true(*args)) or seen[-1])
+        return seen
+
+    @pytest.mark.parametrize("index", range(len(MIX_LIKE)))
+    def test_mix_like_trials_build_no_form(self, monkeypatch, index):
+        grid, d = MIX_LIKE[index]
+        Q = dhb(grid)
+        expected = verify_subscheme(Q, d, trials=2, seed=index).to_json()
+        for name in ("maximal_minors", "sample_matrix", "ideal_dim"):
+            monkeypatch.setattr(witness, name, lambda *args: pytest.fail("expanded forms"))
+        monkeypatch.setattr(Form, "__init__", lambda *args: pytest.fail("built a form"))
+        report = verify_subscheme(Q, d, trials=2, seed=index)
+        assert report.ok and report.to_json() == expected
+
+    def test_a_minor_degree_at_the_prime_takes_the_form_path(self, monkeypatch):
+        # the nodes z = 0..7 of a line are not distinct mod 7
+        monkeypatch.setattr(witness, "_subscheme_values", lambda *args: pytest.fail("read values"))
+        minors = self.count(monkeypatch, "maximal_minors")
+        report = verify_subscheme(dhb([[3, 3, 4], [3, 3, 4]]), 6, trials=3, seed=169, prime=7)
+        assert json.dumps(report.to_json()) == MINOR_DEGREE_AT_P
+        assert len(minors) == 3
+
+    def test_a_curve_that_vanishes_at_the_node_takes_the_form_path(self, monkeypatch):
+        # the inserted row read as zero at the node: F is expanded, and the
+        # lines' proof of coprime minors is kept, so nothing is ranked
+        Q = dhb([[2, 3, 5], [1, 2, 4]])
+        expected = verify_subscheme(Q, 4, trials=3, seed=4).to_json()
+        true_values = witness._values_on_line
+
+        def values_on_line(coeffs, layout, n, line, max_degree, p):
+            values = true_values(coeffs, layout, n, line, max_degree, p)
+            return values if max_degree else [[[0] * len(row) for row in mat] for mat in values]
+
+        monkeypatch.setattr(witness, "_values_on_line", values_on_line)
+        settled = self.count(monkeypatch, "_subscheme_values")
+        minors = self.count(monkeypatch, "maximal_minors")
+        monkeypatch.setattr(witness, "_coprime_minors", lambda *args: pytest.fail("tried the lines twice"))
+        monkeypatch.setattr(witness, "ideal_dim", lambda *args: pytest.fail("ranked"))
+        assert verify_subscheme(Q, 4, trials=3, seed=4).to_json() == expected
+        assert settled == [(False, True)] * 3 and len(minors) == 3
+
+    def test_minors_not_shown_coprime_take_the_form_path(self, monkeypatch):
+        # the lines' verdict is kept, so every level is ranked and the lines are not tried again
+        Q = dhb([[2, 3, 5], [1, 2, 4]])
+        expected = verify_subscheme(Q, 4, trials=3, seed=4).to_json()
+        monkeypatch.setattr(witness, "_coprime", lambda f, g, p: False)
+        monkeypatch.setattr(witness, "_coprime_minors", lambda *args: pytest.fail("tried the lines twice"))
+        settled = self.count(monkeypatch, "_subscheme_values")
+        ranked = self.count(monkeypatch, "ideal_dim")
+        assert verify_subscheme(Q, 4, trials=3, seed=4).to_json() == expected
+        assert settled == [(True, False)] * 3 and len(ranked) == 3 * 10
+
+    def test_an_evaluation_at_fault_takes_the_form_path(self, monkeypatch):
+        # one entry off at the first node gives the minors of lower degree a
+        # coefficient above their own; the forms are expanded and tried on the lines
+        Q = dhb([[2, 3, 5], [1, 2, 4]])
+        expected = verify_subscheme(Q, 4, trials=3, seed=4).to_json()
+        true_values = witness._values_on_line
+
+        def values_on_line(coeffs, layout, n, line, max_degree, p):
+            values = true_values(coeffs, layout, n, line, max_degree, p)
+            if max_degree:
+                values[0][0][0] += 1
+            return values
+
+        monkeypatch.setattr(witness, "_values_on_line", values_on_line)
+        settled = self.count(monkeypatch, "_subscheme_values")
+        tried = self.count(monkeypatch, "_coprime_minors")
+        assert verify_subscheme(Q, 4, trials=3, seed=4).to_json() == expected
+        assert settled == [(False, None)] * 3 and tried == [True] * 3
+
+    def test_the_cofactor_cap_comes_after_the_budget_and_before_the_draw(self, monkeypatch):
+        Q = dhb([[1] * 7] * 6)
+        monkeypatch.setattr(witness, "_residues", lambda *args: pytest.fail("drew"))
+        with pytest.raises(CofactorBudgetError):
+            verify_subscheme(Q, 7, trials=1)
+        monkeypatch.setattr(witness, "WITNESS_BUDGET", 0)
+        with pytest.raises(WitnessBudgetError):
+            verify_subscheme(Q, 7, trials=1)
 
 
 class TestTransposeSymmetry:
@@ -1344,7 +1458,8 @@ class TestFastPaths:
     def test_a_failing_certificate_leaves_the_report_unchanged(self, monkeypatch, grid, d, prime, seed):
         Q = dhb(grid)
         proved = verify_subscheme(Q, d, trials=4, seed=seed, prime=prime).to_json()
-        monkeypatch.setattr(witness, "_coprime_minors", lambda minors, rng, p: False)
+        # no line shows two minors coprime, from values or from forms
+        monkeypatch.setattr(witness, "_coprime_on_lines", lambda in_z, rng, p: False)
         assert verify_subscheme(Q, d, trials=4, seed=seed, prime=prime).to_json() == proved
 
 
@@ -1553,8 +1668,15 @@ def nonzero_at_a_negative_slot():
     (lambda: ideal_dim([random_form(1, random.Random(0))], -1), ValueError, "need t >= 0"),
     (lambda: verify_representable([[1, 1], [1, 1]], prime=2), FieldTooSmallError,
      "prime 2 is too small for degree 2"),
+    (lambda: verify_representable([[1, 1], [1, 1]], trials=True), InvalidWitnessParameterError,
+     "trials must be an integer, got True"),
+    (lambda: verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=2.5), InvalidWitnessParameterError,
+     "trials must be an integer, got 2.5"),
+    (lambda: verify_representable([[1, 1], [1, 1]], prime=7.0), InvalidWitnessParameterError,
+     "prime must be a prime below 2^31, got 7.0"),
 ], ids=["random-form-of-negative-degree", "form-at-a-negative-slot", "det-of-a-non-square",
-        "minors-of-a-square", "ideal-dim-below-zero", "square-prime-at-most-d"])
+        "minors-of-a-square", "ideal-dim-below-zero", "square-prime-at-most-d", "trials-a-bool",
+        "trials-a-float", "prime-a-float"])
 def test_input_errors(call, error, message):
     with pytest.raises(error) as info:
         call()
