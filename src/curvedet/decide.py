@@ -202,10 +202,15 @@ def _require_valid(Q: DHBMatrix):
         raise EmptySchemeDegenerateError("all diagonal entries are zero: empty scheme")
 
 
+def _check_int(value, name: str) -> None:
+    """Raise ValueError unless value is an int and not a bool, as for a grid entry."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_curve_degree(d) -> None:
-    """Raise ValueError unless d is an int of at least 1 (not a bool, as for a grid entry)."""
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"curve degree must be an integer, got {d!r}")
+    """Raise ValueError unless d is an int (`_check_int`) of at least 1."""
+    _check_int(d, "curve degree")
     if d < 1:
         raise ValueError(f"curve degree must be >= 1, got {d}")
 
@@ -379,6 +384,7 @@ def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
     `_decide_entries`.  Past SCAN_BUDGET cells (dmax times n) it raises
     ScanBudgetError, deciding nothing.
     """
+    _check_int(dmax, "dmax")
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
     _require_valid(Q)

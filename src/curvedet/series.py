@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from operator import eq, ge, le
 
-from .decide import contains_subscheme
+from .decide import _check_int, contains_subscheme
 from .degree_matrix import _Record
 from .errors import InfeasibleQueryError, SeriesBudgetError
 from .resolution import (
@@ -38,6 +38,7 @@ SERIES_BUDGET = 3 * 10**6
 
 def genus(d: int) -> int:
     """Genus of a smooth plane curve of degree d: (d-1)(d-2)/2."""
+    _check_int(d, "curve degree")
     if d < 1:
         raise ValueError("curve degree must be >= 1")
     return (d - 1) * (d - 2) // 2
@@ -53,6 +54,7 @@ class ShiftedProperty(_Record):
     _fields = ("z", "kind")
 
     def __init__(self, z: int, kind: str):
+        _check_int(z, "shift z")
         if kind not in (NONSPECIAL, EFFECTIVE):
             raise ValueError(f"unknown property kind {kind!r}")
         self._set(z, kind)
@@ -65,6 +67,9 @@ class SeriesQuery(_Record):
     _fields = ("curve_degree", "divisor_degree", "series_dim", "properties")
 
     def __init__(self, curve_degree: int, divisor_degree: int, series_dim: int, properties: tuple = ()):
+        for value, name in ((curve_degree, "curve degree"), (divisor_degree, "divisor degree"),
+                            (series_dim, "series dimension")):
+            _check_int(value, name)
         if curve_degree < 4:
             raise ValueError("curve degree must be >= 4 (positive genus regime)")
         if divisor_degree < 1:

@@ -16,10 +16,10 @@ A no rests on a zero corner, read once per report from the degree grid
 subdiagonal entry's makes N block upper triangular, and block values at Q
 whose product is nonzero and equals det(N(Q)) prove a trial.  A grid
 without the corner runs every trial in full.  A yes subscheme trial is
-settled from values when the curve F is nonzero at a point and two
-maximal minors are shown coprime, which proves the Hilbert function at
-every level: the Hilbert-Burch twists, the minor and syzygy degrees,
-then give it.  Products of forms and their signed sums are one
+settled on lines x = x0, y = y0 when the curve F is nonzero at a point
+and two maximal minors are shown coprime, which proves the Hilbert
+function at every level: the Hilbert-Burch twists, the minor and syzygy
+degrees, then give it.  Products of forms and their signed sums are one
 Kronecker-substitution dot product, `_form_dot`, unpacked once per sum.
 
 A polynomial on the line is kept as its values at s = 0..D, which fix it
@@ -37,15 +37,15 @@ A curve through the scheme is the determinant F of the presentation
 matrix with a row r of random forms inserted at position pos.  The
 Laplace expansion along that row is F = (-1)^pos * sum_j r_j g_j over
 the signed maximal minors g_j, so F lies in the minor ideal, and the
-witness computes F as that combination.  A trial first works from
-values: Q's rows on the lines x = x0, y = y0 at z = 0..max a_j give the
-minors' values there, hence each g_j(x0, y0, z) by forward differences
-while max a_j < p, and the inserted row at one node gives F's value
-there.  A nonzero value and two minors shown coprime settle the trial
-with no form built.  Otherwise, or where max a_j >= p, the minors and F
-are expanded as forms.  A zero F, or a level of the Hilbert function
-whose rank falls short, can be bad luck at a small prime, so it fails
-only if every trial fails it.
+witness computes F as that combination.  A trial first works on the
+lines x = x0, y = y0, at every prime: Q's entries there are polynomials
+in z, read from their coefficient runs, and the cofactor expansion over
+them gives each g_j(x0, y0, z) up to a unit; the inserted row at one
+point of the first line gives F's value there.  A nonzero value and two
+minors shown coprime settle the trial with no form built.  Otherwise
+the minors and F are expanded as forms.  A zero F, or a level of the
+Hilbert function whose rank falls short, can be bad luck at a small
+prime, so it fails only if every trial fails it.
 
 A sampled matrix draws all its coefficients at once, entry by entry in
 row order: one `getrandbits` call of 32 bits per coefficient, whose
@@ -54,7 +54,7 @@ plus a round for the shortfall.  That is the stream of one `randrange(p)`
 per coefficient, so the entries and the generator's final state are
 those of one `random_form` per entry.  A trial evaluates that stream
 itself, through one (degree, start, end) layout per report; only a
-subscheme trial that values do not settle builds `Form`s.  A subscheme
+subscheme trial that its lines do not settle builds `Form`s.  A subscheme
 trial draws Q and the inserted row in one draw, as the rows of one
 homogeneous grid, Q's first; no matrix is checked again.
 
@@ -73,8 +73,9 @@ degree m, coefficient a(a + 1)/2 + i belongs to x^(m - a) y^(a - i) z^i:
 run a is x^(m - a) times a form of degree a in y, z.  At a point with x
 nonzero that monomial is x^m (y/x)^(a - i) (z/x)^i, so one list of these
 ratios per point, `_ratios`, serves every degree as a prefix: square
-entries and coprime minors both read it.  Where x = 0 only run m
-survives, and the list built from y and z gives its values.
+entries and the entries restricted to a line x = x0, y = y0 both read
+it.  Where x = 0 only run m survives, and the list built from y and z
+gives its values.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ import random
 import sys
 from array import array
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations, dropwhile
-from math import comb, factorial
+from math import comb
 from operator import add, mul, neg, not_, sub
 
 from .decide import REASON_DIAGONAL, REASON_SUBDIAGONAL, Decision, contains_subscheme, representable
@@ -104,10 +105,10 @@ _PRIME_BOUND = 2**31
 #: the d + 1 nodes, even on a diagonal no whose grid proves it with no draw,
 #: and a point at (top + 3)/3 times the plane_dim(top) ratios it tabulates.
 #: A subscheme trial is charged three points at top = max a_j, one per line
-#: x = x0, y = y0 it tries; it evaluates Q there at the max a_j + 1 nodes (a
-#: minor's values fix its restriction only while max a_j < p) and the
-#: inserted row at one, and only a trial that values leave unsettled expands
-#: cofactor products, whose size that excess charge is all that refuses.
+#: x = x0, y = y0 it tries; there it restricts Q's entries to polynomials in
+#: z and expands their minors, and evaluates the inserted row at one point.
+#: Only a trial that its lines leave unsettled expands cofactor products of
+#: forms, whose size that excess charge is all that refuses.
 WITNESS_BUDGET = 10**8
 
 
@@ -155,11 +156,12 @@ def _check_work(grid, trials: int, points: int, top: int) -> None:
                                  f"over the budget of {WITNESS_BUDGET:,}", estimate=estimate, budget=WITNESS_BUDGET)
 
 
-def _check_witness_parameters(trials: int, prime: int) -> None:
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise InvalidWitnessParameterError(
-            f"trials must be an integer, got {trials!r}", parameter="trials", value=trials
-        )
+def _check_witness_parameters(trials: int, seed: int, prime: int) -> None:
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidWitnessParameterError(
+                f"{name} must be an integer, got {value!r}", parameter=name, value=value
+            )
     if trials < 1:
         raise InvalidWitnessParameterError(
             f"trials must be at least 1, got {trials}", parameter="trials", value=trials
@@ -417,18 +419,21 @@ def det_form(N: FormMatrix) -> Form:
     """
     if N.rows != N.cols:
         raise ValueError("determinant needs a square matrix")
-    return _det_cofactor(N.entries, tuple(range(N.cols)), {}, N.prime)
+    return _det_cofactor(N.entries, tuple(range(N.cols)), {}, _form_dot, N.prime)
 
 
-def _det_cofactor(rows, cols: tuple[int, ...], memo: dict, p: int) -> Form:
+def _det_cofactor(rows, cols: tuple[int, ...], memo: dict, dot, p: int):
+    """The determinant of the trailing len(cols) rows in the columns `cols`,
+    expanded along its first row: dot(terms, p) is the ring's signed sum of
+    products (`_form_dot`, `_z_dot`), which skips its zero entries."""
     hit = memo.get(cols)
     if hit is not None:
         return hit
     row = rows[len(rows) - len(cols)]  # expand along this row; trailing rows pair with cols
     if len(cols) == 1:
         return row[cols[0]]
-    result = memo[cols] = _form_dot([(row[j], _det_cofactor(rows, cols[:idx] + cols[idx + 1 :], memo, p), idx % 2 == 1)
-                                     for idx, j in enumerate(cols) if not row[j].is_zero], p)
+    result = memo[cols] = dot([(row[j], _det_cofactor(rows, cols[:idx] + cols[idx + 1 :], memo, dot, p), idx % 2 == 1)
+                               for idx, j in enumerate(cols)], p)
     return result
 
 
@@ -446,7 +451,7 @@ def maximal_minors(A: FormMatrix) -> tuple[Form, ...]:
     cols = tuple(range(A.cols))
     out = []
     for j in range(A.cols):
-        det = _det_cofactor(A.entries, cols[:j] + cols[j + 1 :], memo, A.prime)
+        det = _det_cofactor(A.entries, cols[:j] + cols[j + 1 :], memo, _form_dot, A.prime)
         out.append(det if (j + 1) % 2 == 0 else -det)
     return tuple(out)
 
@@ -461,42 +466,21 @@ def _check_cofactor_budget(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _differences(values: list[int], p: int) -> list[int]:
-    """(Delta^k f)(0) mod p for k = 0..len(values) - 1, f taking `values` at
-    s = 0, 1, ...: f = sum_k (Delta^k f)(0) * C(s, k) in the Newton forward
-    basis.  The differences stay exact."""
-    firsts, row = [], values
-    while row:
-        firsts.append(row[0] % p)
-        row = list(map(sub, row[1:], row))
-    return firsts
-
-
 def _poly_degree(values: list[int], p: int) -> int | None:
     """Degree mod p of the polynomial of degree < len(values) <= p that
     takes `values` at s = 0, 1, ..., or None if it vanishes.
 
+    In the Newton forward basis f = sum_k (Delta^k f)(0) * C(s, k), and
     C(s, k) has degree k with leading coefficient 1/k!, a unit mod p
-    because k < p; so the degree is the highest k with
-    (Delta^k f)(0) nonzero mod p (`_differences`).
+    because k < p; so the degree is the highest k with (Delta^k f)(0)
+    nonzero mod p.  The differences stay exact.
     """
-    return max((k for k, v in enumerate(_differences(values, p)) if v), default=None)
-
-
-def _poly_coefficients(values: list[int], p: int) -> list[int]:
-    """Coefficients mod p, highest power of s first, of the polynomial of
-    degree < len(values) <= p that takes `values` at s = 0, 1, ....
-
-    With b_k = (Delta^k f)(0) / k!, f = b_0 + s (b_1 + (s - 1)(b_2 + ...)),
-    expanded by Horner's rule from b_D inward: one multiplication by
-    s - k per level.
-    """
-    poly: list[int] = []
-    firsts = _differences(values, p)
-    for k in reversed(range(len(firsts))):
-        poly = [(high - k * low) % p for high, low in zip(poly + [0], [0] + poly)]
-        poly[-1] = (poly[-1] + firsts[k] * pow(factorial(k), -1, p)) % p
-    return poly
+    degree, row = None, values
+    for k in range(len(values)):
+        if row[0] % p:
+            degree = k
+        row = list(map(sub, row[1:], row))
+    return degree
 
 
 def restrict_det_to_line(N: FormMatrix, line, max_degree: int) -> list[int]:
@@ -624,93 +608,80 @@ def ideal_dim(gens, t: int) -> int:
     return _rank(_graded_piece_rows(gens, t, p), p)
 
 
-def _coprime_minors(minors, rng: random.Random, p: int) -> bool:
-    """Whether two minors are shown coprime at one of a few random (x0, y0).
-
-    A minor of degree e with a nonzero z^e coefficient keeps degree e in
-    z at every (x0, y0), and so do its factors; so two such minors whose
-    g(x0, y0, z) have gcd 1 are coprime.  Then the minor ideal has grade
-    2, the presentation resolves it (Hilbert-Burch, Buchsbaum-Eisenbud),
-    and its Hilbert function is the alternating sum of the twists.  A
-    gcd of positive degree may be bad luck and proves nothing.
-
-    The gcd is taken of x0^(-e) g(x0, y0, z), a unit times g(x0, y0, z),
-    whose z^i coefficient sums position i of g's runs a >= i times
-    `_ratios(y0/x0, 1/x0)`; where x0 = 0, only of run e times
-    `_ratios(y0, 1)`.  `_subscheme_values` reads g(x0, y0, z) from values
-    on the same lines instead.
-    """
-    gens = [g for g in minors if not g.is_zero and g.coeffs[-1]]
-    top = max((g.degree for g in gens), default=0)
-
-    def in_z(x0: int, y0: int) -> list[list[int]]:  # each x0^(-e) g(x0, y0, z), highest power of z first
-        inv = pow(x0, -1, p) if x0 else 1
-        flat = _ratios(y0 * inv % p, inv, top, p)
-        out = []
-        for g in gens:
-            coeffs = [0] * (g.degree + 1)
-            for a in range(g.degree + 1) if x0 else (g.degree,):
-                start = a * (a + 1) // 2
-                coeffs[: a + 1] = map(add, coeffs, map(mul, g.coeffs[start : start + a + 1], flat[start:]))
-            out.append([c % p for c in reversed(coeffs)])
-        return out
-
-    return _coprime_on_lines(in_z, rng, p)
-
-
-def _coprime_on_lines(in_z, rng: random.Random, p: int) -> bool | None:
-    """Whether two of the polynomials in_z(x0, y0), nonzero leading
-    coefficient first, have gcd 1 at one of three (x0, y0), each two
-    rng.randrange(p) calls; None as soon as in_z returns None."""
-    for _ in range(3):
-        polys = in_z(rng.randrange(p), rng.randrange(p))
-        if polys is None:
-            return None
-        if any(_coprime(f, g, p) for f, g in combinations(polys, 2)):
-            return True
-    return False
-
-
-def _subscheme_values(coeffs, layout, a, rng: random.Random, p: int) -> tuple[bool, bool | None]:
+def _subscheme_lines(coeffs, layout, a, rng: random.Random, p: int) -> tuple[bool, bool]:
     """Whether a yes subscheme trial's curve F is nonzero at a point, and
-    whether two of its minors are shown coprime on the lines of
-    `_coprime_minors`, drawn from `rng`: read from values, with no form.
-    The flat draw `coeffs` holds Q's entries and then the inserted row, as
-    `layout` places them, and a holds Q's minor degrees, all below p.
+    whether two of its minors are shown coprime on one of three lines
+    x = x0, y = y0, each two rng.randrange(p) calls: read from coefficient
+    runs, with no form.  The flat draw `coeffs` holds Q's entries and then
+    the inserted row, as `layout` places them; a holds Q's minor degrees.
 
-    On the line x = x0, y = y0, Q's rows are evaluated at z = 0..max a_j;
-    the signed minors' values there fix each g_j(x0, y0, z), whose
-    coefficients `_poly_coefficients` reads.  One with a coefficient above
-    z^(a_j) is an evaluation at fault, and (False, None) sends the trial to
-    its forms.  F = (-1)^pos * sum_j r_j g_j is read at the first line's
-    last node, z = max a_j, from the inserted row there; the sign does not
-    change whether it vanishes.
+    On each line `_minors_in_z` gives a unit times each g_j(x0, y0, z).  A
+    minor of degree e with a nonzero z^e coefficient keeps degree e in z
+    on every line, and so do its factors; so two such minors whose
+    restrictions have gcd 1 are coprime.  Then the minor ideal has grade 2,
+    the presentation resolves it (Hilbert-Burch, Buchsbaum-Eisenbud), and
+    its Hilbert function is the alternating sum of the twists.  A gcd of
+    positive degree may be bad luck and proves nothing.
+
+    F = (-1)^pos * sum_j r_j g_j is read at (x0, y0, max a_j) on the first
+    line, from the inserted row there and each g_j as x0^(a_j) times its
+    restriction (itself where x0 = 0).  The sign (-1)^pos does not change
+    whether the sum vanishes; one term may cancel another, so the sum is
+    tested, not its terms.
     """
-    n, top = len(a), max(a)
-    at_node = []  # sum_j r_j g_j at the first line's last node
-
-    def in_z(x0: int, y0: int) -> list[list[int]] | None:
-        minors = _minors_on_line(coeffs, layout[: (n - 1) * n], n, x0, y0, top, p)
-        if not at_node:
-            row = _values_on_line(coeffs, layout[(n - 1) * n :], n, ((x0, y0, top), (0, 0, 0)), 0, p)[0][0]
-            at_node.append(sum(map(mul, row, minors[-1])) % p)
-        polys = [_poly_coefficients(list(values), p) for values in zip(*minors)]
-        if any(any(poly[: top - aj]) for poly, aj in zip(polys, a)):
-            return None
-        return [poly[top - aj :] for poly, aj in zip(polys, a) if poly[top - aj]]
-
-    proved = _coprime_on_lines(in_z, rng, p)
-    return (False, None) if proved is None else (any(at_node), proved)
+    n, size, z = len(a), (len(a) - 1) * len(a), max(a)
+    curve = None
+    for _ in range(3):
+        x0, y0 = rng.randrange(p), rng.randrange(p)
+        minors = _minors_in_z(coeffs, layout[:size], n, x0, y0, p)
+        if curve is None:
+            row = _values_on_line(coeffs, layout[size:], n, ((x0, y0, z), (0, 0, 0)), 0, p)[0][0]
+            curve = sum(r * (pow(x0, aj, p) if x0 else 1) * reduce(lambda v, c: (v * z + c) % p, g, 0)
+                        for r, g, aj in zip(row, minors, a)) % p != 0
+        polys = [g for g in minors if g and g[0]]
+        if any(_coprime(f, g, p) for f, g in combinations(polys, 2)):
+            return curve, True
+    return curve, False
 
 
-def _minors_on_line(coeffs, layout, n: int, x0: int, y0: int, top: int, p: int) -> list[list[int]]:
-    """The values mod p of the n signed maximal minors of the (n - 1) x n
-    matrix whose entries `layout` places in `coeffs`, at (x0, y0, z) for
-    z = 0..top: one list per node.  Minor j + 1 erases column j + 1 and
-    carries the sign (-1)^(j + 1), as in `maximal_minors`."""
-    nodes = _values_on_line(coeffs, layout, n, ((x0, y0, 0), (0, 0, 1)), top, p)
-    return [[(-1) ** (j + 1) * _det_numeric([row[:j] + row[j + 1 :] for row in mat], p) % p for j in range(n)]
-            for mat in nodes]
+def _minors_in_z(coeffs, layout, n: int, x0: int, y0: int, p: int) -> list[list[int]]:
+    """The n signed maximal minors, as in `maximal_minors`, of the
+    (n - 1) x n homogeneous grid whose entries `layout` places in `coeffs`,
+    restricted to the line x = x0, y = y0: polynomials in z mod p, highest
+    power first, [] for a minor with no nonzero term.
+
+    An entry f of degree m restricts to x0^(-m) f(x0, y0, z), whose z^i
+    coefficient sums position i of f's runs b >= i times
+    `_ratios(y0/x0, 1/x0)`; where x0 = 0, to f(0, y0, z), run m times
+    `_ratios(y0, 1)`.  Every transversal of minor j picks up x0^(-a_j), so
+    the cofactor expansion of these over `_z_dot` gives x0^(-a_j) g_j(x0, y0, z).
+    """
+    inv = pow(x0, -1, p) if x0 else 1
+    flat = _ratios(y0 * inv % p, inv, max(m for m, _, _ in layout), p)
+    entries = []  # [] where m < 0
+    for m, start, _ in layout:
+        in_z = [0] * (m + 1)
+        for b in range(m + 1) if x0 else range(m + 1)[-1:]:  # where x0 = 0, only run m
+            run = b * (b + 1) // 2
+            in_z[: b + 1] = map(add, in_z, map(mul, coeffs[start + run : start + run + b + 1], flat[run : run + b + 1]))
+        entries.append([c % p for c in reversed(in_z)])
+    rows, cols, memo = [entries[i : i + n] for i in range(0, len(entries), n)], tuple(range(n)), {}
+    minors = [_det_cofactor(rows, cols[:j] + cols[j + 1 :], memo, _z_dot, p) for j in range(n)]
+    return [g if j % 2 else [-c % p for c in g] for j, g in enumerate(minors)]
+
+
+def _z_dot(terms, p: int) -> list[int]:
+    """The sum of f * g, or of -f * g where `negative`, over the terms
+    (f, g, negative) of polynomials in z over F_p, highest power first,
+    whose nonempty products share one degree; [] if none is nonempty."""
+    out: list[int] = []
+    for f, g, negative in terms:
+        if f and g:
+            out = out or [0] * (len(f) + len(g) - 1)
+            for i, c in enumerate(f):
+                c = -c if negative else c
+                out[i : i + len(g)] = [h + c * gk for h, gk in zip(out[i : i + len(g)], g)]
+    return [c % p for c in out]
 
 
 def _coprime(f: list[int], g: list[int], p: int) -> bool:
@@ -779,7 +750,7 @@ def verify_representable(grid, trials: int = 10, seed: int = 0,
     every entry at Q for a proof and at each node in full, and det(N) and
     both blocks are read from those values.
     """
-    _check_witness_parameters(trials, prime)
+    _check_witness_parameters(trials, seed, prime)
     return _verify_square(representable(grid), trials, seed, prime)
 
 
@@ -881,18 +852,17 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     Hilbert function up to b_1.  Two minors shown coprime prove the
     Hilbert function; only otherwise are levels ranked.
 
-    A trial is first settled from values (`_subscheme_values`), when every
-    minor degree a_j is below p: F nonzero at a node and two minors shown
-    coprime on a line x = x0, y = y0 settle it with no form built.  Any
-    other trial expands the minors and F as forms, reusing the lines'
-    verdict on coprimality where values gave one.  The report is the same
-    either way.
+    A trial is first settled on lines x = x0, y = y0 (`_subscheme_lines`),
+    at every prime: F nonzero at a point and two minors shown coprime on a
+    line settle it with no form built.  Any other trial expands the minors
+    and F as forms and keeps the lines' verdict on coprimality.  The
+    report is the same either way.
 
     A minor of the wrong degree fails its trial.  A zero F, or a level
     whose rank falls short, can be bad luck at a small prime: it is a
     mismatch only if it fails in every trial that checks it.
     """
-    _check_witness_parameters(trials, prime)
+    _check_witness_parameters(trials, seed, prime)
     decision = contains_subscheme(Q, d)
     if not decision.verdict:
         return _verify_square(decision, trials, seed, prime)
@@ -900,7 +870,7 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     if prime <= d:
         raise FieldTooSmallError(f"prime {prime} is too small for degree {d}")
     # a trial samples Q and the inserted row, the square's entries, and
-    # tabulates minors on up to three lines (`_coprime_minors`)
+    # restricts minors to up to three lines (`_subscheme_lines`)
     _check_work(decision.normalized, trials, 3, Q.minor_degrees[0])
     _check_cofactor_budget(Q.n)
 
@@ -917,10 +887,7 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     reached = 0  # trials whose curve is nonzero, which go on to the Hilbert function
     for trial in range(trials):
         coeffs = _residues(_trial_rng(seed, trial), layout[-1][2], prime)
-        lines = f"coprime {seed} {trial}"  # seeds the draws of the lines x = x0, y = y0
-        # the nodes z = 0..a_1 of a line are distinct only while a_1 < p
-        curve, proved = (_subscheme_values(coeffs, layout, a, random.Random(lines), prime) if a[0] < prime
-                         else (False, None))
+        curve, proved = _subscheme_lines(coeffs, layout, a, random.Random(f"coprime {seed} {trial}"), prime)
         if not (curve and proved):
             forms = _forms(coeffs, layout, prime)
             rows = tuple(tuple(forms[i : i + n]) for i in range(0, (n - 1) * n, n))
@@ -928,8 +895,8 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
             failures.extend((f"trial {trial}: minor degree {g.degree} != {aj}", None)
                             for g, aj in zip(minors, a) if not g.is_zero and g.degree != aj)
             # F itself, by the Laplace expansion along the inserted row; nonzero, it has degree d
-            F = _form_dot([(r, g, pos % 2 == 1) for r, g in zip(forms[(n - 1) * n :], minors)], prime)
-            curve = not F.is_zero
+            curve = curve or not _form_dot([(r, g, pos % 2 == 1) for r, g in zip(forms[(n - 1) * n :], minors)],
+                                           prime).is_zero
         report.observed_degrees.append(d if curve else None)
         if not curve:
             failures.append((f"trial {trial}: curve degree None != {d}", "curve"))
@@ -937,8 +904,6 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
         reached += 1
 
         # coprime minors fix the Hilbert function by the Hilbert-Burch twists
-        if proved is None:
-            proved = _coprime_minors(minors, random.Random(lines), prime)
         profile = []
         for t, h in enumerate(predicted):
             observed = plane_dim(t) - (sum(sign * plane_dim(t - m) for m, sign in twists) if proved

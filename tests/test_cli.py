@@ -599,7 +599,7 @@ class TestMismatchExitCode:
         # the levels are ranked, not proved by coprime minors, so every trial sees it
         true_hf = witness.hilbert_function
         monkeypatch.setattr(witness, "hilbert_function", lambda B, t: true_hf(B, t) + (t == 5))
-        monkeypatch.setattr(witness, "_coprime_on_lines", lambda in_z, rng, p: False)
+        monkeypatch.setattr(witness, "_coprime", lambda f, g, p: False)
         code, body = invoke(capsys, "witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "4", "--trials", "3")
         assert code == 2
         assert body["mismatches"] == [f"trial {i}: Hilbert function at level 5 is 18, predicted 19" for i in range(3)]

@@ -665,8 +665,11 @@ class TestDecisionInvariance:
     (lambda: contains_subscheme(Q_61, True), "curve degree must be an integer, got True"),
     (lambda: corollary_case(Q_61, False), "curve degree must be an integer, got False"),
     (lambda: census(3, True, 3), "curve degree must be an integer, got True"),
+    (lambda: scan(Q_61, True), "dmax must be an integer, got True"),
+    (lambda: scan(Q_61, 3.0), "dmax must be an integer, got 3.0"),
 ], ids=["representable-on-a-non-square", "corollary-at-degree-zero", "containment-at-a-float", "corollary-at-a-float",
-        "census-at-a-float", "containment-at-a-bool", "corollary-at-a-bool", "census-at-a-bool"])
+        "census-at-a-float", "containment-at-a-bool", "corollary-at-a-bool", "census-at-a-bool", "scan-to-a-bool",
+        "scan-to-a-float"])
 def test_input_errors(call, message):
     with pytest.raises(ValueError) as info:
         call()

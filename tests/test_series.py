@@ -251,7 +251,15 @@ class TestSeriesBudget:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: SeriesQuery(8, 20, -1), "series dimension must be >= 0"),
-], ids=["negative-series-dimension"])
+    (lambda: SeriesQuery(8.0, 20, 2), "curve degree must be an integer, got 8.0"),
+    (lambda: hf_constraints(SeriesQuery(8, 20.5, 2)), "divisor degree must be an integer, got 20.5"),
+    (lambda: SeriesQuery(8, 20, 2.5), "series dimension must be an integer, got 2.5"),
+    (lambda: SeriesQuery(8, 20, True), "series dimension must be an integer, got True"),
+    (lambda: ShiftedProperty(0.5, "nonspecial"), "shift z must be an integer, got 0.5"),
+    (lambda: ShiftedProperty(False, "effective"), "shift z must be an integer, got False"),
+    (lambda: genus(4.5), "curve degree must be an integer, got 4.5"),
+], ids=["negative-series-dimension", "curve-degree-a-float", "divisor-degree-a-float", "series-dimension-a-float",
+        "series-dimension-a-bool", "shift-a-float", "shift-a-bool", "genus-at-a-float"])
 def test_input_errors(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -2,7 +2,7 @@
 
 Determinants of numbers and of forms, maximal minors, signed sums of
 products, ranks, graded pieces of the minor ideal, gcds and the
-subscheme value route's minors on a line
+subscheme witness's minors restricted to a line
 are each compared with sympy's `DomainMatrix` over GF(p) or
 GF(p)[x, y, z], at p = 2, 3, 7 and 32003, rank-deficient inputs
 included.  sympy is a test dependency only.
@@ -21,8 +21,7 @@ from curvedet.witness import (
     _form_dot,
     _forms,
     _layout,
-    _minors_on_line,
-    _poly_coefficients,
+    _minors_in_z,
     _rank,
     _residues,
     monomials,
@@ -197,28 +196,28 @@ def test_coprime_is_a_gcd_of_degree_zero(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_value_route_minors_on_a_line(p):
-    # the coefficients in z that a subscheme trial reads from values on the
-    # line x = x0, y = y0 are those of maximal_minors restricted to it
+def test_line_route_minors_on_a_line(p):
+    # the polynomials in z that a subscheme trial expands on the line
+    # x = x0, y = y0 are maximal_minors restricted to it, times x0^(-a_j)
+    # where x0 != 0, at every prime: at 2, 3 and 7 some minor degrees reach p
     rng = random.Random(f"line {p}")
     gens = ring(p).ring.gens
-    checked = 0
+    checked = reached = 0
     for n, bound in ((2, 3), (3, 2), (4, 1)):
         for Q in iter_dhb_matrices(n, bound):
-            top = Q.minor_degrees[0]
-            if top >= p:  # the nodes z = 0..top are not distinct mod p
-                continue
             layout = _layout(Q.entries)
             coeffs = _residues(rng, layout[-1][2], p)
             minors = maximal_minors(FormMatrix(tuple(tuple(_forms(coeffs, layout, p)[i : i + n])
                                                      for i in range(0, (n - 1) * n, n)), Q, p))
             for x0, y0 in ((rng.randrange(p), rng.randrange(p)), (0, rng.randrange(p))):
-                values = _minors_on_line(coeffs, layout, n, x0, y0, top, p)
-                for j, g in enumerate(minors):
+                in_z = _minors_in_z(coeffs, layout, n, x0, y0, p)
+                for g, aj, poly in zip(minors, Q.minor_degrees, in_z):
                     restricted = to_ring(g).evaluate([(gens[0], x0), (gens[1], y0)])
-                    exact = [0] * (top + 1)
+                    unit = pow(x0, -aj, p) if x0 else 1
+                    exact = [0] * (aj + 1)
                     for (k,), c in dict(restricted).items():
-                        exact[top - k] = int(c) % p
-                    assert _poly_coefficients([node[j] for node in values], p) == exact
+                        exact[aj - k] = int(c) * unit % p
+                    assert (poly or [0] * (aj + 1)) == exact
                 checked += 1
-    assert checked >= 3
+            reached += Q.minor_degrees[0] >= p
+    assert checked >= 3 and (reached > 0) is (p < 32003)

@@ -41,16 +41,16 @@ from curvedet.witness import (
     DEFAULT_PRIME,
     FormMatrix,
     _coprime,
-    _coprime_minors,
     _det_numeric,
     _form_dot,
     _graded_piece_rows,
     _is_prime,
-    _poly_coefficients,
+    _layout,
     _poly_degree,
     _rank,
     _ratios,
     _residues,
+    _subscheme_lines,
     monomials,
     random_line,
     restrict_det_to_line,
@@ -298,16 +298,6 @@ class TestPolyDegree:
         coeffs.append(data.draw(st.integers(1, p - 1)))
         values = [sum(c * pow(s, i, p) for i, c in enumerate(coeffs)) % p for s in range(n)]
         assert _poly_degree(values, p) == degree
-
-    @given(st.integers(0, 12), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_coefficients_round_trip(self, degree, data):
-        # the values at s = 0..n - 1 give back every coefficient, highest power first
-        n = data.draw(st.integers(degree + 1, degree + 6))
-        p = data.draw(st.sampled_from(primes_above(n - 1, 2) + [2**31 - 1]))
-        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=degree + 1, max_size=degree + 1))
-        values = [sum(c * pow(s, i, p) for i, c in enumerate(coeffs)) % p for s in range(n)]
-        assert _poly_coefficients(values, p) == [0] * (n - degree - 1) + coeffs[::-1]
 
     @pytest.mark.parametrize("p", [5, 7, 32003])
     def test_zero(self, p):
@@ -936,6 +926,14 @@ class TestVerifyRepresentable:
             verify_representable([[1, 1], [1, 1]], trials=trials)
         assert info.value.payload()["parameter"] == "trials"
 
+    @pytest.mark.parametrize("seed", [2.5, True, "x"])
+    def test_rejects_seeds_that_are_not_integers(self, seed):
+        for witness_of in (lambda: verify_representable([[1, 1], [1, 1]], trials=1, seed=seed),
+                           lambda: verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=1, seed=seed)):
+            with pytest.raises(InvalidWitnessParameterError) as info:
+                witness_of()
+            assert info.value.payload()["parameter"] == "seed"
+
     def test_largest_prime_below_the_bound(self):
         report = verify_representable(DEGREE8_GRID, trials=2, seed=2, prime=2**31 - 1)
         assert report.ok
@@ -1089,7 +1087,7 @@ MIX_LIKE = [
     ([[1, 4, 4], [-2, 1, 1]], 16), ([[1, 5, 6], [-3, 1, 2]], 19), ([[1, 4, 5], [-2, 1, 2]], 17),
     ([[2, 2, 2], [2, 2, 2]], 18), ([[2, 2, 2], [1, 1, 1]], 14), ([[1, 4, 6], [-2, 1, 3]], 19),
 ]
-# [[3,3,4],[3,3,4]] has minor degrees (7, 7, 6), so at p = 7 every trial takes the form path
+# [[3,3,4],[3,3,4]] has minor degrees (7, 7, 6), at and above p = 7
 MINOR_DEGREE_AT_P = (
     '{"seed": 169, "prime": 7, "trials": 3, "verdictChecked": {"answer": "yes", "degree": 6, '
     '"insertedRowPosition": 3}, "observedDegrees": [6, 6, 6], "hfProfile": ['
@@ -1099,10 +1097,10 @@ MINOR_DEGREE_AT_P = (
 )
 
 
-class TestSubschemeValues:
-    """A yes subscheme trial is settled from values when it can, and its
-    forms are expanded only when values leave it unsettled; the report is
-    the same either way."""
+class TestSubschemeLines:
+    """A yes subscheme trial is settled on its lines when it can, and its
+    forms are expanded only when the lines leave it unsettled; the report
+    is the same either way."""
 
     @staticmethod
     def count(monkeypatch, name: str) -> list:
@@ -1123,16 +1121,20 @@ class TestSubschemeValues:
         report = verify_subscheme(Q, d, trials=2, seed=index)
         assert report.ok and report.to_json() == expected
 
-    def test_a_minor_degree_at_the_prime_takes_the_form_path(self, monkeypatch):
-        # the nodes z = 0..7 of a line are not distinct mod 7
-        monkeypatch.setattr(witness, "_subscheme_values", lambda *args: pytest.fail("read values"))
+    def test_a_minor_degree_at_the_prime_is_restricted_to_the_lines(self, monkeypatch):
+        # the restrictions are polynomials in z of degree 7 over F_7: trial 1
+        # settles on them; F vanishes at trial 0's point, and trial 2 finds no
+        # coprime pair, so only those two expand their forms, and only trial 2 ranks
+        settled = self.count(monkeypatch, "_subscheme_lines")
         minors = self.count(monkeypatch, "maximal_minors")
+        ranked = self.count(monkeypatch, "ideal_dim")
         report = verify_subscheme(dhb([[3, 3, 4], [3, 3, 4]]), 6, trials=3, seed=169, prime=7)
         assert json.dumps(report.to_json()) == MINOR_DEGREE_AT_P
-        assert len(minors) == 3
+        assert settled == [(False, True), (True, True), (False, False)]
+        assert len(minors) == 2 and len(ranked) == 11
 
-    def test_a_curve_that_vanishes_at_the_node_takes_the_form_path(self, monkeypatch):
-        # the inserted row read as zero at the node: F is expanded, and the
+    def test_a_curve_that_vanishes_at_the_point_takes_the_form_path(self, monkeypatch):
+        # the inserted row read as zero at the point: F is expanded, and the
         # lines' proof of coprime minors is kept, so nothing is ranked
         Q = dhb([[2, 3, 5], [1, 2, 4]])
         expected = verify_subscheme(Q, 4, trials=3, seed=4).to_json()
@@ -1143,42 +1145,21 @@ class TestSubschemeValues:
             return values if max_degree else [[[0] * len(row) for row in mat] for mat in values]
 
         monkeypatch.setattr(witness, "_values_on_line", values_on_line)
-        settled = self.count(monkeypatch, "_subscheme_values")
+        settled = self.count(monkeypatch, "_subscheme_lines")
         minors = self.count(monkeypatch, "maximal_minors")
-        monkeypatch.setattr(witness, "_coprime_minors", lambda *args: pytest.fail("tried the lines twice"))
         monkeypatch.setattr(witness, "ideal_dim", lambda *args: pytest.fail("ranked"))
         assert verify_subscheme(Q, 4, trials=3, seed=4).to_json() == expected
         assert settled == [(False, True)] * 3 and len(minors) == 3
 
     def test_minors_not_shown_coprime_take_the_form_path(self, monkeypatch):
-        # the lines' verdict is kept, so every level is ranked and the lines are not tried again
+        # the lines' verdict is kept, so every level is ranked and the lines are tried once a trial
         Q = dhb([[2, 3, 5], [1, 2, 4]])
         expected = verify_subscheme(Q, 4, trials=3, seed=4).to_json()
         monkeypatch.setattr(witness, "_coprime", lambda f, g, p: False)
-        monkeypatch.setattr(witness, "_coprime_minors", lambda *args: pytest.fail("tried the lines twice"))
-        settled = self.count(monkeypatch, "_subscheme_values")
+        settled = self.count(monkeypatch, "_subscheme_lines")
         ranked = self.count(monkeypatch, "ideal_dim")
         assert verify_subscheme(Q, 4, trials=3, seed=4).to_json() == expected
         assert settled == [(True, False)] * 3 and len(ranked) == 3 * 10
-
-    def test_an_evaluation_at_fault_takes_the_form_path(self, monkeypatch):
-        # one entry off at the first node gives the minors of lower degree a
-        # coefficient above their own; the forms are expanded and tried on the lines
-        Q = dhb([[2, 3, 5], [1, 2, 4]])
-        expected = verify_subscheme(Q, 4, trials=3, seed=4).to_json()
-        true_values = witness._values_on_line
-
-        def values_on_line(coeffs, layout, n, line, max_degree, p):
-            values = true_values(coeffs, layout, n, line, max_degree, p)
-            if max_degree:
-                values[0][0][0] += 1
-            return values
-
-        monkeypatch.setattr(witness, "_values_on_line", values_on_line)
-        settled = self.count(monkeypatch, "_subscheme_values")
-        tried = self.count(monkeypatch, "_coprime_minors")
-        assert verify_subscheme(Q, 4, trials=3, seed=4).to_json() == expected
-        assert settled == [(False, None)] * 3 and tried == [True] * 3
 
     def test_the_cofactor_cap_comes_after_the_budget_and_before_the_draw(self, monkeypatch):
         Q = dhb([[1] * 7] * 6)
@@ -1380,6 +1361,18 @@ class TestFastPaths:
     def test_euclid(self, f, g, coprime):
         assert _coprime(f, g, 7) is coprime
 
+    @staticmethod
+    def draw(Q, rng, p):
+        """One draw of Q's entries and then an inserted row of degrees
+        max a_j - a_j, as a subscheme trial lays them out, and Q's signed
+        minors as forms; Q's forms are those of sample_matrix(Q, rng, p)."""
+        a, n = Q.minor_degrees, Q.n
+        layout = _layout(Q.entries + (tuple(a[0] - aj for aj in a),))
+        coeffs = _residues(rng, layout[-1][2], p)
+        forms = witness._forms(coeffs, layout, p)
+        rows = tuple(tuple(forms[i : i + n]) for i in range(0, (n - 1) * n, n))
+        return coeffs, layout, maximal_minors(FormMatrix(rows, Q, p))
+
     def test_the_certificate_never_passes_where_the_ranks_disagree(self):
         # a pass proves the Hilbert function, so no sample may pass it with a
         # rank off the prediction; at these small primes some samples fail it
@@ -1389,8 +1382,8 @@ class TestFastPaths:
                 for Q in iter_dhb_matrices(n, bound):
                     B = BettiData(Q.minor_degrees, Q.shifts)
                     rng = random.Random(f"{p} {Q.entries}")
-                    minors = maximal_minors(sample_matrix(Q, rng, p))
-                    if not _coprime_minors(minors, rng, p):
+                    coeffs, layout, minors = self.draw(Q, rng, p)
+                    if not _subscheme_lines(coeffs, layout, Q.minor_degrees, rng, p)[1]:
                         failed += 1
                         continue
                     passed += 1
@@ -1400,7 +1393,7 @@ class TestFastPaths:
 
     @staticmethod
     def restrictions_by_z_tables(minors, rng, p):
-        """Each round's g(x0, y0, z) of `_coprime_minors` from the values of
+        """Each round's g(x0, y0, z) of `_subscheme_lines` from the values of
         `monomials(e)` at (x0, y0, 1), scaled by x0^(-e) where x0 != 0, and
         whether a pair in some round has gcd 1."""
         gens = [g for g in minors if not g.is_zero and g.coeffs[-1]]
@@ -1438,11 +1431,12 @@ class TestFastPaths:
         for n, bound in ((2, 3), (3, 3), (4, 2)):
             for Q in iter_dhb_matrices(n, bound):
                 for p in (7, 11, 101, 32003):
-                    minors = maximal_minors(sample_matrix(Q, random.Random(f"{p} {Q.entries}"), p))
+                    coeffs, layout, minors = self.draw(Q, random.Random(f"{p} {Q.entries}"), p)
                     for make in (random.Random, self.ZeroX):
                         expected, rounds = self.restrictions_by_z_tables(minors, make(f"coprime {p}"), p)
                         seen.clear()
-                        assert _coprime_minors(minors, make(f"coprime {p}"), p) is expected, (p, Q.entries)
+                        proved = _subscheme_lines(coeffs, layout, Q.minor_degrees, make(f"coprime {p}"), p)[1]
+                        assert proved is expected, (p, Q.entries)
                         drawn = [pair for in_z in rounds for pair in itertools.combinations(in_z, 2)]
                         assert seen == drawn[: len(seen)] and (expected or len(seen) == len(drawn))
                         outcomes[make, expected] += 1
@@ -1458,8 +1452,8 @@ class TestFastPaths:
     def test_a_failing_certificate_leaves_the_report_unchanged(self, monkeypatch, grid, d, prime, seed):
         Q = dhb(grid)
         proved = verify_subscheme(Q, d, trials=4, seed=seed, prime=prime).to_json()
-        # no line shows two minors coprime, from values or from forms
-        monkeypatch.setattr(witness, "_coprime_on_lines", lambda in_z, rng, p: False)
+        # no line shows two minors coprime
+        monkeypatch.setattr(witness, "_coprime", lambda f, g, p: False)
         assert verify_subscheme(Q, d, trials=4, seed=seed, prime=prime).to_json() == proved
 
 
@@ -1591,6 +1585,17 @@ class TestPinnedReports:
             f'"hfProfile": [{profile}], "mismatches": []}}'
         )
 
+    def test_a_curve_whose_laplace_terms_cancel(self):
+        # in trials 1 and 2 two terms r_j g_j are nonzero at the point but
+        # sum to zero mod 11: F vanishes there, and then as a form
+        report = verify_subscheme(dhb([[1, 2, 2], [-1, 0, 0]]), 1, trials=3, seed=1573, prime=11)
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 1573, "prime": 11, "trials": 3, "verdictChecked": {"answer": "yes", "degree": 1, '
+            '"insertedRowPosition": 3}, "observedDegrees": [1, null, null], "hfProfile": ['
+            '{"t": 0, "predicted": 1, "observed": 1}, {"t": 1, "predicted": 2, "observed": 2}, '
+            '{"t": 2, "predicted": 2, "observed": 2}, {"t": 3, "predicted": 2, "observed": 2}], "mismatches": []}'
+        )
+
     def test_negative_subscheme(self):
         report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 5, trials=3, seed=5)
         assert json.dumps(report.to_json()) == (
@@ -1674,9 +1679,15 @@ def nonzero_at_a_negative_slot():
      "trials must be an integer, got 2.5"),
     (lambda: verify_representable([[1, 1], [1, 1]], prime=7.0), InvalidWitnessParameterError,
      "prime must be a prime below 2^31, got 7.0"),
+    (lambda: verify_representable([[1, 1], [1, 1]], trials=1, seed=2.5), InvalidWitnessParameterError,
+     "seed must be an integer, got 2.5"),
+    (lambda: verify_representable([[1, 1], [1, 1]], trials=1, seed=True), InvalidWitnessParameterError,
+     "seed must be an integer, got True"),
+    (lambda: verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=1, seed="x"), InvalidWitnessParameterError,
+     "seed must be an integer, got 'x'"),
 ], ids=["random-form-of-negative-degree", "form-at-a-negative-slot", "det-of-a-non-square",
         "minors-of-a-square", "ideal-dim-below-zero", "square-prime-at-most-d", "trials-a-bool",
-        "trials-a-float", "prime-a-float"])
+        "trials-a-float", "prime-a-float", "seed-a-float", "seed-a-bool", "subscheme-seed-a-string"])
 def test_input_errors(call, error, message):
     with pytest.raises(error) as info:
         call()
