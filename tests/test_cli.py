@@ -579,9 +579,14 @@ class TestMismatchExitCode:
         assert body["mismatches"] == ["no trial realized the full degree 2"]
 
     def test_zero_curve_exits_2(self, capsys, monkeypatch):
-        # the inserted row (-3, -2, 0) has one coefficient, the last of the draw: drawn as 0, F vanishes
+        # F(1, 0, 0) read as 0 sends the trial to its forms, whose full draw, of Q's
+        # 6 + 10 + 21 + 3 + 6 + 15 coefficients and the inserted row (-3, -2, 0)'s
+        # one, ends with that row: drawn as 0, F vanishes
         true_residues = witness._residues
-        monkeypatch.setattr(witness, "_residues", lambda rng, count, p: true_residues(rng, count, p)[:-1] + [0])
+        monkeypatch.setattr(witness, "_det_numeric", lambda mat, p: 0)
+        monkeypatch.setattr(witness, "_residues",
+                            lambda rng, count, p: true_residues(rng, count, p)[:-1] + [0] if count == 62
+                            else true_residues(rng, count, p))
         code, body = invoke(capsys, "witness", "--matrix", "[[2,3,5],[1,2,4]]", "--degree", "4", "--trials", "1")
         assert code == 2
         assert body["verdictChecked"]["answer"] == "yes"

@@ -172,12 +172,19 @@ def line_degrees(N, max_degree: int, trials: int, rng: random.Random) -> list:
 
 
 def patch_zero_inserted_row(monkeypatch, Q, d: int):
-    # the inserted row's coefficients end each subscheme trial's draw; drawn
-    # as zeros, they make F vanish at every node and as a form
+    # F(1, 0, 0), the only determinant a yes subscheme trial takes, read as 0
+    # sends every trial to its forms; the inserted row's coefficients end the
+    # full draw made there, and drawn as zeros they make F vanish as a form
     row = sum(plane_dim(d - aj) for aj in Q.minor_degrees if aj <= d)
+    full = sum(plane_dim(m) for entries in Q.entries for m in entries if m >= 0) + row
     true_residues = witness._residues
-    monkeypatch.setattr(witness, "_residues",
-                        lambda rng, count, p: true_residues(rng, count, p)[: count - row] + [0] * row)
+
+    def draw(rng, count, p):
+        coeffs = true_residues(rng, count, p)
+        return coeffs[: count - row] + [0] * row if count == full else coeffs
+
+    monkeypatch.setattr(witness, "_residues", draw)
+    monkeypatch.setattr(witness, "_det_numeric", lambda mat, p: 0)
 
 
 def patch_blocks_off_the_product(monkeypatch, full: int):
@@ -376,6 +383,15 @@ class TestSampling:
             batched, single = random.Random(count), random.Random(count)
             assert _residues(batched, count, p) == [single.randrange(p) for _ in range(count)]
             assert batched.getstate() == single.getstate()
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 11, 101, 32003, 2**31 - 1])
+    def test_a_skip_leaves_the_stream_where_the_residues_do(self, p):
+        for count in (0, 1, 6, 131, 600):
+            for seed in range(3):
+                skipped, drawn = random.Random(seed), random.Random(seed)
+                witness._skip(skipped, count, p)
+                _residues(drawn, count, p)
+                assert skipped.getstate() == drawn.getstate(), (count, seed)
 
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=150, deadline=None)
@@ -821,12 +837,12 @@ class TestVerifyRepresentable:
         # L T = det(N(Q)), but not on the line, where det(N) != lead * trail
         wrong = Decision(False, REASON_SUBDIAGONAL, 2, ((1, 1), (1, 1)), k=2, block_degree=1)
         monkeypatch.setattr(witness, "representable", lambda grid: wrong)
-        monkeypatch.setattr(witness, "random_line", lambda rng, p: ((1, 2, 3), (0, 0, 1)))
         true_draw = witness._residues
 
         def draw(rng, count, p):
             coeffs = true_draw(rng, count, p)
             coeffs[6:9] = (1, 0, 0)  # N[2][1] = x: the third entry's coefficients, in row order
+            coeffs[-6:] = (1, 2, 3, 0, 0, 1)  # the line's point and direction end the draw
             return coeffs
 
         monkeypatch.setattr(witness, "_residues", draw)
@@ -1122,34 +1138,30 @@ class TestSubschemeLines:
         assert report.ok and report.to_json() == expected
 
     def test_a_minor_degree_at_the_prime_is_restricted_to_the_lines(self, monkeypatch):
-        # the restrictions are polynomials in z of degree 7 over F_7: trial 1
-        # settles on them; F vanishes at trial 0's point, and trial 2 finds no
-        # coprime pair, so only those two expand their forms, and only trial 2 ranks
+        # the restrictions are polynomials in z of degree 7 over F_7: trials 0
+        # and 1 settle on them; trial 2 has F(1, 0, 0) = 0 and finds no coprime
+        # pair, so only it expands its forms and ranks
+        curves = self.count(monkeypatch, "_det_numeric")
         settled = self.count(monkeypatch, "_subscheme_lines")
         minors = self.count(monkeypatch, "maximal_minors")
         ranked = self.count(monkeypatch, "ideal_dim")
         report = verify_subscheme(dhb([[3, 3, 4], [3, 3, 4]]), 6, trials=3, seed=169, prime=7)
         assert json.dumps(report.to_json()) == MINOR_DEGREE_AT_P
-        assert settled == [(False, True), (True, True), (False, False)]
-        assert len(minors) == 2 and len(ranked) == 11
+        assert [bool(value) for value in curves] == [True, True, False]
+        assert settled == [True, True, False]
+        assert len(minors) == 1 and len(ranked) == 11
 
     def test_a_curve_that_vanishes_at_the_point_takes_the_form_path(self, monkeypatch):
-        # the inserted row read as zero at the point: F is expanded, and the
-        # lines' proof of coprime minors is kept, so nothing is ranked
+        # F(1, 0, 0) read as zero: F is expanded, and the lines' proof of
+        # coprime minors is kept, so nothing is ranked
         Q = dhb([[2, 3, 5], [1, 2, 4]])
         expected = verify_subscheme(Q, 4, trials=3, seed=4).to_json()
-        true_values = witness._values_on_line
-
-        def values_on_line(coeffs, layout, n, line, max_degree, p):
-            values = true_values(coeffs, layout, n, line, max_degree, p)
-            return values if max_degree else [[[0] * len(row) for row in mat] for mat in values]
-
-        monkeypatch.setattr(witness, "_values_on_line", values_on_line)
+        monkeypatch.setattr(witness, "_det_numeric", lambda mat, p: 0)
         settled = self.count(monkeypatch, "_subscheme_lines")
         minors = self.count(monkeypatch, "maximal_minors")
         monkeypatch.setattr(witness, "ideal_dim", lambda *args: pytest.fail("ranked"))
         assert verify_subscheme(Q, 4, trials=3, seed=4).to_json() == expected
-        assert settled == [(False, True)] * 3 and len(minors) == 3
+        assert settled == [True] * 3 and len(minors) == 3
 
     def test_minors_not_shown_coprime_take_the_form_path(self, monkeypatch):
         # the lines' verdict is kept, so every level is ranked and the lines are tried once a trial
@@ -1159,7 +1171,39 @@ class TestSubschemeLines:
         settled = self.count(monkeypatch, "_subscheme_lines")
         ranked = self.count(monkeypatch, "ideal_dim")
         assert verify_subscheme(Q, 4, trials=3, seed=4).to_json() == expected
-        assert settled == [(True, False)] * 3 and len(ranked) == 3 * 10
+        assert settled == [False] * 3 and len(ranked) == 3 * 10
+
+    @pytest.mark.parametrize("n, pos", sorted(YES_BY_POSITION))
+    def test_the_curve_at_one_zero_zero_reads_the_leading_coefficients_of_the_full_draw(self, monkeypatch, n, pos):
+        # an entry at (1, 0, 0) is its x^m coefficient, coeffs[start] of the
+        # trial's full draw of Q's rows and then the inserted row, which is row
+        # pos of the square; the line route reads the row's from the stream
+        squares = []
+        true_det = witness._det_numeric
+        monkeypatch.setattr(witness, "_det_numeric", lambda mat, p: squares.append(mat) or true_det(mat, p))
+        for seed, (Q, d) in enumerate(YES_BY_POSITION[n, pos]):
+            layout = _layout(Q.entries + (contains_subscheme(Q, d).normalized[pos - 1],))
+            for p in (7, 32003, 2**31 - 1):
+                if p > d:
+                    squares.clear()
+                    verify_subscheme(Q, d, trials=2, seed=seed, prime=p)
+                    for trial, square in enumerate(squares):
+                        coeffs = _residues(witness._trial_rng(seed, trial), layout[-1][2], p)
+                        lead = [coeffs[start] if m >= 0 else 0 for m, start, _ in layout]
+                        rows = [lead[i : i + n] for i in range(0, n * n - n, n)]
+                        assert square == rows[: pos - 1] + [lead[n * n - n :]] + rows[pos - 1 :], (Q.entries, d, p)
+                    assert len(squares) == 2
+
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_a_curve_test_that_fails_at_one_zero_zero_leaves_every_report_unchanged(self, monkeypatch, p):
+        # F(1, 0, 0) = 0 sends each trial to its forms, which decide F != 0 there
+        cases = [(Q, d) for n in (2, 3) for Q in iter_dhb_matrices(n, 3) for d in range(1, min(Q.shifts[0] + 2, p))
+                 if contains_subscheme(Q, d).verdict]
+        expected = [verify_subscheme(Q, d, trials=3, seed=seed, prime=p).to_json() for seed, (Q, d) in enumerate(cases)]
+        monkeypatch.setattr(witness, "_det_numeric", lambda mat, p: 0)
+        assert [verify_subscheme(Q, d, trials=3, seed=seed, prime=p).to_json()
+                for seed, (Q, d) in enumerate(cases)] == expected
+        assert len(cases) == {7: 366, 11: 677}[p]
 
     def test_the_cofactor_cap_comes_after_the_budget_and_before_the_draw(self, monkeypatch):
         Q = dhb([[1] * 7] * 6)
@@ -1232,6 +1276,16 @@ class TestWitnessBudget:
             verify_representable([[0, 1, 10, 11], [-1, 0, 9, 10], [-5, -4, 5, 6], [-8, -7, 2, 3]],
                                  trials=3 * 10**9)
         assert info.value.estimate == estimate * 10**9
+
+    def test_a_diagonal_no_that_its_grid_proves_is_not_charged(self, monkeypatch):
+        # the zero corner proves these with no draw; the full path of the
+        # degree-2,989 square would be charged 13,481,935,427,027 residues
+        monkeypatch.setattr(witness, "WITNESS_BUDGET", 0)
+        monkeypatch.setattr(witness, "_residues", lambda *args: pytest.fail("drew"))
+        for report in (verify_representable([[-1, 3000], [-11, 2990]], trials=1),
+                       verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 3, trials=3, prime=7)):
+            assert report.verdict_checked["reason"] == REASON_DIAGONAL
+            assert report.observed_degrees == [None] * report.trials and report.ok
 
     def test_parameter_and_field_errors_come_first(self, monkeypatch):
         monkeypatch.setattr(witness, "WITNESS_BUDGET", 0)
@@ -1363,14 +1417,12 @@ class TestFastPaths:
 
     @staticmethod
     def draw(Q, rng, p):
-        """One draw of Q's entries and then an inserted row of degrees
-        max a_j - a_j, as a subscheme trial lays them out, and Q's signed
-        minors as forms; Q's forms are those of sample_matrix(Q, rng, p)."""
-        a, n = Q.minor_degrees, Q.n
-        layout = _layout(Q.entries + (tuple(a[0] - aj for aj in a),))
+        """The draw of Q's entries, as a subscheme trial lays it out, and Q's
+        signed minors as forms; Q's forms are those of sample_matrix(Q, rng, p)."""
+        layout = _layout(Q.entries)
         coeffs = _residues(rng, layout[-1][2], p)
         forms = witness._forms(coeffs, layout, p)
-        rows = tuple(tuple(forms[i : i + n]) for i in range(0, (n - 1) * n, n))
+        rows = tuple(tuple(forms[i : i + Q.n]) for i in range(0, len(forms), Q.n))
         return coeffs, layout, maximal_minors(FormMatrix(rows, Q, p))
 
     def test_the_certificate_never_passes_where_the_ranks_disagree(self):
@@ -1383,7 +1435,7 @@ class TestFastPaths:
                     B = BettiData(Q.minor_degrees, Q.shifts)
                     rng = random.Random(f"{p} {Q.entries}")
                     coeffs, layout, minors = self.draw(Q, rng, p)
-                    if not _subscheme_lines(coeffs, layout, Q.minor_degrees, rng, p)[1]:
+                    if not _subscheme_lines(coeffs, layout, Q.minor_degrees, rng, p):
                         failed += 1
                         continue
                     passed += 1
@@ -1395,7 +1447,8 @@ class TestFastPaths:
     def restrictions_by_z_tables(minors, rng, p):
         """Each round's g(x0, y0, z) of `_subscheme_lines` from the values of
         `monomials(e)` at (x0, y0, 1), scaled by x0^(-e) where x0 != 0, and
-        whether a pair in some round has gcd 1."""
+        whether a pair in some round has gcd 1: the pairs of a round in the
+        order the minors are taken, each with every minor before it."""
         gens = [g for g in minors if not g.is_zero and g.coeffs[-1]]
         rounds = []
         for _ in range(3):
@@ -1407,8 +1460,8 @@ class TestFastPaths:
                     coeffs[i + j] += c * pow(x0, i, p) * pow(y0, j, p)
                 unit = pow(x0, -g.degree, p) if x0 else 1
                 in_z.append([c * unit % p for c in coeffs])
-            rounds.append(in_z)
-            if any(_coprime(f, g, p) for f, g in itertools.combinations(in_z, 2)):
+            rounds.append([(f, g) for k, g in enumerate(in_z) for f in in_z[:k]])
+            if any(_coprime(f, g, p) for f, g in rounds[-1]):
                 return True, rounds
         return False, rounds
 
@@ -1435,9 +1488,9 @@ class TestFastPaths:
                     for make in (random.Random, self.ZeroX):
                         expected, rounds = self.restrictions_by_z_tables(minors, make(f"coprime {p}"), p)
                         seen.clear()
-                        proved = _subscheme_lines(coeffs, layout, Q.minor_degrees, make(f"coprime {p}"), p)[1]
+                        proved = _subscheme_lines(coeffs, layout, Q.minor_degrees, make(f"coprime {p}"), p)
                         assert proved is expected, (p, Q.entries)
-                        drawn = [pair for in_z in rounds for pair in itertools.combinations(in_z, 2)]
+                        drawn = [pair for pairs in rounds for pair in pairs]
                         assert seen == drawn[: len(seen)] and (expected or len(seen) == len(drawn))
                         outcomes[make, expected] += 1
         assert sum(outcomes.values()) == 4 * 2 * (12 + 130 + 171)
@@ -1595,6 +1648,22 @@ class TestPinnedReports:
             '{"t": 0, "predicted": 1, "observed": 1}, {"t": 1, "predicted": 2, "observed": 2}, '
             '{"t": 2, "predicted": 2, "observed": 2}, {"t": 3, "predicted": 2, "observed": 2}], "mismatches": []}'
         )
+
+    def test_subscheme_whose_curve_vanishes_at_one_zero_zero(self, monkeypatch):
+        # at p = 7 every trial has F(1, 0, 0) = 0 and expands its forms: F is
+        # nonzero in trials 0 and 2, and zero in trial 1, which is bad luck
+        curves = []
+        true_det = witness._det_numeric
+        monkeypatch.setattr(witness, "_det_numeric", lambda mat, p: curves.append(true_det(mat, p)) or curves[-1])
+        report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=3, seed=0, prime=7)
+        profile = ", ".join(f'{{"t": {t}, "predicted": {h}, "observed": {h}}}'
+                            for t, h in enumerate([1, 3, 6, 10, 14, 18, 21, 22, 22, 22]))
+        assert json.dumps(report.to_json()) == (
+            '{"seed": 0, "prime": 7, "trials": 3, "verdictChecked": {"answer": "yes", "degree": 4, '
+            '"insertedRowPosition": 3}, "observedDegrees": [4, null, 4], '
+            f'"hfProfile": [{profile}], "mismatches": []}}'
+        )
+        assert curves == [0, 0, 0]
 
     def test_negative_subscheme(self):
         report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 5, trials=3, seed=5)
