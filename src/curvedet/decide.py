@@ -400,6 +400,8 @@ def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
 
 
 def _check_enumeration(n: int, bound: int) -> None:
+    _check_int(n, "n")
+    _check_int(bound, "bound")
     if n < 2:
         raise ValueError("need n >= 2")
     if bound < 1:

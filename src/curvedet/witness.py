@@ -18,16 +18,17 @@ whose product is nonzero and equals det(N(Q)) prove a trial.  A grid
 without the corner runs every trial in full.  A yes subscheme trial is
 settled when the curve F is nonzero at (1, 0, 0) and two maximal minors
 are shown coprime on lines x = x0, y = y0, which proves the Hilbert
-function at every level: the Hilbert-Burch twists, the minor and syzygy
-degrees, then give it.  Products of forms and their signed sums are one
+function at every level to be the prediction, the alternating sum of the
+Hilbert-Burch twists.  Products of forms and their signed sums are one
 Kronecker-substitution dot product, `_form_dot`, unpacked once per sum.
 
 A polynomial on the line is kept as its values at s = 0..D, which fix it
 when its degree is at most D < p; its degree is read from their forward
-differences.  A square trial evaluates every entry of N once per point,
-at Q for its proof and at each of the d + 1 nodes in full, and reads
-det(N) and both blocks' determinants from those values, so a
-factorization is checked value by value.
+differences.  One point evaluator, `_values_at`, gives N's entries at a
+point: a square trial calls it at Q for its proof and at each of the
+d + 1 nodes P + sQ in full, and reads det(N) and both blocks'
+determinants from those values, so a factorization is checked value by
+value.
 Where a verdict fixes the degree of a determinant or of a block, a line
 may lower that degree but not raise it: a block of higher degree fails
 its trial (det(N), read from d + 1 values, cannot exceed d), and a
@@ -38,32 +39,29 @@ matrix with a row r of random forms inserted at position pos.  The
 Laplace expansion along that row is F = (-1)^pos * sum_j r_j g_j over
 the signed maximal minors g_j, so F lies in the minor ideal, and the
 witness computes F as that combination.  F(1, 0, 0), its x^d
-coefficient, is the determinant of the entries' x^m coefficients, and
-nonzero it shows F != 0; a trial reads no other coefficient of the
-inserted row.  The coprime check works on the lines x = x0, y = y0, at
-every prime: Q's entries there are polynomials in z, read from their
-coefficient runs, and the cofactor expansion over them gives each
-g_j(x0, y0, z) up to a unit, one minor at a time.  F(1, 0, 0) nonzero and
-two minors shown coprime settle the trial with no form built.  Otherwise
-the minors and F are expanded as forms.  A zero F, or a level of the
-Hilbert function whose rank falls short, can be bad luck at a small
-prime, so it fails only if every trial fails it.
+coefficient, is the determinant of the entries' x^m coefficients, the
+first of each entry's run, and nonzero it shows F != 0.  The coprime
+check works on the lines x = x0, y = y0, at every prime: Q's entries
+there are polynomials in z, read from their coefficient runs, and the
+cofactor expansion over them gives each g_j(x0, y0, z) up to a unit, one
+minor at a time.  F(1, 0, 0) nonzero and two minors shown coprime settle
+the trial with no form built.  Otherwise the minors and F are expanded
+as forms.  A zero F, or a level of the Hilbert function whose rank falls
+short, can be bad luck at a small prime, so it fails only if every trial
+fails it.
 
 A sampled matrix draws all its coefficients at once, entry by entry in
 row order: one `getrandbits` call of 32 bits per coefficient, whose
 words each keep their top p.bit_length() bits unless those are >= p,
 plus a round for the shortfall.  That is the stream of one `randrange(p)`
 per coefficient, so the entries and the generator's final state are
-those of one `random_form` per entry.  A trial evaluates that stream
-itself, through one (degree, start, end) layout per report; only a
-subscheme trial that F(1, 0, 0) and its lines do not settle builds
-`Form`s.  A square trial draws N and then its line's point and direction
-in one draw.  A subscheme trial lays out Q and the inserted row as the
-rows of one homogeneous grid, Q's first: it draws Q's coefficients, reads
-the first coefficient of each inserted entry from the stream and skips
-the rest of its run (`_skip`), which counts rejected words without
-keeping a residue.  A trial that builds forms draws the whole grid again
-from its seed; no matrix is checked again.
+those of one `random_form` per entry.  A trial draws once and reads
+every value from that draw, through one (degree, start, end) layout per
+report: a square trial draws N and then its line's point and direction,
+a subscheme trial Q's rows and then the inserted row, as the rows of one
+homogeneous grid.  Only a subscheme trial that F(1, 0, 0) and its lines
+do not settle builds `Form`s, from the same draw; no matrix is checked
+again.
 
 One elimination kernel, `_rank`, serves every graded rank: forward
 elimination mod p on an int64 array, whose rows place each run of a
@@ -112,13 +110,12 @@ _PRIME_BOUND = 2**31
 #: charges a square trial's full path, which evaluates every entry at each of
 #: the d + 1 nodes, and a point at (top + 3)/3 times the plane_dim(top)
 #: ratios it tabulates; a diagonal no whose grid proves it draws nothing and
-#: is not charged.  A subscheme trial is charged its whole grid, though it
-#: reads one coefficient of each inserted entry and skips the rest, and three
-#: points at top = max a_j, one per line x = x0, y = y0 it tries; there it
-#: restricts Q's entries to polynomials in z and expands their minors.  Only
-#: a trial that F(1, 0, 0) and its lines leave unsettled draws the grid again
-#: and expands cofactor products of forms, whose size that excess charge is
-#: all that refuses.
+#: is not charged.  A subscheme trial is charged its draw, Q and the inserted
+#: row, and three points at top = max a_j, one per line x = x0, y = y0 it
+#: tries; there it restricts Q's entries to polynomials in z and expands
+#: their minors.  Only a trial that F(1, 0, 0) and its lines leave unsettled
+#: expands cofactor products of forms, whose size that excess charge is all
+#: that refuses.
 WITNESS_BUDGET = 10**8
 
 
@@ -330,19 +327,6 @@ def _residues(rng: random.Random, count: int, p: int) -> list[int]:
     return out
 
 
-def _skip(rng: random.Random, count: int, p: int) -> None:
-    """Advance rng as `count` calls of rng.randrange(p) would, keeping no
-    residue: `_residues`' rounds, each drawing its shortfall.  A word's top
-    p.bit_length() bits plus 2^bits - p carry out of bit `bits` exactly when
-    they are >= p, so the carries count the words a round rejects; a witness
-    prime p < 2^31 keeps each lifted word below 2^32."""
-    bits = p.bit_length()
-    while count > 0:
-        ones = int.from_bytes(b"\1\0\0\0" * count, "little")  # 1 in each 32-bit word
-        kept = rng.getrandbits(32 * count) >> 32 - bits & (2**bits - 1) * ones
-        count = (kept + (2**bits - p) * ones & ones << bits).bit_count()
-
-
 class FormMatrix(_Record):
     """A matrix of forms realizing an integer degree matrix.
 
@@ -519,34 +503,30 @@ def restrict_det_to_line(N: FormMatrix, line, max_degree: int) -> list[int]:
         raise FieldTooSmallError(f"prime {p} is too small for degree {max_degree} on a line")
     layout = _layout([[f.degree for f in row] for row in N.entries])
     coeffs = [c for row in N.entries for f in row for c in f.coeffs]
-    return [_det_numeric(mat, p) for mat in _values_on_line(coeffs, layout, N.cols, line, max_degree, p)]
+    points = [[a + s * b for a, b in zip(*line)] for s in range(max_degree + 1)]
+    return [_det_numeric(_values_at(coeffs, layout, N.cols, point, p), p) for point in points]
 
 
-def _values_on_line(coeffs, layout, n: int, line, max_degree: int, p: int) -> list[list[list[int]]]:
-    """The values mod p at P + s Q of a square's entries, whose coefficients
+def _values_at(coeffs, layout, n: int, point, p: int) -> list[list[int]]:
+    """The values mod p at `point` of a square's entries, whose coefficients
     `layout` (`_layout`) places in the flat `coeffs`, n to a row and zero
-    where the degree is negative: one n x n matrix per s = 0..max_degree.
+    where the degree is negative, as an n x n matrix.
 
-    Every entry is evaluated at every node: an entry of degree m is x^m
-    times its dot product with `_ratios(y/x, z/x)`; where x = 0, only its
-    run m with `_ratios(y, z)`.
+    An entry of degree m is x^m times its dot product with
+    `_ratios(y/x, z/x)`; where x = 0, only its run m with `_ratios(y, z)`.
     """
-    (p0, p1, p2), (q0, q1, q2) = line
+    x, y, z = (c % p for c in point)
     top = max(m for m, _, _ in layout)
-    nodes = []
-    for s in range(max_degree + 1):
-        x, y, z = (p0 + s * q0) % p, (p1 + s * q1) % p, (p2 + s * q2) % p
-        inv = pow(x, -1, p) if x else 1
-        flat = _ratios(y * inv % p, z * inv % p, top, p)
+    inv = pow(x, -1, p) if x else 1
+    flat = _ratios(y * inv % p, z * inv % p, top, p)
+    if x:
         powers = [1]
         for _ in range(top):
             powers.append(powers[-1] * x % p)
-        if x:
-            at_s = [powers[m] * sum(map(mul, coeffs[a:b], flat)) % p if m >= 0 else 0 for m, a, b in layout]
-        else:  # run m sits at m(m + 1)/2 = plane_dim(m) - m - 1
-            at_s = [sum(map(mul, coeffs[b - m - 1 : b], flat[b - a - m - 1 :])) % p for m, a, b in layout]
-        nodes.append([at_s[i : i + n] for i in range(0, len(at_s), n)])
-    return nodes
+        values = [powers[m] * sum(map(mul, coeffs[a:b], flat)) % p if m >= 0 else 0 for m, a, b in layout]
+    else:  # run m sits at m(m + 1)/2 = plane_dim(m) - m - 1
+        values = [sum(map(mul, coeffs[b - m - 1 : b], flat[b - a - m - 1 :])) % p for m, a, b in layout]
+    return [values[i : i + n] for i in range(0, len(values), n)]
 
 
 def _ratios(u: int, v: int, top: int, p: int) -> list[int]:
@@ -635,11 +615,11 @@ def ideal_dim(gens, t: int) -> int:
     return _rank(_graded_piece_rows(gens, t, p), p)
 
 
-def _subscheme_lines(coeffs, layout, a, rng: random.Random, p: int) -> bool:
-    """Whether two maximal minors of Q, whose entries `layout` places in the
-    flat draw `coeffs`, are shown coprime on one of three lines x = x0,
-    y = y0, each two rng.randrange(p) calls: read from coefficient runs,
-    with no form; a holds Q's minor degrees.
+def _subscheme_lines(coeffs, layout, n: int, rng: random.Random, p: int) -> bool:
+    """Whether two maximal minors of Q, the (n - 1) x n grid whose entries
+    `layout` places in the flat draw `coeffs`, are shown coprime on one of
+    three lines x = x0, y = y0, each two rng.randrange(p) calls: read from
+    coefficient runs, with no form.
 
     On each line `_minors_in_z` gives a unit times each g_j(x0, y0, z),
     one minor at a time, and the first coprime pair stops it.  A minor of
@@ -653,7 +633,7 @@ def _subscheme_lines(coeffs, layout, a, rng: random.Random, p: int) -> bool:
     for _ in range(3):
         x0, y0 = rng.randrange(p), rng.randrange(p)
         polys = []  # the minors so far with a nonzero z^(a_j) coefficient
-        for g in _minors_in_z(coeffs, layout, len(a), x0, y0, p):
+        for g in _minors_in_z(coeffs, layout, n, x0, y0, p):
             if g and g[0]:
                 if any(_coprime(f, g, p) for f in polys):
                     return True
@@ -810,7 +790,7 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
 
 def _square_trial(decision: Decision, corner: bool, coeffs, layout, line, p: int) -> tuple[tuple, list[str]]:
     """One trial of `decision` on N, the square whose drawn `coeffs` `layout`
-    places as `_values_on_line` takes them, on the line (P, Q): the degrees on
+    places as `_values_at` takes them, on the line (P, Q): the degrees on
     the line of det(N) and, for a subdiagonal no, of its leading and trailing
     blocks, and the texts of the trial's mismatches.
 
@@ -828,13 +808,13 @@ def _square_trial(decision: Decision, corner: bool, coeffs, layout, line, p: int
     d, k, e, n = decision.degree, decision.k, decision.block_degree, len(decision.normalized)
     subdiagonal = decision.reason == REASON_SUBDIAGONAL
     if corner:
-        at_direction = _values_on_line(coeffs, layout, n, (line[1], (0, 0, 0)), 0, p)[0]
+        at_direction = _values_at(coeffs, layout, n, line[1], p)
         det = _det_numeric(at_direction, p)
         if det and decision.verdict:
             return (d,), []
         if det and subdiagonal and mul(*_block_dets(at_direction, k, p)) % p == det:
             return (d, d - e, e), []
-    nodes = _values_on_line(coeffs, layout, n, line, d, p)
+    nodes = [_values_at(coeffs, layout, n, [a + s * b for a, b in zip(*line)], p) for s in range(d + 1)]
     values = [_det_numeric(mat, p) for mat in nodes]
     deg = _poly_degree(values, p)
     if not subdiagonal:
@@ -872,15 +852,16 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     Hilbert function up to b_1.  Two minors shown coprime prove the
     Hilbert function; only otherwise are levels ranked.
 
-    A trial first reads F(1, 0, 0), F's x^d coefficient: the determinant of
-    the entries' x^m coefficients, the first of each entry's run, with the
-    inserted row's read from the stream and the rest of that row skipped.
-    It then tests the minors on lines x = x0, y = y0 (`_subscheme_lines`),
-    at every prime.  F(1, 0, 0) nonzero and two minors shown coprime on a
-    line settle the trial with no form built.  Any other trial draws its
-    grid again in full, expands the minors and F as forms, and keeps the
-    lines' verdict on coprimality.  F(1, 0, 0) nonzero implies F != 0, and
-    a trial that reads it as zero decides F != 0 from the form, so the
+    A trial draws Q's rows and then the inserted row once, and reads every
+    value from that draw.  It first reads F(1, 0, 0), F's x^d coefficient:
+    the determinant of the entries' x^m coefficients, the first of each
+    entry's run.  It then tests the minors on lines x = x0, y = y0
+    (`_subscheme_lines`), at every prime.  F(1, 0, 0) nonzero and two
+    minors shown coprime on a line settle the trial with no form built,
+    and its Hilbert function is the prediction.  Any other trial expands
+    the minors and F as forms from the same draw, and keeps the lines'
+    verdict on coprimality.  F(1, 0, 0) nonzero implies F != 0, and a
+    trial that reads it as zero decides F != 0 from the form, so the
     report is the same either way.
 
     A minor of the wrong degree fails its trial.  A zero F, or a level
@@ -902,8 +883,6 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     B = betti_of_matrix(Q)
     a, n = Q.minor_degrees, Q.n
     predicted = [hilbert_function(B, t) for t in range(B.syz[0] + 1)]  # up to b_1
-    # the Hilbert-Burch twists: a nonzero minor g_j has degree a_j
-    twists = [(aj, 1) for aj in a] + [(b, -1) for b in Q.shifts]
     pos = decision.inserted_row_position
     # Q's rows and then the inserted row d - a_j, homogeneous as q_ij = b_i - a_j
     layout = _layout(Q.entries + (decision.normalized[pos - 1],))
@@ -912,21 +891,15 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     failures = []  # (message, check) in trial order; check is None for a minor degree, which every trial must meet
     reached = 0  # trials whose curve is nonzero, which go on to the Hilbert function
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        coeffs = _residues(rng, layout[size][1], prime)
+        coeffs = _residues(_trial_rng(seed, trial), layout[-1][2], prime)
         # F(1, 0, 0) = det of the entries' x^m coefficients, each the first of its
-        # run: the inserted row's are read from the stream, which skips the rest
-        square = [[coeffs[start] if m >= 0 else 0 for m, start, _ in layout[i : i + n]] for i in range(0, size, n)]
-        row, at = [0] * n, layout[size][1]  # at: the stream's place in the flat draw
-        for j, (m, start, _) in enumerate(layout[size:]):
-            if m >= 0:
-                _skip(rng, start - at, prime)
-                row[j], at = rng.randrange(prime), start + 1
-        square.insert(pos - 1, row)
+        # run; the inserted row, drawn last, moves to its position
+        square = [[coeffs[start] if m >= 0 else 0 for m, start, _ in layout[i : i + n]] for i in range(0, n * n, n)]
+        square.insert(pos - 1, square.pop())
         curve = _det_numeric(square, prime) != 0
-        proved = _subscheme_lines(coeffs, layout[:size], a, random.Random(f"coprime {seed} {trial}"), prime)
+        proved = _subscheme_lines(coeffs, layout[:size], n, random.Random(f"coprime {seed} {trial}"), prime)
         if not (curve and proved):
-            forms = _forms(_residues(_trial_rng(seed, trial), layout[-1][2], prime), layout, prime)
+            forms = _forms(coeffs, layout, prime)
             rows = tuple(tuple(forms[i : i + n]) for i in range(0, size, n))
             minors = maximal_minors(FormMatrix._trusted(rows, Q, prime))
             failures.extend((f"trial {trial}: minor degree {g.degree} != {aj}", None)
@@ -940,11 +913,10 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
             continue
         reached += 1
 
-        # coprime minors fix the Hilbert function by the Hilbert-Burch twists
+        # coprime minors prove the Hilbert function, the alternating sum of the Hilbert-Burch twists
         profile = []
         for t, h in enumerate(predicted):
-            observed = plane_dim(t) - (sum(sign * plane_dim(t - m) for m, sign in twists) if proved
-                                       else ideal_dim(minors, t))
+            observed = h if proved else plane_dim(t) - ideal_dim(minors, t)
             profile.append({"t": t, "predicted": h, "observed": observed})
             if h != observed:
                 failures.append((f"trial {trial}: Hilbert function at level {t} is {observed}, predicted {h}", t))

@@ -667,9 +667,15 @@ class TestDecisionInvariance:
     (lambda: census(3, True, 3), "curve degree must be an integer, got True"),
     (lambda: scan(Q_61, True), "dmax must be an integer, got True"),
     (lambda: scan(Q_61, 3.0), "dmax must be an integer, got 3.0"),
+    (lambda: census(3, 4, True), "bound must be an integer, got True"),
+    (lambda: census(3, 4, 2.0), "bound must be an integer, got 2.0"),
+    (lambda: census(3.0, 4, 2), "n must be an integer, got 3.0"),
+    (lambda: next(iter_dhb_matrices(3, 2.5)), "bound must be an integer, got 2.5"),
+    (lambda: next(iter_dhb_matrices(True, 3)), "n must be an integer, got True"),
 ], ids=["representable-on-a-non-square", "corollary-at-degree-zero", "containment-at-a-float", "corollary-at-a-float",
         "census-at-a-float", "containment-at-a-bool", "corollary-at-a-bool", "census-at-a-bool", "scan-to-a-bool",
-        "scan-to-a-float"])
+        "scan-to-a-float", "census-bound-a-bool", "census-bound-a-float", "census-n-a-float",
+        "enumeration-bound-a-float", "enumeration-n-a-bool"])
 def test_input_errors(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -199,16 +199,25 @@ def patch_blocks_off_the_product(monkeypatch, full: int):
 
 
 def force_full_path(monkeypatch):
-    # N read as zero at the line's direction Q fails every one-point proof,
-    # so each square trial evaluates N at its d + 1 nodes
-    true_values = witness._values_on_line
+    # a square trial told that its grid has no zero corner tries no proof at
+    # the line's direction Q, so it evaluates N at its d + 1 nodes
+    true_trial = witness._square_trial
+    monkeypatch.setattr(witness, "_square_trial", lambda decision, corner, *args: true_trial(decision, False, *args))
 
-    def values_on_line(coeffs, layout, n, line, max_degree, p):
-        if max_degree == 0:
-            return [[[0] * n for _ in range(n)]]
-        return true_values(coeffs, layout, n, line, max_degree, p)
 
-    monkeypatch.setattr(witness, "_values_on_line", values_on_line)
+def trace_square_points(monkeypatch) -> list:
+    """Each square trial's points of evaluation (`_values_at`) in order, the
+    proof at Q first where the trial tries it; filled as the trials run."""
+    trials = []
+    true_trial, true_values = witness._square_trial, witness._values_at
+
+    def values_at(coeffs, layout, n, point, p):
+        trials[-1].append(list(point))
+        return true_values(coeffs, layout, n, point, p)
+
+    monkeypatch.setattr(witness, "_square_trial", lambda *args: trials.append([]) or true_trial(*args))
+    monkeypatch.setattr(witness, "_values_at", values_at)
+    return trials
 
 
 def dhb(grid):
@@ -384,15 +393,6 @@ class TestSampling:
             assert _residues(batched, count, p) == [single.randrange(p) for _ in range(count)]
             assert batched.getstate() == single.getstate()
 
-    @pytest.mark.parametrize("p", [2, 3, 7, 11, 101, 32003, 2**31 - 1])
-    def test_a_skip_leaves_the_stream_where_the_residues_do(self, p):
-        for count in (0, 1, 6, 131, 600):
-            for seed in range(3):
-                skipped, drawn = random.Random(seed), random.Random(seed)
-                witness._skip(skipped, count, p)
-                _residues(drawn, count, p)
-                assert skipped.getstate() == drawn.getstate(), (count, seed)
-
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=150, deadline=None)
     def test_a_square_trial_draws_the_coefficients_of_sample_matrix(self, n, data):
@@ -480,9 +480,9 @@ class TestDeterminantRestriction:
         layout = witness._layout(grid)
         coeffs = data.draw(st.lists(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1),
                                     min_size=layout[-1][2], max_size=layout[-1][2]))
-        nodes = witness._values_on_line(coeffs, layout, n, (start, direction), max_degree, p)
-        for s, mat in enumerate(nodes):
+        for s in range(max_degree + 1):
             point = [a + s * b for a, b in zip(start, direction)]
+            mat = witness._values_at(coeffs, layout, n, point, p)
             expected = [power_sum(coeffs[a:b], m, point, p) for m, a, b in layout]
             assert [v for row in mat for v in row] == expected
 
@@ -832,9 +832,10 @@ class TestVerifyRepresentable:
             f"trial {i}: block determinants do not multiply to the determinant" for i in range(3)
         ]
 
-    def test_a_corner_that_vanishes_only_at_the_direction_is_no_proof(self, monkeypatch):
-        # N[2][1] = x vanishes at the direction Q = (0, 0, 1), so there
-        # L T = det(N(Q)), but not on the line, where det(N) != lead * trail
+    def test_a_grid_without_the_corner_runs_in_full(self, monkeypatch):
+        # [[1, 1], [1, 1]] has no zero corner, so no trial tries the proof at
+        # the direction Q = (0, 0, 1), though N[2][1] = x vanishes there and
+        # L T = det(N(Q)): each runs at its d + 1 nodes, where det(N) != lead * trail
         wrong = Decision(False, REASON_SUBDIAGONAL, 2, ((1, 1), (1, 1)), k=2, block_degree=1)
         monkeypatch.setattr(witness, "representable", lambda grid: wrong)
         true_draw = witness._residues
@@ -846,32 +847,48 @@ class TestVerifyRepresentable:
             return coeffs
 
         monkeypatch.setattr(witness, "_residues", draw)
+        points = trace_square_points(monkeypatch)
         report = verify_representable([[1, 1], [1, 1]], trials=2, seed=2)
         assert report.mismatches == [
             f"trial {i}: block determinants do not multiply to the determinant" for i in range(2)
         ]
+        assert points == [[[1, 2, 3], [1, 2, 4], [1, 2, 5]]] * 2
+
+    def test_blocks_off_the_determinant_at_the_direction_are_no_proof(self, monkeypatch):
+        # [[1, 3], [-1, 1]] has its zero corner, and each trial is proved at Q;
+        # trial 0's blocks there, made to multiply to 2 det(N(Q)), send it in full
+        grid = [[1, 3], [-1, 1]]
+        expected = verify_representable(grid, trials=3, seed=2).to_json()
+        points = trace_square_points(monkeypatch)
+        assert verify_representable(grid, trials=3, seed=2).to_json() == expected
+        assert [len(trial) for trial in points] == [1, 1, 1]
+        true_blocks = witness._block_dets
+        calls = []
+
+        def blocks(mat, k, p):
+            lead, trail = true_blocks(mat, k, p)
+            calls.append(mat)
+            return (2 * lead % p, trail) if len(calls) == 1 else (lead, trail)
+
+        monkeypatch.setattr(witness, "_block_dets", blocks)
+        points.clear()
+        assert verify_representable(grid, trials=3, seed=2).to_json() == expected
+        assert [len(trial) for trial in points] == [1 + 3, 1, 1]
 
     @pytest.mark.parametrize("grid, prime, seed, evaluations", [
         ([[2, 3, 8], [-3, -2, 3], [-4, -3, 2]], DEFAULT_PRIME, 3, []),
-        ([[5, 6, 8, 9], [2, 3, 5, 6], [-2, -1, 1, 2], [-3, -2, 0, 1]], DEFAULT_PRIME, 3, [0] * 4),
-        # at p = 7 trials 1 and 2 fail the proof and evaluate N at the d + 1 = 4 nodes
-        ([[2, 2, 4], [-1, -1, 1], [0, 0, 2]], 7, 0, [0, 0, 3, 0, 3, 0]),
+        ([[5, 6, 8, 9], [2, 3, 5, 6], [-2, -1, 1, 2], [-3, -2, 0, 1]], DEFAULT_PRIME, 3, [1] * 4),
+        # at p = 7 trials 1 and 2 fail the proof and evaluate N at the d + 1 = 4 nodes too
+        ([[2, 2, 4], [-1, -1, 1], [0, 0, 2]], 7, 0, [1, 5, 5, 1]),
     ])
     def test_negative_squares_settle_without_a_restriction(self, monkeypatch, grid, prime, seed, evaluations):
         # a zero corner proves a diagonal verdict outright; a subdiagonal one
         # evaluates N once, at the line's direction, and reads det(N) and
         # both blocks from those values, as a trial in full does at each node
-        true_values = witness._values_on_line
-        calls = []
-
-        def values_on_line(coeffs, layout, n, line, max_degree, p):
-            calls.append(max_degree)
-            return true_values(coeffs, layout, n, line, max_degree, p)
-
-        monkeypatch.setattr(witness, "_values_on_line", values_on_line)
+        points = trace_square_points(monkeypatch)
         report = verify_representable(grid, trials=4, seed=seed, prime=prime)
         assert report.ok
-        assert calls == evaluations
+        assert [len(trial) for trial in points] == evaluations
 
     @pytest.mark.parametrize("forced", [False, True], ids=["settled", "full"])
     @pytest.mark.parametrize("grid, prime", [
@@ -1055,18 +1072,19 @@ class TestVerifySubscheme:
                 report = verify_subscheme(Q, d, trials=5, seed=0, prime=p)
                 assert report.ok, (Q.entries, d, report.mismatches)
 
-    def test_a_proved_trial_checks_the_hilbert_function(self, monkeypatch):
-        # coprime minors settle all three trials, so nothing is ranked; their
-        # Hilbert-Burch twists must still disagree with a wrong prediction
+    def test_a_proved_trial_observes_the_prediction(self, monkeypatch):
+        # coprime minors settle all three trials, so nothing is ranked: the
+        # prediction, the alternating sum of the Hilbert-Burch twists, is what
+        # they prove, so a trial records it whatever it is
         Q = dhb([[2, 3, 5], [1, 2, 4]])
-        h = hilbert_function(BettiData(Q.minor_degrees, Q.shifts), 5)
         true_hf = witness.hilbert_function
         monkeypatch.setattr(witness, "hilbert_function", lambda B, t: true_hf(B, t) + (t == 5))
         monkeypatch.setattr(witness, "ideal_dim", lambda *args: pytest.fail("ranked"))
         report = verify_subscheme(Q, 4, trials=3, seed=0)
-        assert report.mismatches == [
-            f"trial {i}: Hilbert function at level 5 is {h}, predicted {h + 1}" for i in range(3)
-        ]
+        B = BettiData(Q.minor_degrees, Q.shifts)
+        predicted = [true_hf(B, t) + (t == 5) for t in range(Q.shifts[0] + 1)]
+        assert report.ok
+        assert report.hf_profile == [{"t": t, "predicted": h, "observed": h} for t, h in enumerate(predicted)]
 
     def test_a_trial_checks_nothing_it_built(self, monkeypatch):
         # [[3, 4]] at d = 4, p = 7, seed 0: trial 3's minors are not shown
@@ -1151,6 +1169,21 @@ class TestSubschemeLines:
         assert settled == [True, True, False]
         assert len(minors) == 1 and len(ranked) == 11
 
+    @pytest.mark.parametrize("grid, d, prime, seed, trials, formed", [
+        ([[3, 3, 4], [3, 3, 4]], 6, 7, 169, 3, 1),  # trial 2 expands its forms
+        ([[2, 3, 5], [1, 2, 4]], 4, 7, 0, 3, 3),  # F(1, 0, 0) = 0 in every trial
+        ([[2, 3, 5], [1, 2, 4]], 4, 7, 4, 1, 1),  # no coprime pair: every level is ranked
+        ([[2, 3, 5], [1, 2, 4]], 4, P, 4, 3, 0),
+    ])
+    def test_a_trial_draws_once(self, monkeypatch, grid, d, prime, seed, trials, formed):
+        # the form path reads its forms from the trial's one draw
+        Q = dhb(grid)
+        expected = verify_subscheme(Q, d, trials=trials, seed=seed, prime=prime).to_json()
+        draws = self.count(monkeypatch, "_residues")
+        minors = self.count(monkeypatch, "maximal_minors")
+        assert verify_subscheme(Q, d, trials=trials, seed=seed, prime=prime).to_json() == expected
+        assert len(draws) == trials and len(minors) == formed
+
     def test_a_curve_that_vanishes_at_the_point_takes_the_form_path(self, monkeypatch):
         # F(1, 0, 0) read as zero: F is expanded, and the lines' proof of
         # coprime minors is kept, so nothing is ranked
@@ -1176,8 +1209,8 @@ class TestSubschemeLines:
     @pytest.mark.parametrize("n, pos", sorted(YES_BY_POSITION))
     def test_the_curve_at_one_zero_zero_reads_the_leading_coefficients_of_the_full_draw(self, monkeypatch, n, pos):
         # an entry at (1, 0, 0) is its x^m coefficient, coeffs[start] of the
-        # trial's full draw of Q's rows and then the inserted row, which is row
-        # pos of the square; the line route reads the row's from the stream
+        # trial's one draw of Q's rows and then the inserted row, which is row
+        # pos of the square
         squares = []
         true_det = witness._det_numeric
         monkeypatch.setattr(witness, "_det_numeric", lambda mat, p: squares.append(mat) or true_det(mat, p))
@@ -1435,7 +1468,7 @@ class TestFastPaths:
                     B = BettiData(Q.minor_degrees, Q.shifts)
                     rng = random.Random(f"{p} {Q.entries}")
                     coeffs, layout, minors = self.draw(Q, rng, p)
-                    if not _subscheme_lines(coeffs, layout, Q.minor_degrees, rng, p):
+                    if not _subscheme_lines(coeffs, layout, Q.n, rng, p):
                         failed += 1
                         continue
                     passed += 1
@@ -1488,7 +1521,7 @@ class TestFastPaths:
                     for make in (random.Random, self.ZeroX):
                         expected, rounds = self.restrictions_by_z_tables(minors, make(f"coprime {p}"), p)
                         seen.clear()
-                        proved = _subscheme_lines(coeffs, layout, Q.minor_degrees, make(f"coprime {p}"), p)
+                        proved = _subscheme_lines(coeffs, layout, Q.n, make(f"coprime {p}"), p)
                         assert proved is expected, (p, Q.entries)
                         drawn = [pair for pairs in rounds for pair in pairs]
                         assert seen == drawn[: len(seen)] and (expected or len(seen) == len(drawn))
@@ -1596,19 +1629,13 @@ class TestPinnedReports:
          '"observedDegrees": [3, 3, 3, 2], "hfProfile": [], "mismatches": []}'),
     ])
     def test_squares_evaluated_where_x_vanishes(self, monkeypatch, grid, pin):
-        # at p = 7 a proof at Q and a node of a trial in full both have x = 0
-        true_values = witness._values_on_line
-        seen = set()
-
-        def values_on_line(coeffs, layout, n, line, max_degree, p):
-            (x, _, _), (dx, _, _) = line
-            seen.update("full" if max_degree else "proof" for s in range(max_degree + 1) if (x + s * dx) % p == 0)
-            return true_values(coeffs, layout, n, line, max_degree, p)
-
-        monkeypatch.setattr(witness, "_values_on_line", values_on_line)
+        # at p = 7 a proof at Q and a node of a trial in full both have x = 0;
+        # both grids have the corner, so a trial's first point is its proof
+        points = trace_square_points(monkeypatch)
         report = verify_representable(grid, trials=4, seed=1, prime=7)
         assert json.dumps(report.to_json()) == pin
-        assert seen == {"proof", "full"}
+        assert {"full" if i else "proof" for trial in points for i, (x, _, _) in enumerate(trial) if x % 7 == 0} == {
+            "proof", "full"}
 
     def test_leading_block_degree_lost_on_every_line(self):
         report = verify_representable([[1, 3], [-1, 1]], trials=2, seed=10, prime=11)
