@@ -13,8 +13,8 @@ them: `series` and its names `SeriesAnswer`, `SeriesQuery`,
 `SeriesRow`, `ShiftedProperty`, `analyze`, `enumerate_hvectors`,
 `genus` and `hf_constraints`; `witness` and its names `DEFAULT_PRIME`,
 `Form`, `FormMatrix`, `WitnessReport`, `det_form`, `ideal_dim`,
-`maximal_minors`, `random_form`, `sample_matrix`,
-`verify_representable` and `verify_subscheme`.
+`maximal_minors`, `sample_matrix`, `verify_representable` and
+`verify_subscheme`.
 """
 
 from .decide import (
@@ -87,7 +87,7 @@ _LAZY = {
     "witness": "witness",
     **dict.fromkeys((
         "DEFAULT_PRIME", "Form", "FormMatrix", "WitnessReport", "det_form", "ideal_dim",
-        "maximal_minors", "random_form", "sample_matrix", "verify_representable", "verify_subscheme",
+        "maximal_minors", "sample_matrix", "verify_representable", "verify_subscheme",
     ), "witness"),
 }
 

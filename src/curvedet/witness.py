@@ -28,11 +28,9 @@ differences.  One point evaluator, `_values_at`, gives N's entries at a
 point: a square trial calls it at Q for its proof and at each of the
 d + 1 nodes P + sQ in full, and reads det(N) and both blocks'
 determinants from those values, so a factorization is checked value by
-value.
-Where a verdict fixes the degree of a determinant or of a block, a line
-may lower that degree but not raise it: a block of higher degree fails
-its trial (det(N), read from d + 1 values, cannot exceed d), and a
-lower degree fails only if no trial shows the degree.
+value.  Where a verdict fixes the degree of a determinant or of a block,
+a line may lower that degree but not raise it: a block of higher degree
+fails its trial (det(N), read from d + 1 values, cannot exceed d).
 
 A curve through the scheme is the determinant F of the presentation
 matrix with a row r of random forms inserted at position pos.  The
@@ -46,20 +44,27 @@ there are polynomials in z, read from their coefficient runs, and the
 cofactor expansion over them gives each g_j(x0, y0, z) up to a unit, one
 minor at a time.  F(1, 0, 0) nonzero and two minors shown coprime settle
 the trial with no form built.  Otherwise the minors and F are expanded
-as forms.  A zero F, or a level of the Hilbert function whose rank falls
-short, can be bad luck at a small prime, so it fails only if every trial
-fails it.
+as forms.
+
+A degree lost on one line, a zero F, or a level of the Hilbert function
+whose rank falls short is a Schwartz-Zippel event, bad luck that a small
+prime makes likely, and any trial that shows the fact settles it.  One
+rule, `_unsettled`, turns every trial's outcomes into a report's
+mismatches: such a check is a mismatch only if it fails in every trial
+that makes it, each distinct message once.  A hard text (a block above
+its degree, blocks that do not multiply, a nonzero determinant for a
+diagonal no) is always a mismatch, and any one of them leaves the
+unsettled checks unreported.
 
 A sampled matrix draws all its coefficients at once, entry by entry in
 row order: one `getrandbits` call of 32 bits per coefficient, whose
 words each keep their top p.bit_length() bits unless those are >= p,
 plus a round for the shortfall.  That is the stream of one `randrange(p)`
-per coefficient, so the entries and the generator's final state are
-those of one `random_form` per entry.  A trial draws once and reads
-every value from that draw, through one (degree, start, end) layout per
-report: a square trial draws N and then its line's point and direction,
-a subscheme trial Q's rows and then the inserted row, as the rows of one
-homogeneous grid.  Only a subscheme trial that F(1, 0, 0) and its lines
+per coefficient, and it leaves the generator where those calls would.
+A trial draws once and reads every value from that draw, through one
+(degree, start, end) layout per report: a square trial draws N and then
+its line's point and direction, a subscheme trial Q's rows and then the
+inserted row, as the rows of one homogeneous grid.  Only a subscheme trial that F(1, 0, 0) and its lines
 do not settle builds `Form`s, from the same draw; no matrix is checked
 again.
 
@@ -71,9 +76,9 @@ coprime minors settle never load it.  A witness prime must be a prime
 below 2^31, so that a product of two residues fits in int64; primality
 is checked by a deterministic Miller-Rabin test, once per prime.
 
-Forms are dense coefficient vectors over F_p indexed by the graded
-lexicographic order on monomials x^i y^j z^k (x > y > z) within each
-degree.  Serialized coefficient vectors follow this order exactly.  In
+Forms are dense vectors of residues mod p, reduced when built, indexed
+by the graded lexicographic order on monomials x^i y^j z^k (x > y > z)
+within each degree.  Serialized coefficient vectors follow this order exactly.  In
 degree m, coefficient a(a + 1)/2 + i belongs to x^(m - a) y^(a - i) z^i:
 run a is x^(m - a) times a form of degree a in y, z.  At a point with x
 nonzero that monomial is x^m (y/x)^(a - i) (z/x)^i, so one list of these
@@ -88,12 +93,11 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import accumulate, dropwhile
 from math import comb
-from operator import add, mul, neg, not_, sub
+from operator import add, mul, not_, sub
 
 from .decide import REASON_DIAGONAL, REASON_SUBDIAGONAL, Decision, contains_subscheme, representable
 from .degree_matrix import DegreeMatrix, DHBMatrix, _Record
@@ -177,21 +181,14 @@ def _check_witness_parameters(trials: int, seed: int, prime: int) -> None:
     _check_prime(prime)
 
 
-@lru_cache(maxsize=None)
-def monomials(m: int) -> tuple[tuple[int, int, int], ...]:
-    """Exponent triples of degree m in graded-lex order, x > y > z."""
-    return tuple(
-        (i, j, m - i - j) for i in range(m, -1, -1) for j in range(m - i, -1, -1)
-    )
-
-
 class Form(_Record):
     """A homogeneous trivariate polynomial over F_p (dense coefficients).
 
     The zero form is represented with degree -1 and no coefficients; an
-    all-zero coefficient vector of non-negative degree is also zero.  Sums,
-    differences, negations and products reduce their coefficients mod p and
-    return the zero form when they vanish.
+    all-zero coefficient vector of non-negative degree is also zero.  The
+    constructor reduces the coefficients mod p, so every form holds
+    residues.  Negations and products return the zero form when they
+    vanish.
     """
 
     _fields = ("degree", "coeffs", "prime")
@@ -200,42 +197,23 @@ class Form(_Record):
         expected = plane_dim(degree) if degree >= 0 else 0
         if len(coeffs) != expected:
             raise ValueError(f"degree-{degree} form needs {expected} coefficients")
-        # every product, sum and negation builds a Form: no `_set` loop here
-        fields = self.__dict__
-        fields["degree"], fields["coeffs"], fields["prime"] = degree, coeffs, prime
+        if coeffs and not (min(coeffs) >= 0 and max(coeffs) < prime):
+            coeffs = tuple([c % prime for c in coeffs])
+        self._set(degree, coeffs, prime)
 
     @property
     def is_zero(self) -> bool:
         return self.degree < 0 or not any(self.coeffs)
 
-    def __add__(self, other: "Form") -> "Form":
-        if self.prime != other.prime:
-            raise ValueError(f"cannot add forms over F_{self.prime} and F_{other.prime}")
-        if self.is_zero or other.is_zero:
-            f = other if self.is_zero else self
-            return _reduced(f.degree, f.coeffs, f.prime)
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        return _reduced(self.degree, map(add, self.coeffs, other.coeffs), self.prime)
-
     def __neg__(self) -> "Form":
-        return _reduced(self.degree, map(neg, self.coeffs), self.prime)
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        p = self.prime
+        coeffs = tuple([-c % p for c in self.coeffs])
+        return Form._trusted(self.degree, coeffs, p) if any(coeffs) else zero_form(p)
 
     def __mul__(self, other: "Form") -> "Form":
-        p = self.prime
-        if other.prime != p:
-            raise ValueError(f"cannot multiply forms over F_{p} and F_{other.prime}")
-        f, g = (_reduced(h.degree, h.coeffs, p) for h in (self, other))
-        return _form_dot(((f, g, False),), p)
-
-
-def _reduced(degree: int, coeffs, p: int) -> Form:
-    """The degree-`degree` form with these coefficients mod p, or the zero form if they all vanish."""
-    coeffs = tuple([c % p for c in coeffs])
-    return Form(degree, coeffs, p) if any(coeffs) else zero_form(p)
+        if other.prime != self.prime:
+            raise ValueError(f"cannot multiply forms over F_{self.prime} and F_{other.prime}")
+        return _form_dot(((self, other, False),), self.prime)
 
 
 def _form_dot(terms, p: int) -> Form:
@@ -270,7 +248,7 @@ def _form_dot(terms, p: int) -> Form:
         slots = [high << 64 | word for high, word in zip(slots, words[i::k])]
     # x^(m - a) y^j sits at slot a(m + 1) - j from the top, j = a..0
     coeffs = tuple([c % p for a in range(m + 1) for c in slots[a * m : a * m + a + 1]])
-    return Form(m, coeffs, p) if any(coeffs) else zero_form(p)
+    return Form._trusted(m, coeffs, p) if any(coeffs) else zero_form(p)
 
 
 def _pack(coeffs, e: int, m: int, w: int) -> int:
@@ -295,14 +273,7 @@ def _reslot(data: bytes, old: int, new: int) -> bytearray:
 
 
 def zero_form(prime: int) -> Form:
-    return Form(-1, (), prime)
-
-
-def random_form(m: int, rng: random.Random, prime: int = DEFAULT_PRIME) -> Form:
-    """A form of degree m with independent uniform coefficients in F_p."""
-    if m < 0:
-        raise ValueError("random_form needs m >= 0; negative degrees force the zero form")
-    return Form(m, tuple(_residues(rng, plane_dim(m), prime)), prime)
+    return Form._trusted(-1, (), prime)
 
 
 def _residues(rng: random.Random, count: int, p: int) -> list[int]:
@@ -367,8 +338,9 @@ class FormMatrix(_Record):
 def sample_matrix(M, rng: random.Random, prime: int = DEFAULT_PRIME) -> FormMatrix:
     """Random forms of the prescribed degrees; zero where the degree is negative.
 
-    The forms and rng's state are those of one `random_form` per
-    non-negative entry in row order: one draw, sliced by `_layout`."""
+    The coefficients and rng's state are those of one rng.randrange(prime)
+    per coefficient, entry by entry in row order: one draw, sliced by
+    `_layout`."""
     if not isinstance(M, DegreeMatrix):
         M = DegreeMatrix.from_grid(M)
     layout = _layout(M.entries)
@@ -390,7 +362,7 @@ def _forms(coeffs, layout, p: int) -> list[Form]:
     """The forms whose coefficients `layout` places in the flat draw `coeffs`, in
     row order; the zero form where the degree is negative."""
     coeffs, zero = tuple(coeffs), zero_form(p)
-    return [Form(m, coeffs[a:b], p) if m >= 0 else zero for m, a, b in layout]
+    return [Form._trusted(m, coeffs[a:b], p) if m >= 0 else zero for m, a, b in layout]
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +423,10 @@ def _det_cofactor(rows, cols: tuple[int, ...], memo: dict, dot, p: int):
 def maximal_minors(A: FormMatrix) -> tuple[Form, ...]:
     """The n signed maximal minors of an (n-1) x n matrix of forms.
 
-    Minor j erases column j (1-based) and carries the sign (-1)^j; for
-    a valid presentation matrix the nonzero minors have exactly the
-    prescribed minor degrees and generate the ideal of the scheme.
+    Minor j erases column j (1-based) and carries the sign (-1)^j.  A
+    homogeneous matrix gives each nonzero minor j the degree a_j, and for
+    a valid presentation matrix the minors generate the ideal of the
+    scheme.
     """
     if A.rows + 1 != A.cols:
         raise ValueError("maximal minors expect an (n-1) x n matrix")
@@ -537,12 +510,6 @@ def _ratios(u: int, v: int, top: int, p: int) -> list[int]:
         run = [u * c % p for c in run] + [v * run[-1] % p]
         flat += run
     return flat
-
-
-def random_line(rng: random.Random, prime: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """A point and a direction: the values of six rng.randrange(prime) calls."""
-    values = _residues(rng, 6, prime)
-    return tuple(values[:3]), tuple(values[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -769,23 +736,36 @@ def _verify_square(decision: Decision, trials: int, seed: int, prime: int) -> Wi
     # the well-ordered square's largest entry is its top right one
     _check_work(grid, trials, d + 1, max(grid[0][-1], 0))
     layout = _layout(grid)  # where each entry's coefficients sit in a trial's draw
-    seen = []  # each trial's degrees
+    # name: (degree, its place in a trial's degrees) of what the verdict fixes
+    fixed = {"full": (d, 0)} if decision.verdict else {}
+    if subdiagonal:
+        fixed = {"leading block": (d - e, 1), "trailing block": (e, 2)}
+    outcomes = []  # (check, message or None) in trial order; check None for a hard text
     for trial in range(trials):
         # N's coefficients, then the line's point and direction: one draw, the stream of a line drawn after N
         coeffs = _residues(_trial_rng(seed, trial), layout[-1][2] + 6, prime)
         line = tuple(coeffs[-6:-3]), tuple(coeffs[-3:])
         degrees, texts = _square_trial(decision, corner, coeffs, layout, line, prime)
         report.observed_degrees.append(degrees[0])
-        report.mismatches.extend(f"trial {trial}: {text}" for text in texts)
-        seen.append(degrees)
-    if not report.mismatches:
-        # name: (degree, its place in a trial's degrees) of what the verdict fixes
-        fixed = {"full": (d, 0)} if decision.verdict else {}
-        if subdiagonal:
-            fixed = {"leading block": (d - e, 1), "trailing block": (e, 2)}
-        report.mismatches.extend(f"no trial realized the {name} degree {w}"
-                                 for name, (w, i) in fixed.items() if all(degrees[i] != w for degrees in seen))
+        outcomes += [(None, f"trial {trial}: {text}") for text in texts]
+        outcomes += [(name, None if degrees[i] == w else f"no trial realized the {name} degree {w}")
+                     for name, (w, i) in fixed.items()]
+    report.mismatches.extend(_unsettled(outcomes))
     return report
+
+
+def _unsettled(outcomes) -> list[str]:
+    """A report's mismatches from its trials' outcomes (check, message), in
+    trial order, message None where the check held.  A hard text, check
+    None, is always a mismatch, and any one of them leaves the other checks
+    unreported.  Otherwise a check's message is a mismatch when the check
+    failed in every trial that made it, each distinct message once."""
+    failed = [(check, message) for check, message in outcomes if message is not None]
+    if not failed:
+        return []
+    held = {check for check, message in outcomes if message is None}
+    hard = [message for check, message in failed if check is None]
+    return list(dict.fromkeys(hard or [message for check, message in failed if check not in held]))
 
 
 def _square_trial(decision: Decision, corner: bool, coeffs, layout, line, p: int) -> tuple[tuple, list[str]]:
@@ -864,9 +844,9 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     trial that reads it as zero decides F != 0 from the form, so the
     report is the same either way.
 
-    A minor of the wrong degree fails its trial.  A zero F, or a level
-    whose rank falls short, can be bad luck at a small prime: it is a
-    mismatch only if it fails in every trial that checks it.
+    A zero F, or a level whose rank falls short, can be bad luck at a
+    small prime: by `_unsettled`, it is a mismatch only if it fails in
+    every trial that checks it.  A trial whose F is zero checks no level.
     """
     _check_witness_parameters(trials, seed, prime)
     decision = contains_subscheme(Q, d)
@@ -881,15 +861,14 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
     _check_cofactor_budget(Q.n)
 
     B = betti_of_matrix(Q)
-    a, n = Q.minor_degrees, Q.n
+    n = Q.n
     predicted = [hilbert_function(B, t) for t in range(B.syz[0] + 1)]  # up to b_1
     pos = decision.inserted_row_position
     # Q's rows and then the inserted row d - a_j, homogeneous as q_ij = b_i - a_j
     layout = _layout(Q.entries + (decision.normalized[pos - 1],))
     size = (n - 1) * n  # Q's entries, which the inserted row's follow in a trial's draw
 
-    failures = []  # (message, check) in trial order; check is None for a minor degree, which every trial must meet
-    reached = 0  # trials whose curve is nonzero, which go on to the Hilbert function
+    outcomes = []  # (check, message or None) in trial order: "curve", then each level t where F != 0
     for trial in range(trials):
         coeffs = _residues(_trial_rng(seed, trial), layout[-1][2], prime)
         # F(1, 0, 0) = det of the entries' x^m coefficients, each the first of its
@@ -902,27 +881,22 @@ def verify_subscheme(Q: DHBMatrix, d: int, trials: int = 10, seed: int = 0,
             forms = _forms(coeffs, layout, prime)
             rows = tuple(tuple(forms[i : i + n]) for i in range(0, size, n))
             minors = maximal_minors(FormMatrix._trusted(rows, Q, prime))
-            failures.extend((f"trial {trial}: minor degree {g.degree} != {aj}", None)
-                            for g, aj in zip(minors, a) if not g.is_zero and g.degree != aj)
             # F itself, by the Laplace expansion along the inserted row; nonzero, it has degree d
             curve = curve or not _form_dot([(r, g, pos % 2 == 1) for r, g in zip(forms[size:], minors)],
                                            prime).is_zero
         report.observed_degrees.append(d if curve else None)
+        outcomes.append(("curve", None if curve else f"trial {trial}: curve degree None != {d}"))
         if not curve:
-            failures.append((f"trial {trial}: curve degree None != {d}", "curve"))
             continue
-        reached += 1
 
         # coprime minors prove the Hilbert function, the alternating sum of the Hilbert-Burch twists
         profile = []
         for t, h in enumerate(predicted):
             observed = h if proved else plane_dim(t) - ideal_dim(minors, t)
             profile.append({"t": t, "predicted": h, "observed": observed})
-            if h != observed:
-                failures.append((f"trial {trial}: Hilbert function at level {t} is {observed}, predicted {h}", t))
+            outcomes.append((t, None if h == observed else
+                             f"trial {trial}: Hilbert function at level {t} is {observed}, predicted {h}"))
         if trial == 0:
             report.hf_profile.extend(profile)
-    made = {"curve": trials, **dict.fromkeys(range(len(predicted)), reached)}
-    failed = Counter(check for _, check in failures)
-    report.mismatches.extend(message for message, check in failures if check is None or failed[check] == made[check])
+    report.mismatches.extend(_unsettled(outcomes))
     return report

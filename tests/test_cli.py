@@ -421,8 +421,8 @@ class TestLazyNumpy:
     def test_a_graded_rank_loads_numpy(self):
         assert self._loads_numpy(
             "import random\n"
-            "from curvedet import ideal_dim, random_form\n"
-            "ideal_dim([random_form(2, random.Random(0))], 3)"
+            "from curvedet import ideal_dim, sample_matrix\n"
+            "ideal_dim(sample_matrix([[2]], random.Random(0)).entries[0], 3)"
         )
 
 

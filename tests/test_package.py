@@ -43,7 +43,7 @@ PUBLIC = {
     ],
     "witness": [
         "DEFAULT_PRIME", "Form", "FormMatrix", "WitnessReport", "det_form", "ideal_dim",
-        "maximal_minors", "random_form", "sample_matrix", "verify_representable", "verify_subscheme",
+        "maximal_minors", "sample_matrix", "verify_representable", "verify_subscheme",
     ],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in [module, *names]]

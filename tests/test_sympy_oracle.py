@@ -24,7 +24,6 @@ from curvedet.witness import (
     _minors_in_z,
     _rank,
     _residues,
-    monomials,
     zero_form,
 )
 
@@ -33,6 +32,11 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 PRIMES = (2, 3, 7, 32003)
 X, Y, Z = sympy.symbols("x y z")
+
+
+def monomials(m: int) -> tuple[tuple[int, int, int], ...]:
+    """Exponent triples of degree m in graded-lex order, x > y > z."""
+    return tuple((i, j, m - i - j) for i in range(m, -1, -1) for j in range(m - i, -1, -1))
 
 
 def ring(p: int):
