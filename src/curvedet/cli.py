@@ -112,6 +112,8 @@ def _cmd_hf(args):
     B = resolution.BettiData.of(gens, syz)
     delta, bound = resolution.scheme_degree(B), resolution.stabilization_bound(B)
     tmax = args.tmax if args.tmax is not None else max(bound + 1, 0)
+    if tmax < 0:
+        raise InputError(f"tmax must be >= 0, got {tmax}")
     decide._check_cells(f"hf to tmax = {tmax} over n = {B.n}", (tmax + 1) * B.n)
     return {
         "gens": list(B.gens),

@@ -13,18 +13,13 @@ divisor.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import eq, ge, le
 
 from .decide import _check_int, contains_subscheme
 from .degree_matrix import _Record
 from .errors import InfeasibleQueryError, SeriesBudgetError
-from .resolution import (
-    BettiData,
-    generic_betti,
-    hilbert_function,
-    plane_dim,
-    stabilization_bound,
-)
+from .resolution import BettiData, generic_betti, plane_dim
 
 NONSPECIAL = "nonspecial"
 EFFECTIVE = "effective"
@@ -192,7 +187,8 @@ def enumerate_hvectors(delta: int, constraints, curve_degree: int) -> list[tuple
 
 
 class SeriesRow(_Record):
-    """One compatible Hilbert function with its existence analysis."""
+    """One compatible Hilbert function with its existence analysis.  HF(t) is the
+    prefix sum h_0 + ... + h_t of the h-vector: 0 for t < 0, delta past its support."""
 
     _fields = ("hvector", "betti", "exists_on_general_curve", "flags")
 
@@ -200,13 +196,13 @@ class SeriesRow(_Record):
         self._set(hvector, betti, exists_on_general_curve, flags)
 
     def hilbert_values(self, tmax: int) -> tuple[int, ...]:
-        return tuple(hilbert_function(self.betti, t) for t in range(tmax + 1))
+        hf = tuple(accumulate(self.hvector))
+        return hf[: max(tmax + 1, 0)] + hf[-1:] * (tmax + 1 - len(hf))
 
     def to_json(self) -> dict:
-        tmax = stabilization_bound(self.betti) + 1
         return {
             "h": list(self.hvector),
-            "hf": list(self.hilbert_values(tmax)),
+            "hf": list(self.hilbert_values(len(self.hvector))),
             "gens": list(self.betti.gens),
             "syz": list(self.betti.syz),
             "existsOnGeneralCurve": self.exists_on_general_curve,
@@ -246,7 +242,7 @@ def analyze(query: SeriesQuery) -> SeriesAnswer:
         betti = generic_betti(h)
         decision = contains_subscheme(betti.to_dhb(), d)
         flags = tuple(
-            (c.label, c.satisfied_by(hilbert_function(betti, c.level)))
+            (c.label, c.satisfied_by(sum(h[: max(c.level + 1, 0)])))
             for c in constraints
             if not c.mandatory
         )

@@ -64,9 +64,9 @@ per coefficient, and it leaves the generator where those calls would.
 A trial draws once and reads every value from that draw, through one
 (degree, start, end) layout per report: a square trial draws N and then
 its line's point and direction, a subscheme trial Q's rows and then the
-inserted row, as the rows of one homogeneous grid.  Only a subscheme trial that F(1, 0, 0) and its lines
-do not settle builds `Form`s, from the same draw; no matrix is checked
-again.
+inserted row, as the rows of one homogeneous grid.  Only a subscheme
+trial that F(1, 0, 0) and its lines do not settle builds `Form`s, from
+the same draw; no matrix is checked again.
 
 One elimination kernel, `_rank`, serves every graded rank: forward
 elimination mod p on an int64 array, whose rows place each run of a
@@ -471,6 +471,8 @@ def restrict_det_to_line(N: FormMatrix, line, max_degree: int) -> list[int]:
     """Values mod p of det(N) at s = 0..max_degree on the line (P, Q), the
     parametrization s -> P + s Q: they fix a restriction of degree at most
     max_degree, and `_poly_degree` reads its degree from them."""
+    if N.rows != N.cols:
+        raise ValueError("determinant needs a square matrix")
     p = N.prime
     if p <= max_degree:
         raise FieldTooSmallError(f"prime {p} is too small for degree {max_degree} on a line")

@@ -182,6 +182,10 @@ class TestResolutionCommands:
         code, body = invoke(capsys, "hf", *argv)
         assert code == 1 and body["error"] == error
 
+    def test_hf_at_tmax_zero(self, capsys):
+        code, body = invoke(capsys, "hf", "--gens", "[2,2]", "--syz", "[4]", "--tmax", "0")
+        assert code == 0 and body["hf"] == [{"t": 0, "hf": 1, "h0": 0}]
+
     def test_the_readme_hf_calls_are_within_the_budget(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         calls = [shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("curvedet hf ")]
@@ -560,8 +564,10 @@ class TestInputValidation:
         ([*SERIES, "[1]"], "/properties/0: expected an object"),
         ([*SERIES, '[{"z": "1", "kind": "nonspecial"}]'], "/properties/0/z: expected an integer"),
         ([*SERIES, '[{"z": 1, "kind": "ample"}]'], "/properties/0/kind: expected 'nonspecial' or 'effective'"),
+        (["hf", "--gens", "[2,2]", "--syz", "[4]", "--tmax", "-1"], "tmax must be >= 0, got -1"),
+        (["hf", "--gens", "[2,2]", "--syz", "[4]", "--tmax", "-3"], "tmax must be >= 0, got -3"),
     ], ids=["subscheme-on-a-square", "witness-on-1x3", "properties-not-an-array", "property-not-an-object",
-            "property-z-not-an-integer", "property-unknown-kind"])
+            "property-z-not-an-integer", "property-unknown-kind", "hf-tmax-minus-1", "hf-tmax-minus-3"])
     def test_input_errors(self, capsys, argv, message):
         code, body = invoke(capsys, *argv)
         assert code == 1

@@ -221,6 +221,42 @@ class TestAnalyze:
         assert payload["rows"][0]["gens"] == [7, 5, 5, 5]
 
 
+def sweep_queries():
+    """Queries whose property levels fall below 0 (z = d - 1, d) and past every support (z = -d - 5)."""
+    for d in range(4, 9):
+        for delta in range(1, 2 * d + 1):
+            for r in range(3):
+                for props in ((), ((1, "nonspecial"), (-1, "effective")),
+                              ((d, "effective"), (d - 1, "nonspecial"), (-d - 5, "nonspecial"), (0, "nonspecial"))):
+                    yield SeriesQuery(d, delta, r, tuple(ShiftedProperty(z, kind) for z, kind in props))
+
+
+class TestHilbertValuesFromTheHVector:
+    """A row's Hilbert function is the prefix sums of its h-vector; the
+    alternating sum over its Betti numbers is the oracle."""
+
+    def test_every_level_matches_the_betti_numbers(self):
+        rows = below = past = 0
+        for query in sweep_queries():
+            answer = analyze(query)
+            flags = [c for c in answer.constraints if not c.mandatory]
+            for row in answer.rows:
+                rows += 1
+                length = len(row.hvector)
+                oracle = [hilbert_function(row.betti, t) for t in range(length + 4)]
+                for tmax in range(-3, length + 4):
+                    assert row.hilbert_values(tmax) == tuple(oracle[: max(tmax + 1, 0)]), (row.hvector, tmax)
+                payload = row.to_json()
+                assert len(payload["hf"]) == length + 1
+                assert payload["hf"] == oracle[: length + 1]
+                assert row.flags == tuple(
+                    (c.label, c.satisfied_by(hilbert_function(row.betti, c.level))) for c in flags
+                )
+                below += sum(c.level < 0 for c in flags)
+                past += sum(c.level >= length for c in flags)
+        assert (rows, below, past) == (672, 448, 418)
+
+
 class TestSeriesBudget:
     def test_the_budget_counts_popped_prefixes(self, monkeypatch):
         # the g^2_20 enumeration on an octic pops 39 prefixes

@@ -1811,10 +1811,18 @@ def nonzero_at_a_negative_slot():
     return FormMatrix(((f, g), (random_form(0, random.Random(1)), h)), M, P)
 
 
+LINE = ((1, 2, 3), (4, 5, 6))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (nonzero_at_a_negative_slot, ValueError, "entry (2,1) must vanish (degree -1)"),
     (lambda: det_form(sample_matrix([[2, 3, 5], [1, 2, 4]], random.Random(0))), ValueError,
      "determinant needs a square matrix"),
+    # before the prime check: p = 101 is too small for degree 200
+    (lambda: restrict_det_to_line(sample_matrix([[1, 2, 3], [1, 2, 3]], random.Random(0), 101), LINE, 200),
+     ValueError, "determinant needs a square matrix"),
+    (lambda: restrict_det_to_line(sample_matrix([[1, 2], [1, 2], [1, 2]], random.Random(0), 101), LINE, 200),
+     ValueError, "determinant needs a square matrix"),
     (lambda: maximal_minors(sample_matrix([[1, 1], [1, 1]], random.Random(0))), ValueError,
      "maximal minors expect an (n-1) x n matrix"),
     (lambda: ideal_dim([random_form(1, random.Random(0))], -1), ValueError, "need t >= 0"),
@@ -1832,7 +1840,7 @@ def nonzero_at_a_negative_slot():
      "seed must be an integer, got True"),
     (lambda: verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=1, seed="x"), InvalidWitnessParameterError,
      "seed must be an integer, got 'x'"),
-], ids=["form-at-a-negative-slot", "det-of-a-non-square",
+], ids=["form-at-a-negative-slot", "det-of-a-non-square", "restriction-of-a-2x3", "restriction-of-a-3x2",
         "minors-of-a-square", "ideal-dim-below-zero", "square-prime-at-most-d", "trials-a-bool",
         "trials-a-float", "prime-a-float", "seed-a-float", "seed-a-bool", "subscheme-seed-a-string"])
 def test_input_errors(call, error, message):
