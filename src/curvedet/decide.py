@@ -20,9 +20,10 @@ one kernel, `_decide_potentials`, checks them on the potentials (w, v).
 potentials of Q with the row's landed among them.  One rule,
 `degree_matrix._splice_row`, lands the row: below every row of Q whose
 shift b_i is >= d, so below ties.  Between consecutive shifts the landing
-position is fixed (`_landing_intervals`): `scan` splices the row there and
-decides through `_decide_entries`; `containment_profile` and
-`stable_threshold` read the verdicts in closed form off those intervals.
+position is fixed (`_landing_intervals`): `scan` sets up each interval's
+potentials once and hands them to `_decide_potentials` at every degree;
+`containment_profile` and `stable_threshold` read the verdicts in closed
+form off those intervals, and `corollary_case` its whole certificate off Q.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ REASON_SUBDIAGONAL = "SubdiagonalBlockDegree"
 CENSUS_BUDGET = 10**7
 
 #: The most cells (degrees times n) `scan` and the CLI `hf` fill.  A scan costs
-#: about 4 us per degree on one 2.1 GHz Xeon core under Python 3.11, and the CLI
-#: `scan` 10 us and 0.75 KB of peak memory, so 10**6 degrees at n = 3 take 10 s
-#: and 750 MB.  The CLI `hf` costs about 3.6 us and 0.17 KB per cell (t times n),
-#: so 11 s and 520 MB at the budget.
+#: about 2.5 us per degree at n = 3 on one 2.1 GHz Xeon core under Python 3.11,
+#: and the CLI `scan` 5 us and 0.77 KB of peak memory, so 10**6 degrees at n = 3
+#: take 5 s and 770 MB.  The CLI `hf` costs about 3.6 us and 0.17 KB per cell
+#: (t times n), so 11 s and 520 MB at the budget.
 SCAN_BUDGET = 3 * 10**6
 
 
@@ -243,10 +244,9 @@ class CorollaryResult(NamedTuple):
 def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
     """Decision from generator/syzygy degrees alone.
 
-    Only the verdict, k, e and the case are closed form; the certificate
-    comes from the insertion square through the kernel.  Requires a
-    numerically minimal Q.  With a = minor degrees and b = shifts, the
-    inserted complementary row lands by the size of d relative to the b's:
+    Requires a numerically minimal Q.  With a = minor degrees and b =
+    shifts, the inserted complementary row lands by the size of d
+    relative to the b's:
 
     - case i   (d >= b_1): always yes;
     - case ii  (d < b_{n-1}): yes iff (d = a_n or d >= a_{n-1}) and, for
@@ -255,6 +255,15 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
       degree exactly 0);
     - case iii (b_{i-1} > d >= b_i): yes iff q[k][k-1] >= 0 for
       k = 2..i-1 and d >= a_{i-1}.
+
+    The certificate is closed form too.  The square and the landing
+    position come from `_splice_row`, which lands the row below ties, so
+    at d = b_i it lands below row i.  With the row at 1-based position p + 1
+    and P the prefix sums of Q's diagonal, the square's negative
+    subdiagonal entries are Q's q[k][k-1] < 0 for k <= p, with trailing
+    degree d - P_{k-1}, and the row's own d - a_p < 0 (p >= 1), with
+    trailing degree d - P_p.  Below the row the subdiagonal is Q's
+    diagonal, which is >= 0.
 
     Must agree with `contains_subscheme` on every minimal input; the
     two are implemented independently and cross-checked in the tests.
@@ -267,22 +276,25 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
     b = Q.shifts
     n = Q.n
     q = Q.entries
+    m, pos = _inserted_entries(Q, d)
+
+    if d >= b[0]:
+        # the rows above the landed one tie with it, so they repeat Q's first
+        # row and q[k][k-1] = q[k-1][k-1] >= 0; and d = b_p >= a_p
+        return CorollaryResult(Decision(True, REASON_OK, d, m, inserted_row_position=pos), "i")
 
     prefix = [0, *accumulate(Q.diagonal)]  # prefix[k] = q[1][1] + ... + q[k][k]
 
     def build(verdict: bool, k: int | None = None, e: int | None = None) -> Decision:
-        # The certificate (square, landing position, trailing degrees) is
-        # built as in the insertion procedure; the verdict and the failing
-        # indices come from the closed form.  A no without a block degree
-        # is a negative diagonal entry.
-        m, pos = _inserted_entries(Q, d)
+        # A no without a block degree is a negative diagonal entry, which
+        # ends the insertion procedure's pass before any trailing degree.
         if not verdict and e is None:
             return Decision(False, REASON_DIAGONAL, d, m, k=k, inserted_row_position=pos)
-        trailing = _decide_potentials(next(zip(*m)), m[0], d)[3]
-        return Decision(verdict, REASON_OK if verdict else REASON_SUBDIAGONAL, d, m, k, e, pos, trailing)
-
-    if d >= b[0]:
-        return CorollaryResult(build(True), "i")
+        p = pos - 1
+        trailing = [(j, d - prefix[j - 1]) for j in range(2, p + 1) if q[j - 1][j - 2] < 0]
+        if p and d < a[p - 1]:
+            trailing.append((p + 1, d - prefix[p]))
+        return Decision(verdict, REASON_OK if verdict else REASON_SUBDIAGONAL, d, m, k, e, pos, tuple(trailing))
 
     if d < b[n - 2]:
         # The complementary row lands at the bottom.  The only possibly
@@ -297,7 +309,7 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
         return CorollaryResult(build(True), "ii")
 
     # case iii: the row lands at position i, the first index with b_i <= d
-    # (2 <= i <= n-1 here since d < b_1 and d >= b_{n-1})
+    # (2 <= i <= n-1 here since d < b_1 and d >= b_{n-1}), or below i at a tie
     i = next(j for j in range(1, n) if b[j - 1] <= d)
     for k in range(2, i):
         if q[k - 1][k - 2] < 0:
@@ -379,9 +391,12 @@ def stable_threshold(Q: DHBMatrix) -> int:
 def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
     """Decisions for every curve degree d = 1..dmax.
 
-    Each is `contains_subscheme(Q, d)`: the row is spliced at the landing
-    position `_landing_intervals` gives and the square decided through
-    `_decide_entries`.  Past SCAN_BUDGET cells (dmax times n) it raises
+    Each is `contains_subscheme(Q, d)`, the row spliced at the landing
+    position p that `_landing_intervals` gives.  Each interval sets up its
+    square's column 0 once, with a slot at p for the row's d - a_1; every
+    row of the square is a translate of Q's rows, so Q's first row serves
+    as its row 0.  `_decide_potentials` then decides each degree on those
+    potentials.  Past SCAN_BUDGET cells (dmax times n) it raises
     ScanBudgetError, deciding nothing.
     """
     _check_int(dmax, "dmax")
@@ -391,11 +406,18 @@ def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
     _check_cells(f"scan to dmax = {dmax} over n = {Q.n}", dmax * Q.n)
     a = Q.minor_degrees
     q = Q.entries
+    v = q[0]
     out = []
     for lo, hi, p in _landing_intervals(Q):
         head, tail = q[:p], q[p:]
+        w = [row[0] for row in q]
+        w.insert(p, None)  # the slot of the landed row
         for d in range(lo, (dmax if hi is None else min(hi, dmax)) + 1):
-            out.append((d, _decide_entries(head + (tuple([d - x for x in a]),) + tail, d, p + 1)))
+            row = tuple([d - x for x in a])
+            w[p] = row[0]
+            reason, k, e, trailing = _decide_potentials(w, v, d)
+            # d >= 1, so the verdict is yes exactly on REASON_OK
+            out.append((d, Decision(reason == REASON_OK, reason, d, head + (row,) + tail, k, e, p + 1, trailing)))
     return out
 
 

@@ -18,14 +18,17 @@ r is appended last, since row order changes only the sign of det.
 which every verdict up to b_1 + 1 is yes, raised to the least level at
 which the Hilbert function (the alternating sum of plane_dim over the
 twists) reaches the scheme degree (sum b^2 - sum a^2)/2.  Twists, Hilbert
-function and rank are all computed here; only `iter_dhb_matrices`,
-`contains_subscheme` and `stable_threshold` come from curvedet.
+function and rank are all computed here.  `scan(Q, b_1 + 1)` must give
+the proved verdicts degree by degree, and `containment_profile(Q)` must
+hold exactly the proved-yes degrees in 1..b_1 + 1.  Only
+`iter_dhb_matrices`, `contains_subscheme`, `scan`, `containment_profile`
+and `stable_threshold` come from curvedet.
 """
 
 import pytest
 from test_square_census import tangent_rank
 
-from curvedet import contains_subscheme, iter_dhb_matrices, stable_threshold
+from curvedet import contains_subscheme, containment_profile, iter_dhb_matrices, scan, stable_threshold
 
 SEEDS = (0, 1, 2)
 # (n, bound, minimal_only): 1,310 decisions at d = 1..b_1 + 1
@@ -76,6 +79,12 @@ def test_every_verdict_and_threshold_is_proved(n, bound, minimal_only):
             else:
                 assert tangent_rank(square, d, SEEDS[0]) < full, (grid, d)
             verdicts.append(verdict)
+        top = max(b) + 1
+        assert [(d, decision.verdict) for d, decision in scan(Q, top)] == list(enumerate(verdicts, 1)), grid
+        profile = containment_profile(Q)
+        held = [d for d in range(1, top + 1)
+                if any(lo <= d and (hi is None or d <= hi) for lo, hi in profile)]
+        assert held == [d for d, verdict in enumerate(verdicts, 1) if verdict], (grid, profile)
         d0 = 1 + max((d for d, verdict in enumerate(verdicts, 1) if not verdict), default=0)
         delta = (sum(y * y for y in b) - sum(x * x for x in a)) // 2
         t = next(t for t in range(max(b) + 1) if hilbert_function(a, b, t) == delta)
