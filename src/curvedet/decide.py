@@ -421,9 +421,11 @@ def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
     return out
 
 
-def _check_enumeration(n: int, bound: int) -> None:
+def _check_enumeration(n: int, bound: int, minimal_only: bool) -> None:
     _check_int(n, "n")
     _check_int(bound, "bound")
+    if not isinstance(minimal_only, bool):
+        raise ValueError(f"minimal_only must be a bool, got {minimal_only!r}")
     if n < 2:
         raise ValueError("need n >= 2")
     if bound < 1:
@@ -489,7 +491,7 @@ def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterato
     the column potentials over non-decreasing tuples in [0, bound].
     With `minimal_only`, skip matrices with any zero entry.
     """
-    _check_enumeration(n, bound)
+    _check_enumeration(n, bound, minimal_only)
     for u, run in _iter_potentials(n, bound, minimal_only):
         for v, _ in run:
             # valid and well-ordered by construction
@@ -517,7 +519,7 @@ def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:
     CENSUS_BUDGET candidates (`_census_candidates`) it raises
     CensusBudgetError, enumerating nothing.
     """
-    _check_enumeration(n, bound)
+    _check_enumeration(n, bound, minimal_only)
     _check_curve_degree(d)
     candidates = _census_candidates(n, bound)
     if candidates > CENSUS_BUDGET:

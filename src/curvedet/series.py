@@ -57,7 +57,8 @@ class ShiftedProperty(_Record):
 
 class SeriesQuery(_Record):
     """Does a general curve of degree d carry a complete series g^r_delta
-    whose divisors satisfy the given shifted properties?"""
+    whose divisors satisfy the given shifted properties?  The properties,
+    each a `ShiftedProperty`, are stored as a tuple."""
 
     _fields = ("curve_degree", "divisor_degree", "series_dim", "properties")
 
@@ -71,6 +72,10 @@ class SeriesQuery(_Record):
             raise ValueError("divisor degree must be >= 1")
         if series_dim < 0:
             raise ValueError("series dimension must be >= 0")
+        properties = tuple(properties)
+        for prop in properties:
+            if not isinstance(prop, ShiftedProperty):
+                raise ValueError(f"a property must be a ShiftedProperty, got {prop!r}")
         self._set(curve_degree, divisor_degree, series_dim, properties)
 
 

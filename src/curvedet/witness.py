@@ -19,8 +19,8 @@ without the corner runs every trial in full.  A yes subscheme trial is
 settled when the curve F is nonzero at (1, 0, 0) and two maximal minors
 are shown coprime on lines x = x0, y = y0, which proves the Hilbert
 function at every level to be the prediction, the alternating sum of the
-Hilbert-Burch twists.  Products of forms and their signed sums are one
-Kronecker-substitution dot product, `_form_dot`, unpacked once per sum.
+Hilbert-Burch twists.  Products of forms and their signed sums,
+`_form_dot`, go run by run through `_z_dot`, the lines' product in z.
 
 A polynomial on the line is kept as its values at s = 0..D, which fix it
 when its degree is at most D < p; its degree is read from their forward
@@ -188,12 +188,13 @@ class Form(_Record):
     all-zero coefficient vector of non-negative degree is also zero.  The
     constructor reduces the coefficients mod p, so every form holds
     residues.  Negations and products return the zero form when they
-    vanish.
+    vanish.  The prime must be a witness prime (`_check_prime`).
     """
 
     _fields = ("degree", "coeffs", "prime")
 
     def __init__(self, degree: int, coeffs: tuple[int, ...], prime: int):
+        _check_prime(prime)
         expected = plane_dim(degree) if degree >= 0 else 0
         if len(coeffs) != expected:
             raise ValueError(f"degree-{degree} form needs {expected} coefficients")
@@ -220,56 +221,30 @@ def _form_dot(terms, p: int) -> Form:
     """The sum of f * g, or of -f * g where `negative`, over the terms
     (f, g, negative), whose nonzero products must all have one degree m.
 
-    One integer product per term (Kronecker substitution): x^i y^j goes
-    to slot i(m + 1) + j, so slots add like exponents, and the products
-    are summed before one unpacking.  A negative term packs -c mod p for
-    each c of its lower-degree factor.  A slot of a product adds at most
-    plane_dim(e) coefficient products, e the lower degree, so the sum's
-    slots fit the w bytes set by those counts and the largest packed
-    coefficients.  Integers are big-endian, so graded-lex order is
-    ascending slot order.
+    Run a of f times run b of g is run a + b of f * g (`_runs`), a
+    product of polynomials in z, so run s of the sum is one `_z_dot` over
+    the pairs of runs (a, s - a) of every term, the lower degree's run
+    first, since `_z_dot` loops over its first factor.
     """
-    live = [(f, g, negative) if f.degree <= g.degree else (g, f, negative)
+    live = [(_runs(f), _runs(g), negative) if f.degree <= g.degree else (_runs(g), _runs(f), negative)
             for f, g, negative in terms if not (f.is_zero or g.is_zero)]
     if not live:
         return zero_form(p)
-    m = live[0][0].degree + live[0][1].degree
-    if any(f.degree + g.degree != m for f, g, _ in live):
+    m = len(live[0][0]) + len(live[0][1]) - 2
+    if any(len(f) + len(g) - 2 != m for f, g, _ in live):
         raise ValueError("cannot add forms of different degrees")
-    packed = [(f.degree, [-c % p for c in f.coeffs] if negative else f.coeffs, g) for f, g, negative in live]
-    w = -(-(sum(plane_dim(e) * max(low) * max(g.coeffs) for e, low, g in packed) or 1).bit_length() // 8)
-    total = sum(_pack(low, e, m, w) * _pack(g.coeffs, g.degree, m, w) for e, low, g in packed)
-    k = -(-w // 8)  # words per slot
-    words = array("Q", _reslot(total.to_bytes(w * (m * (m + 1) + 1), "big"), w, 8 * k))
-    if sys.byteorder == "little":
-        words.byteswap()
-    slots = words[::k]  # each slot's high word, then its lower words shifted in
-    for i in range(1, k):
-        slots = [high << 64 | word for high, word in zip(slots, words[i::k])]
-    # x^(m - a) y^j sits at slot a(m + 1) - j from the top, j = a..0
-    coeffs = tuple([c % p for a in range(m + 1) for c in slots[a * m : a * m + a + 1]])
-    return Form._trusted(m, coeffs, p) if any(coeffs) else zero_form(p)
+    coeffs: list[int] = []
+    for s in range(m + 1):
+        coeffs += _z_dot([(f[a], g[s - a], negative)
+                          for f, g, negative in live for a in range(max(s - len(g) + 1, 0), min(s + 1, len(f)))], p)
+    return Form._trusted(m, tuple(coeffs), p) if any(coeffs) else zero_form(p)
 
 
-def _pack(coeffs, e: int, m: int, w: int) -> int:
-    """Degree-e coefficients in [0, 2^64) as a big-endian integer of
-    w-byte slots for products of degree m, one word slice per power of x."""
-    coeffs = array("Q", coeffs)
-    words = array("Q", bytes(8 * (e * (m + 1) + 1)))
-    for a in range(e + 1):  # x^(e - a) y^j for j = a..0, from coefficient a(a + 1)/2 on
-        words[a * m : a * m + a + 1] = coeffs[a * (a + 1) // 2 : (a + 1) * (a + 2) // 2]
-    if sys.byteorder == "little":
-        words.byteswap()
-    return int.from_bytes(_reslot(words.tobytes(), 8, w), "big")
-
-
-def _reslot(data: bytes, old: int, new: int) -> bytearray:
-    """Big-endian slots of `old` bytes as slots of `new` bytes, keeping the
-    low min(old, new) bytes of each: one strided copy per byte."""
-    out = bytearray(len(data) // old * new)
-    for b in range(1, min(old, new) + 1):
-        out[new - b :: new] = data[old - b :: old]
-    return out
+def _runs(f: Form) -> list:
+    """The runs a = 0..m of a form f of degree m: run a, x^(m - a) times a
+    form of degree a in y and z, is its a + 1 coefficients of y^(a - i) z^i,
+    i = 0..a: a polynomial in y/z, highest power first, as `_z_dot` takes one."""
+    return [f.coeffs[a * (a + 1) // 2 : (a + 1) * (a + 2) // 2] for a in range(f.degree + 1)]
 
 
 def zero_form(prime: int) -> Form:
@@ -282,8 +257,8 @@ def _residues(rng: random.Random, count: int, p: int) -> list[int]:
     unless they are >= p, getrandbits(32 c) returns c words, least
     significant first, and a round draws only the shortfall.  One mask and
     one shift of that integer keep every word's top bits at once."""
-    # randrange takes other words or fails outside (0, 2^32); array("I") items may not be 32-bit
-    if not (0 < p < 2**32 and array("I").itemsize == 4):
+    # callers check p (`_check_prime`), so randrange(p) reads one 32-bit word; array("I") items may not be 32-bit
+    if array("I").itemsize != 4:
         return [rng.randrange(p) for _ in range(count)]
     bits = p.bit_length()
     word_mask = (2**bits - 1 << 32 - bits).to_bytes(4, "little")
@@ -340,7 +315,8 @@ def sample_matrix(M, rng: random.Random, prime: int = DEFAULT_PRIME) -> FormMatr
 
     The coefficients and rng's state are those of one rng.randrange(prime)
     per coefficient, entry by entry in row order: one draw, sliced by
-    `_layout`."""
+    `_layout`.  The prime is checked (`_check_prime`) before anything is drawn."""
+    _check_prime(prime)
     if not isinstance(M, DegreeMatrix):
         M = DegreeMatrix.from_grid(M)
     layout = _layout(M.entries)
@@ -560,7 +536,7 @@ def _graded_piece_rows(gens, t: int, p: int) -> list[list[int]]:
     for g in gens:
         if g.is_zero or g.degree > t:
             continue
-        runs = [g.coeffs[a * (a + 1) // 2 : (a + 1) * (a + 2) // 2] for a in range(g.degree + 1)]
+        runs = _runs(g)
         for b in range(t - g.degree + 1):
             for i in range(b + 1):
                 row = [0] * width

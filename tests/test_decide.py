@@ -550,6 +550,18 @@ class TestCensus:
         assert type(info.value) is ValueError
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("minimal_only", ["no", 0, 1, None])
+    def test_minimal_only_must_be_a_bool(self, minimal_only, monkeypatch):
+        def enumerate_anyway(*args):
+            raise AssertionError("enumerated with a minimal_only that is not a bool")
+
+        monkeypatch.setattr(decide, "_iter_potentials", enumerate_anyway)
+        for call in (lambda: census(3, 3, 2, minimal_only=minimal_only),
+                     lambda: next(iter_dhb_matrices(3, 2, minimal_only))):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"minimal_only must be a bool, got {minimal_only!r}"
+
 
 class TestCensusBudget:
     def test_estimate(self):

@@ -92,6 +92,19 @@ class TestConstraints:
         with pytest.raises(ValueError):
             ShiftedProperty(1, "ample")
 
+    @pytest.mark.parametrize("properties", [(1,), ("nonspecial",), (ShiftedProperty(0, "effective"), None)])
+    def test_a_property_must_be_a_shifted_property(self, properties):
+        with pytest.raises(ValueError) as info:
+            SeriesQuery(5, 3, 1, properties)
+        assert str(info.value) == f"a property must be a ShiftedProperty, got {properties[-1]!r}"
+
+    def test_properties_are_stored_as_a_tuple(self):
+        props = [ShiftedProperty(0, "effective"), ShiftedProperty(1, "nonspecial")]
+        query = SeriesQuery(5, 3, 1, props)
+        assert query.properties == tuple(props)
+        assert hash(query) == hash(SeriesQuery(5, 3, 1, tuple(props)))
+        assert query == SeriesQuery(5, 3, 1, iter(props))
+
 
 def brute_hvectors(delta, constraints, d):
     """Independent oracle: filter all bounded non-increasing-tail tuples."""

@@ -938,6 +938,18 @@ class TestVerifyRepresentable:
             verify_representable([[1, 1], [1, 1]], trials=1, prime=prime)
         assert info.value.payload()["parameter"] == "prime"
 
+    @pytest.mark.parametrize("build", [
+        lambda p, rng: sample_matrix([[1, 1, 1], [1, 1, 1]], rng, p),
+        lambda p, rng: Form(1, (5, 6, 7), p),
+    ], ids=["sample_matrix", "Form"])
+    @pytest.mark.parametrize("prime", [4, 1, 0, -7, 2**31, 7.0])
+    def test_forms_need_a_witness_prime(self, build, prime):
+        rng = random.Random(0)
+        with pytest.raises(InvalidWitnessParameterError) as info:
+            build(prime, rng)
+        assert info.value.payload()["parameter"] == "prime"
+        assert rng.getstate() == random.Random(0).getstate()  # nothing drawn
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_rejects_empty_trial_counts(self, trials):
         with pytest.raises(InvalidWitnessParameterError) as info:
@@ -1020,6 +1032,21 @@ class TestVerifySubscheme:
         report = verify_subscheme(dhb([[2, 3, 5], [1, 2, 4]]), 4, trials=1, seed=4, prime=2**31 - 1)
         assert report.ok
         assert all(entry["predicted"] == entry["observed"] for entry in report.hf_profile)
+
+    def test_the_form_path_at_a_large_degree_and_the_largest_prime_gives_the_same_report(self, monkeypatch):
+        # F(1, 0, 0) read as zero and no line proving coprimality send every
+        # trial to its forms: minors of degree 20 and F of degree 30, whose
+        # coefficient products near 2^62 are summed before they are reduced
+        Q, p = dhb([[10, 10, 10], [10, 10, 10]]), 2**31 - 1
+        expected = verify_subscheme(Q, 30, trials=1, seed=3, prime=p).to_json()
+        forms = []
+        true_form_dot = witness._form_dot
+        monkeypatch.setattr(witness, "_form_dot", lambda terms, p: forms.append(p) or true_form_dot(terms, p))
+        monkeypatch.setattr(witness, "_subscheme_lines", lambda *args: False)
+        monkeypatch.setattr(witness, "_det_numeric", lambda mat, p: 0)
+        assert verify_subscheme(Q, 30, trials=1, seed=3, prime=p).to_json() == expected
+        assert expected["verdictChecked"]["answer"] == "yes" and expected["mismatches"] == []
+        assert forms
 
     def test_curve_degree_is_read_from_the_determinant(self):
         # d = 8 is above the stable threshold 7, so every trial must see
