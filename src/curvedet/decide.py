@@ -24,13 +24,16 @@ position is fixed (`_landing_intervals`): `scan` sets up each interval's
 potentials once and hands them to `_decide_potentials` at every degree;
 `containment_profile` and `stable_threshold` read the verdicts in closed
 form off those intervals, and `corollary_case` its whole certificate off Q.
+`stable_threshold` reads its Hilbert-function level off the minimal
+resolution.  `iter_dhb_matrices` and `census` draw their potentials from
+`combinations_with_replacement` (`_iter_potentials`), replaying runs of v.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate, combinations_with_replacement
 from math import comb
+from operator import ge
 from typing import Iterator, NamedTuple
 
 from .degree_matrix import (
@@ -48,7 +51,7 @@ from .errors import (
     NotMinimalError,
     ScanBudgetError,
 )
-from .resolution import betti_of_matrix, hilbert_function, scheme_degree
+from .resolution import betti_of_matrix, minimalize, stabilization_bound
 
 REASON_OK = "OK"
 REASON_DEGREE_ZERO = "DegreeZeroTrivial"
@@ -56,8 +59,9 @@ REASON_DIAGONAL = "DiagonalNegative"
 REASON_SUBDIAGONAL = "SubdiagonalBlockDegree"
 
 #: The most (u, v) candidates `census` takes on, by `_census_candidates`.
-#: A census costs 0.5-0.9 us per candidate on one 2.1 GHz Xeon core under
-#: Python 3.11, so a census at the budget runs for 4-9 s.
+#: At the budget's edges a census costs 0.33-0.41 us per candidate (n = 3,
+#: bound 55, minimal) to 0.64-0.74 us (n = 9, bound 4) on one 2.1 GHz Xeon
+#: core under Python 3.11, so a census at the budget runs for 3-7 s.
 CENSUS_BUDGET = 10**7
 
 #: The most cells (degrees times n) `scan` and the CLI `hf` fill.  A scan costs
@@ -374,17 +378,19 @@ def containment_profile(Q: DHBMatrix) -> tuple[tuple[int, int | None], ...]:
 def stable_threshold(Q: DHBMatrix) -> int:
     """Least degree from which containment holds for every larger degree.
 
-    This is the least d at which the decision is yes and the Hilbert
-    function has already reached the scheme degree; it never exceeds
-    b_1 (where both conditions are guaranteed).  The Hilbert function of a
-    valid presentation rises to the scheme degree by b_1 and then stays
-    there, so bisection over 1..b_1 finds the least t where it has reached
-    it, and the threshold is the first degree >= t of `containment_profile`.
+    This is the least d >= 1 at which the decision is yes and the Hilbert
+    function has already reached the scheme degree; it never exceeds b_1
+    (where both conditions are guaranteed).  That level is exact: cancel
+    the equal generator and syzygy degrees (`minimalize`), which leaves
+    the Hilbert-series numerator N = 1 - sum s^a + sum s^b unchanged, and
+    N's top term is +s^b for the largest syzygy degree b left.  So the
+    h-vector N / (1 - s)^2 ends in a positive entry at level b - 2, and the
+    Hilbert function, its prefix sum, reaches the scheme degree exactly at
+    level b - 2 (`stabilization_bound` of the minimal data).  The threshold
+    is the first degree >= that level, and >= 1, of `containment_profile`.
     """
-    profile = containment_profile(Q)
-    B = betti_of_matrix(Q)
-    delta = scheme_degree(B)
-    t = 1 + bisect_left(range(1, B.syz[0] + 1), True, key=lambda x: hilbert_function(B, x) == delta)
+    profile = containment_profile(Q)  # refuses an invalid Q first
+    t = max(1, stabilization_bound(minimalize(betti_of_matrix(Q))))
     return next(max(x, t) for x, y in profile if y is None or y >= t)
 
 
@@ -435,51 +441,35 @@ def _check_enumeration(n: int, bound: int, minimal_only: bool) -> None:
 def _iter_potentials(n: int, bound: int, minimal_only: bool):
     """The (u, v) potential pairs of `iter_dhb_matrices`, in its order and
     only where valid, as groups (u, run), the run yielding (v, sum(v)) for
-    each v: v runs like an odometer in which v_k starts at max(v_{k-1}, -u_k),
-    so that Q's diagonal u_k + v_k stays >= 0, and an all-zero diagonal is
-    dropped.  `minimal_only` leaves the values -u_i out of the range; v_1 = 0
-    then rules out u with a zero, and the range is the one its floors -u_k
-    leave.  So the floors and the zero diagonal are a run's key: a run is
-    built only while read, from a copy of the range, and once read to its
-    end is stored and replayed for every later u with that key.
+    each v.  A run is `combinations_with_replacement` over v's value range,
+    in lexicographic order, kept where Q's diagonal u_k + v_k stays >= 0
+    (the floors v_k >= -u_k) and is not all zero.  `minimal_only` leaves
+    the values -u_i out of the range, so v_1 = 0 rules out u with a zero,
+    and the range is the one its floors leave.  So the floors and the zero
+    diagonal are a run's key: a run is built only while read, and once read
+    to its end is stored and replayed for every later u with that key.
     """
-    beyond = bound + 1
-    up = [*range(bound + 1), beyond, beyond]  # up[x]: the least value >= x in the range
     runs: dict[tuple, list] = {}  # key -> the (v, sum(v)) of its run
 
-    def odometer(up, key):
+    def run(values, key):
         floor, zero = key
         record = []
-        v = [0] * n
-        k = 0
-        while True:
-            for j in range(k + 1, n):
-                x = v[j - 1]
-                v[j] = up[x if x > floor[j] else floor[j]]
-            t = tuple(v)
-            if zero is None or t[:-1] != zero:
-                record.append(pair := (t, sum(t)))
+        for rest in combinations_with_replacement(values, n - 1):  # v_2, ..., v_n
+            if all(map(ge, rest, floor)) and rest[:-1] != zero:
+                record.append(pair := ((0, *rest), sum(rest)))
                 yield pair
-            k = n - 1
-            while k and up[v[k] + 1] == beyond:
-                k -= 1
-            if not k:
-                break
-            v[k] = up[v[k] + 1]
         runs[key] = record
 
     for u in combinations_with_replacement(range(bound, -bound - 1, -1), n - 1):
         if u[0] < 0:
             break  # so is every later u[0]
-        if minimal_only:
-            for x in range(bound, -1, -1):
-                up[x] = up[x + 1] if -x in u else x
-        floor = (0, *[max(-x, 0) for x in u[1:]], 0)
-        if up[0] or any(up[x] == beyond for x in floor):
-            continue  # v_1 = 0 is out of the range, or some v_k has no value
-        key = (floor, tuple([-x for x in u]) if u[0] == 0 else None)
-        run = runs.get(key)
-        yield u, odometer(tuple(up), key) if run is None else run
+        if minimal_only and 0 in u:
+            continue  # v_1 = 0 makes an entry zero
+        key = (tuple([max(-x, 0) for x in u[1:]]), tuple([-x for x in u[1:]]) if u[0] == 0 else None)
+        stored = runs.get(key)
+        if stored is None:
+            stored = run([x for x in range(bound + 1) if -x not in u] if minimal_only else range(bound + 1), key)
+        yield u, stored
 
 
 def iter_dhb_matrices(n: int, bound: int, minimal_only: bool = False) -> Iterator[DHBMatrix]:
@@ -515,7 +505,8 @@ def census(n: int, d: int, bound: int, minimal_only: bool = False) -> dict:
     b_i = a_1 + u_i >= d, and `_decide_potentials` decides the square on
     its potentials (w, v); every enumerated Q is valid, so nothing else of
     `contains_subscheme` applies.  The v come in one run per u with their
-    sums, so d - sum(u) is taken once per u and w once per u and r.  Past
+    sums, most runs replayed from an earlier u with the same floors, so
+    d - sum(u) is taken once per u and w once per u and r.  Past
     CENSUS_BUDGET candidates (`_census_candidates`) it raises
     CensusBudgetError, enumerating nothing.
     """

@@ -10,8 +10,6 @@ incidence-variety dimension counts.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .degree_matrix import DHBMatrix, _Record, grid_from_potentials
 from .errors import (
     DegenerateEmptyError,
@@ -110,7 +108,12 @@ def h0_ideal(B: BettiData, t: int) -> int:
 
 
 def stabilization_bound(B: BettiData) -> int:
-    """Level b_1 - 2, from which on the Hilbert function equals the degree."""
+    """Level b_1 - 2, from which on the Hilbert function equals the degree.
+
+    For a minimal B (`minimalize`) the level is exact: the Hilbert function
+    falls short of the degree at level b_1 - 3, as the h-vector's last
+    positive entry sits at b_1 - 2.
+    """
     _require_balanced(B)
     return B.syz[0] - 2
 
@@ -122,13 +125,15 @@ def is_numerically_minimal(B: BettiData) -> bool:
 
 def minimalize(B: BettiData) -> BettiData:
     """Cancel every matching generator/syzygy degree pair (with multiplicity)."""
-    gens, syz = Counter(B.gens), Counter(B.syz)
-    common = gens & syz
-    gens -= common
-    syz -= common
+    gens, syz = list(B.gens), []
+    for b in B.syz:
+        if b in gens:
+            gens.remove(b)  # one copy, so both stay sorted
+        else:
+            syz.append(b)
     if not gens:
         raise DegenerateEmptyError("cancellation removed every generator")
-    return BettiData.of(gens.elements(), syz.elements())
+    return BettiData(tuple(gens), tuple(syz))
 
 
 def hvector_from_betti(B: BettiData) -> tuple[int, ...]:

@@ -264,6 +264,9 @@ class TestStableThreshold:
         assert stable_threshold(Q_61) == 7
         assert stable_threshold(Q_CI22) == 2
         assert stable_threshold(Q_64) == 6
+        # the top syzygy degree 5 cancels against a generator degree, so
+        # HF = 1, 3, 4, 4, ... reaches 4 at level 2, not at b_1 - 2 = 3
+        assert stable_threshold(dhb([[0, 3, 3], [-1, 2, 2]])) == 2
 
     def test_monotone_after_threshold(self):
         for Q in (Q_61, Q_64, Q_CI22):
@@ -406,11 +409,11 @@ def reference_runs(n, bound, minimal_only=False):
 
 class TestEnumeration:
     @pytest.mark.parametrize("minimal_only", [False, True])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_same_sequence_as_the_reference(self, n, minimal_only):
-        # n = 6 has the most negative row potentials, where the lower
-        # bounds v_k >= -u_k prune the most
-        for bound in range(1, 5 if n < 6 else 4):
+        # n = 6 and 7 have the most negative row potentials, where the
+        # floors v_k >= -u_k filter the most, and n = 7 the longest floors
+        for bound in range(1, {6: 4, 7: 3}.get(n, 5)):
             expected = list(reference_iter_dhb_matrices(n, bound, minimal_only))
             assert list(iter_dhb_matrices(n, bound, minimal_only)) == expected
 

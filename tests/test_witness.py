@@ -1470,8 +1470,8 @@ class TestFastPaths:
         assert _form_dot([(a, b, False), (b, a, True)], p) == zero_form(p)
 
     def test_coefficients_need_not_be_reduced(self):
-        # the slot width follows the largest packed coefficient, so any
-        # coefficients in [0, 2^64) give the residues of the exact sum;
+        # `_z_dot` sums in Python integers and reduces once at the end, so
+        # coefficients in [0, 2^64) still give the residues of the exact sum;
         # the constructor would reduce them, so they are stored unchecked
         rng = random.Random(10)
         a, b, c = (Form._trusted(m, tuple(rng.randrange(2**63) for _ in range(plane_dim(m))), P) for m in (1, 3, 2))
@@ -1488,9 +1488,9 @@ class TestFastPaths:
             _form_dot([(a, b, False), (b, c, True)], P)
 
     @pytest.mark.parametrize("p", [32003, 2**31 - 1])
-    def test_slots_at_their_bound(self, p):
-        # every coefficient p - 1: six positive terms take each slot of the
-        # sum to its bound, wider than one 64-bit word at the largest prime
+    def test_largest_coefficients_sum_in_integers_and_reduce_once(self, p):
+        # every coefficient p - 1: `_z_dot` sums six positive terms in Python
+        # integers, past one 64-bit word at the largest prime, and reduces once
         full = [Form(m, (p - 1,) * plane_dim(m), p) for m in (12, 20, 28)]
         terms = [(full[t % 3], full[2 - t % 3], False) for t in range(6)]
         assert _form_dot(terms, p) == dense_dot(terms, p)
