@@ -18,15 +18,18 @@ one kernel, `_decide_potentials`, checks them on the potentials (w, v).
 `_decide_entries` hands it a grid's column 0 and row 0 for
 `representable` and `contains_subscheme`; `census` hands it the
 potentials of Q with the row's landed among them.  One rule,
-`degree_matrix._splice_row`, lands the row: below every row of Q whose
-shift b_i is >= d, so below ties.  Between consecutive shifts the landing
-position is fixed (`_landing_intervals`): `scan` sets up each interval's
-potentials once and hands them to `_decide_potentials` at every degree;
-`containment_profile` and `stable_threshold` read the verdicts in closed
-form off those intervals, and `corollary_case` its whole certificate off Q.
-`stable_threshold` reads its Hilbert-function level off the minimal
-resolution.  `iter_dhb_matrices` and `census` draw their potentials from
-`combinations_with_replacement` (`_iter_potentials`), replaying runs of v.
+`degree_matrix._splice_row`, lands the row for both: below every row of Q
+whose shift b_i is >= d, so below ties.  Between consecutive shifts the
+landing position is fixed (`_landing_intervals`): `scan` sets up each
+interval's potentials once and hands them to `_decide_potentials` at every
+degree, and `containment_profile` reads the verdicts in closed form off
+those intervals.  `stable_threshold` is the start of the profile's
+unbounded interval, raised to the Hilbert-function level that the minimal
+resolution gives.  `corollary_case`, the closed form the procedure is
+tested against, shares none of this: it counts the shifts b_i >= d itself
+and reads its whole certificate off Q.  `iter_dhb_matrices` and `census`
+draw their potentials from `combinations_with_replacement`
+(`_iter_potentials`), replaying runs of v.
 """
 
 from __future__ import annotations
@@ -102,16 +105,6 @@ class Decision(NamedTuple):
         if self.inserted_row_position is not None:
             out["insertedRowPosition"] = self.inserted_row_position
         return out
-
-
-def _inserted_entries(Q: DHBMatrix, d: int) -> tuple[Grid, int]:
-    """Splice the complementary row (d - a_j) into Q at its landing position.
-
-    Returns the raw well-ordered n x n grid and the 1-based landing
-    position.  The row is compatible by construction, so it skips the
-    validation and the wrappers of insert_row_sorted.
-    """
-    return _splice_row(Q.entries, Q.shifts, d, tuple([d - aj for aj in Q.minor_degrees]))
 
 
 def _decide_potentials(w, v, d: int) -> tuple[str, int | None, int | None, tuple[tuple[int, int], ...]]:
@@ -236,7 +229,8 @@ def contains_subscheme(Q: DHBMatrix, d: int) -> Decision:
     """
     _check_curve_degree(d)
     _require_valid(Q)
-    entries, pos = _inserted_entries(Q, d)
+    # the row is compatible by construction, so it skips insert_row_sorted's checks
+    entries, pos = _splice_row(Q.entries, Q.shifts, d, tuple([d - aj for aj in Q.minor_degrees]))
     return _decide_entries(entries, d, inserted=pos)
 
 
@@ -260,14 +254,13 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
     - case iii (b_{i-1} > d >= b_i): yes iff q[k][k-1] >= 0 for
       k = 2..i-1 and d >= a_{i-1}.
 
-    The certificate is closed form too.  The square and the landing
-    position come from `_splice_row`, which lands the row below ties, so
-    at d = b_i it lands below row i.  With the row at 1-based position p + 1
-    and P the prefix sums of Q's diagonal, the square's negative
-    subdiagonal entries are Q's q[k][k-1] < 0 for k <= p, with trailing
-    degree d - P_{k-1}, and the row's own d - a_p < 0 (p >= 1), with
-    trailing degree d - P_p.  Below the row the subdiagonal is Q's
-    diagonal, which is >= 0.
+    The certificate is closed form too.  The row lands below the p shifts
+    b_i >= d, counted here, so below ties: at d = b_i it lands below row i.
+    With the row at 1-based position p + 1 and P the prefix sums of Q's
+    diagonal, the square's negative subdiagonal entries are Q's
+    q[k][k-1] < 0 for k <= p, with trailing degree d - P_{k-1}, and the
+    row's own d - a_p < 0 (p >= 1), with trailing degree d - P_p.  Below
+    the row the subdiagonal is Q's diagonal, which is >= 0.
 
     Must agree with `contains_subscheme` on every minimal input; the
     two are implemented independently and cross-checked in the tests.
@@ -280,12 +273,17 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
     b = Q.shifts
     n = Q.n
     q = Q.entries
-    m, pos = _inserted_entries(Q, d)
+    p = 0  # the row lands below the p shifts b_i >= d
+    for x in b:
+        if x < d:
+            break
+        p += 1
+    m = q[:p] + (tuple([d - aj for aj in a]),) + q[p:]
 
     if d >= b[0]:
         # the rows above the landed one tie with it, so they repeat Q's first
         # row and q[k][k-1] = q[k-1][k-1] >= 0; and d = b_p >= a_p
-        return CorollaryResult(Decision(True, REASON_OK, d, m, inserted_row_position=pos), "i")
+        return CorollaryResult(Decision(True, REASON_OK, d, m, inserted_row_position=p + 1), "i")
 
     prefix = [0, *accumulate(Q.diagonal)]  # prefix[k] = q[1][1] + ... + q[k][k]
 
@@ -293,12 +291,11 @@ def corollary_case(Q: DHBMatrix, d: int) -> CorollaryResult:
         # A no without a block degree is a negative diagonal entry, which
         # ends the insertion procedure's pass before any trailing degree.
         if not verdict and e is None:
-            return Decision(False, REASON_DIAGONAL, d, m, k=k, inserted_row_position=pos)
-        p = pos - 1
+            return Decision(False, REASON_DIAGONAL, d, m, k=k, inserted_row_position=p + 1)
         trailing = [(j, d - prefix[j - 1]) for j in range(2, p + 1) if q[j - 1][j - 2] < 0]
         if p and d < a[p - 1]:
             trailing.append((p + 1, d - prefix[p]))
-        return Decision(verdict, REASON_OK if verdict else REASON_SUBDIAGONAL, d, m, k, e, pos, tuple(trailing))
+        return Decision(verdict, REASON_OK if verdict else REASON_SUBDIAGONAL, d, m, k, e, p + 1, tuple(trailing))
 
     if d < b[n - 2]:
         # The complementary row lands at the bottom.  The only possibly
@@ -376,22 +373,22 @@ def containment_profile(Q: DHBMatrix) -> tuple[tuple[int, int | None], ...]:
 
 
 def stable_threshold(Q: DHBMatrix) -> int:
-    """Least degree from which containment holds for every larger degree.
+    """Least degree from which containment holds for every larger degree
+    and the Hilbert function has reached the scheme degree.
 
-    This is the least d >= 1 at which the decision is yes and the Hilbert
-    function has already reached the scheme degree; it never exceeds b_1
-    (where both conditions are guaranteed).  That level is exact: cancel
-    the equal generator and syzygy degrees (`minimalize`), which leaves
-    the Hilbert-series numerator N = 1 - sum s^a + sum s^b unchanged, and
-    N's top term is +s^b for the largest syzygy degree b left.  So the
+    By definition this is max(d0, t), d0 >= 1 the least degree from which
+    every degree is a yes (the start of `containment_profile`'s unbounded
+    interval) and t the least level at which the Hilbert function reaches
+    the scheme degree; it never exceeds b_1, where both hold.  t is exact:
+    cancel the equal generator and syzygy degrees (`minimalize`), which
+    leaves the Hilbert-series numerator N = 1 - sum s^a + sum s^b unchanged,
+    and N's top term is +s^b for the largest syzygy degree b left.  So the
     h-vector N / (1 - s)^2 ends in a positive entry at level b - 2, and the
     Hilbert function, its prefix sum, reaches the scheme degree exactly at
-    level b - 2 (`stabilization_bound` of the minimal data).  The threshold
-    is the first degree >= that level, and >= 1, of `containment_profile`.
+    level b - 2 (`stabilization_bound` of the minimal data).
     """
     profile = containment_profile(Q)  # refuses an invalid Q first
-    t = max(1, stabilization_bound(minimalize(betti_of_matrix(Q))))
-    return next(max(x, t) for x, y in profile if y is None or y >= t)
+    return max(profile[-1][0], stabilization_bound(minimalize(betti_of_matrix(Q))))
 
 
 def scan(Q: DHBMatrix, dmax: int) -> list[tuple[int, Decision]]:
@@ -441,9 +438,10 @@ def _check_enumeration(n: int, bound: int, minimal_only: bool) -> None:
 def _iter_potentials(n: int, bound: int, minimal_only: bool):
     """The (u, v) potential pairs of `iter_dhb_matrices`, in its order and
     only where valid, as groups (u, run), the run yielding (v, sum(v)) for
-    each v.  A run is `combinations_with_replacement` over v's value range,
-    in lexicographic order, kept where Q's diagonal u_k + v_k stays >= 0
-    (the floors v_k >= -u_k) and is not all zero.  `minimal_only` leaves
+    each v.  A run is `combinations_with_replacement` over v's value range
+    from v_2's floor up (floors and v are non-decreasing), in lexicographic
+    order, kept where Q's diagonal u_k + v_k stays >= 0 (the floors
+    v_k >= -u_k) and is not all zero.  `minimal_only` leaves
     the values -u_i out of the range, so v_1 = 0 rules out u with a zero,
     and the range is the one its floors leave.  So the floors and the zero
     diagonal are a run's key: a run is built only while read, and once read
@@ -468,7 +466,8 @@ def _iter_potentials(n: int, bound: int, minimal_only: bool):
         key = (tuple([max(-x, 0) for x in u[1:]]), tuple([-x for x in u[1:]]) if u[0] == 0 else None)
         stored = runs.get(key)
         if stored is None:
-            stored = run([x for x in range(bound + 1) if -x not in u] if minimal_only else range(bound + 1), key)
+            values = range(key[0][0] if n > 2 else 0, bound + 1)
+            stored = run([x for x in values if -x not in u] if minimal_only else values, key)
         yield u, stored
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import eq, ge, le
 
-from .decide import _check_int, contains_subscheme
+from .decide import _check_curve_degree, _check_int, contains_subscheme
 from .degree_matrix import _Record
 from .errors import InfeasibleQueryError, SeriesBudgetError
 from .resolution import BettiData, generic_betti, plane_dim
@@ -33,9 +33,7 @@ SERIES_BUDGET = 3 * 10**6
 
 def genus(d: int) -> int:
     """Genus of a smooth plane curve of degree d: (d-1)(d-2)/2."""
-    _check_int(d, "curve degree")
-    if d < 1:
-        raise ValueError("curve degree must be >= 1")
+    _check_curve_degree(d)
     return (d - 1) * (d - 2) // 2
 
 

@@ -246,12 +246,13 @@ class TestCorollaryCase:
             for d in range(1, Q.shifts[0] + 3):
                 expected[Q, d] = contains_subscheme(Q, d)
 
-        # the closed form calls no decision kernel, so it runs with both patched out
-        def kernel(*args):
-            raise AssertionError("corollary_case called a decision kernel")
+        # the closed form calls neither a decision kernel nor the procedure's
+        # landing rule, so it runs with all three patched out
+        def shared(*args):
+            raise AssertionError("corollary_case called the insertion procedure's code")
 
-        monkeypatch.setattr(decide, "_decide_potentials", kernel)
-        monkeypatch.setattr(decide, "_decide_entries", kernel)
+        for name in ("_decide_potentials", "_decide_entries", "_splice_row"):
+            monkeypatch.setattr(decide, name, shared)
         for (Q, d), procedure in expected.items():
             # the whole certificate: verdict, reason, k, block degree,
             # normalized square, landing position and trailing degrees

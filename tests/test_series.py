@@ -234,6 +234,31 @@ class TestAnalyze:
         assert payload["rows"][0]["gens"] == [7, 5, 5, 5]
 
 
+class TestNoetherBound:
+    """Noether's bound, an oracle that shares no code with curvedet.  Write
+    r = k(k+3)/2 - alpha with 0 <= alpha <= k.  A complete g^r_delta on a
+    smooth plane curve of degree d > k has delta >= kd - alpha, and the
+    bound is sharp (R. Hartshorne, J. Math. Kyoto Univ. 26 (1986);
+    M. Namba, LNM 767 (1979)).  The r = 1 rows pin the gonality d - 1.
+    For k >= d it is not sharp: at d = 4 the least degrees of r = 10 and
+    11 are r + g, 13 and 14, not kd - alpha.
+    """
+
+    @pytest.mark.parametrize("d", range(4, 12))
+    def test_least_degree_of_a_complete_series(self, d):
+        g = (d - 1) * (d - 2) // 2
+        least, noether = {}, {}
+        for r in range(1, 12):
+            k = next(k for k in itertools.count(1) if k * (k + 3) // 2 >= r)
+            if k >= d:
+                continue
+            noether[r] = k * d - (k * (k + 3) // 2 - r)
+            least[r] = next((delta for delta in range(1, r + g + 2)
+                             if any(row.exists_on_general_curve for row in analyze(SeriesQuery(d, delta, r)).rows)),
+                            None)
+        assert least == noether
+
+
 def sweep_queries():
     """Queries whose property levels fall below 0 (z = d - 1, d) and past every support (z = -d - 5)."""
     for d in range(4, 9):
